@@ -8,7 +8,7 @@ plot summaries as self-contained SVG, dump Pareto fronts and fitted
 posteriors, and run randomized validation suites for the core
 matrix identities.
 
-Config file layout (``key = value`` pairs under ``[section]`` headers)::
+Config file layout (TOML, read with the standard-library ``tomllib``)::
 
     [run]
     trials = 10
@@ -45,7 +45,7 @@ Per-trial seeds are derived by hashing (master seed, trial index,
 algorithm label), so trials share no generator state.  Wall-clock
 columns are zero unless ``run --timing`` is given.  Exit codes: 0 ok,
 1 runtime failure (partial outputs are preserved), 2 usage or config
-error.  The env var MTBANDIT_THREADS caps the trial worker pool.
+error.
 """
 
 import argparse
@@ -56,15 +56,14 @@ import json
 import os
 import sys
 import time
+import tomllib
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, bandit, benchmarks, kernels, nystrom, posterior, theorybounds
 from ._svg import render_line_plot
-from ._toml import ConfigError, dumps, loads
 from .scalarize import (
     ChebyshevScalarization,
     InverseWeightedWeights,
@@ -98,6 +97,10 @@ _SUMMARY_HEADER = (
 
 
 # Config loading ==============================================================
+class ConfigError(ValueError):
+    """Config syntax or schema problem; syntax errors carry the parser's position."""
+
+
 def _section(cfg: dict, name: str) -> dict:
     sec = cfg.get(name, {})
     if not isinstance(sec, dict):
@@ -392,8 +395,8 @@ def apply_overrides(cfg: dict, sets: list) -> dict:
         if len(parts) < 2 or not all(parts):
             raise ConfigError(f"--set key must be section.key, got {dotted!r}")
         try:
-            value = loads(f"x = {raw_value.strip()}")["x"]
-        except ConfigError:
+            value = tomllib.loads(f"x = {raw_value.strip()}")["x"]
+        except tomllib.TOMLDecodeError:
             value = raw_value.strip()
         node = cfg
         for part in parts[:-1]:
@@ -406,10 +409,12 @@ def apply_overrides(cfg: dict, sets: list) -> dict:
 
 def load_config(path: str, sets: list | None = None) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = loads(fh.read())
+        with open(path, "rb") as fh:
+            cfg = tomllib.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from None
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"cannot parse config {path!r}: {exc}") from None
     return ExperimentConfig.from_mapping(apply_overrides(cfg, sets or []))
 
 
@@ -463,7 +468,9 @@ def _sha256_file(path: str) -> str:
 def write_manifest(outdir: str, exp: ExperimentConfig, seeds: dict, filenames: list,
                    wall_seconds: float):
     manifest = {
-        "config_sha256": hashlib.sha256(dumps(exp.raw).encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(
+            json.dumps(exp.raw, sort_keys=True).encode()
+        ).hexdigest(),
         "package_version": __version__,
         "master_seed": exp.master_seed,
         "algorithms": exp.algorithms,
@@ -483,20 +490,6 @@ def write_manifest(outdir: str, exp: ExperimentConfig, seeds: dict, filenames: l
 
 
 # run =========================================================================
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("MTBANDIT_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ConfigError(f"MTBANDIT_THREADS must be an integer, got {cap!r}") from None
-        if cap < 1:
-            raise ConfigError(f"MTBANDIT_THREADS must be >= 1, got {cap}")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(n_jobs, cap))
-
-
 def _run_one_trial(exp, env, b_auto, label, trial, timing):
     """Execute one (algorithm, trial) cell and return its records."""
     n = env.n
@@ -528,36 +521,28 @@ def cmd_run(args) -> int:
     started = time.monotonic()
 
     env, b_auto = exp.build_environment()
-    jobs = [(label, trial) for label in exp.algorithms for trial in range(exp.trials)]
-    workers = _worker_count(len(jobs))
 
-    def job(cell):
-        label, trial = cell
-        return cell, _run_one_trial(exp, env, b_auto, label, trial, args.timing)
-
-    if workers == 1:
-        outcomes = [job(cell) for cell in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, jobs))
-
-    # Per-trial persistence (single-threaded merge step) ------------------
+    # Per-trial runs and persistence ---------------------------------------
     filenames, seeds = [], {}
     by_label = {label: [] for label in exp.algorithms}
-    for (label, trial), (result, inst, dict_rows, seed) in outcomes:
-        seeds.setdefault(label, []).append(seed)
-        name = f"trace_{label}_trial{trial:03d}.csv"
-        write_trace(os.path.join(exp.outdir, name), result, inst)
-        filenames.append(name)
-        if dict_rows:
-            dname = f"dictionary_{label}_trial{trial:03d}.csv"
-            _write_csv(
-                os.path.join(exp.outdir, dname),
-                ("t", "m_t", "indices"),
-                dict_rows,
+    for label in exp.algorithms:
+        for trial in range(exp.trials):
+            result, inst, dict_rows, seed = _run_one_trial(
+                exp, env, b_auto, label, trial, args.timing
             )
-            filenames.append(dname)
-        by_label[label].append((result, inst))
+            seeds.setdefault(label, []).append(seed)
+            name = f"trace_{label}_trial{trial:03d}.csv"
+            write_trace(os.path.join(exp.outdir, name), result, inst)
+            filenames.append(name)
+            if dict_rows:
+                dname = f"dictionary_{label}_trial{trial:03d}.csv"
+                _write_csv(
+                    os.path.join(exp.outdir, dname),
+                    ("t", "m_t", "indices"),
+                    dict_rows,
+                )
+                filenames.append(dname)
+            by_label[label].append((result, inst))
 
     # Merged summary -------------------------------------------------------
     T = exp.horizon
@@ -781,26 +766,32 @@ def _suite_variance_geometry():
     return (SuiteReport("variance-geometry", worst, 1e-9),)
 
 
-def _suite_icm_equivalence():
-    """Eigendecoupled fast path agrees with the block-matrix formulas."""
+def _suite_fast_path_equivalence():
+    """Task-basis fast path agrees with the block-matrix formulas (ICM, diagonal)."""
     eta = 0.1
     rng = np.random.default_rng(123)
-    kern = kernels.ICMKernel(kernels.SquaredExponential(0.3), kernels.gram_coupling(3, rng))
-    fast = posterior.PosteriorState(kern, eta, fast_path=True)
-    general = posterior.PosteriorState(kern, eta, fast_path=False)
-    queries = rng.random((40, 2))
-    err = 0.0
-    for _ in range(25):
-        x, y = rng.random(2), rng.normal(size=3)
-        fast.update(x, y)
-        general.update(x, y)
-    err = max(err, float(np.max(np.abs(fast.mean_batch(queries) - general.mean_batch(queries)))))
-    err = max(
-        err,
-        float(np.max(np.abs(fast.cov_norm_batch(queries) - general.cov_norm_batch(queries)))),
+    se = kernels.SquaredExponential(0.3)
+    cases = (
+        ("icm-equivalence", kernels.ICMKernel(se, kernels.gram_coupling(3, rng))),
+        ("diagonal-equivalence", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])),
     )
-    err = max(err, abs(fast.logdet_sum - general.logdet_sum))
-    return (SuiteReport("icm-equivalence", err, 1e-8),)
+    queries = rng.random((40, 2))
+    reports = []
+    for name, kern in cases:
+        fast = posterior.PosteriorState(kern, eta, fast_path=True)
+        general = posterior.PosteriorState(kern, eta, fast_path=False)
+        for _ in range(25):
+            x, y = rng.random(2), rng.normal(size=3)
+            fast.update(x, y)
+            general.update(x, y)
+        err = float(np.max(np.abs(fast.mean_batch(queries) - general.mean_batch(queries))))
+        err = max(
+            err,
+            float(np.max(np.abs(fast.cov_norm_batch(queries) - general.cov_norm_batch(queries)))),
+        )
+        err = max(err, abs(fast.logdet_sum - general.logdet_sum))
+        reports.append(SuiteReport(name, err, 1e-8))
+    return tuple(reports)
 
 
 def _suite_full_dictionary():
@@ -828,7 +819,7 @@ def cmd_validate(args) -> int:
     for suite in (
         _suite_schur_and_trace,
         _suite_variance_geometry,
-        _suite_icm_equivalence,
+        _suite_fast_path_equivalence,
         _suite_full_dictionary,
     ):
         reports.extend(suite())

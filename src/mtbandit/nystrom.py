@@ -20,15 +20,15 @@ the full history:
 
 with V_t = sum_s Phi_t(x_s) Phi_t(x_s)^T.  With a full dictionary and all
 probabilities 1 this reproduces the exact posterior.  For separable (ICM)
-kernels the computation splits per coupling eigendirection through a
-scalar embedding, mirroring the exact fast path.
+kernels the computation splits over the task-basis systems of the exact
+fast path (posterior._TaskBasis) through one scalar embedding.
 """
 
 import numpy as np
 import scipy.linalg as la
 
 from .kernels import ICMKernel, MultiTaskKernel, _as_points
-from .posterior import _group_eigenvalues
+from .posterior import _TaskBasis
 
 __all__ = [
     "Dictionary",
@@ -164,69 +164,53 @@ class _GeneralSupport:
 
 
 class _ICMSupport:
-    """Scalar Nystrom embedding shared across coupling eigendirections."""
+    """Scalar Nystrom embedding shared across the task-basis systems of an ICM kernel."""
 
-    def __init__(self, kernel: ICMKernel, eta, dictionary, X_hist, Yrows):
-        self.kernel = kernel
+    def __init__(self, basis: _TaskBasis, eta, dictionary, X_hist, Yrows):
+        self.basis = basis
         self.dictionary = dictionary
         self.eta = eta
-        self.spectrum = kernel.spectrum
-        self.groups = _group_eigenvalues(self.spectrum.eigenvalues)
+        self._scalar = basis.scalars[0]
         Xd = X_hist[dictionary.indices]
         w = 1.0 / np.sqrt(dictionary.probs)
-        Kd = kernel.scalar.pairwise(Xd, Xd) * np.outer(w, w)
+        Kd = self._scalar.pairwise(Xd, Xd) * np.outer(w, w)
         self._emb = _truncated_inv_sqrt(Kd)  # (r, m)
         self._Xd, self._w = Xd, w
         phi_all = self._embed(X_hist)  # (r, t)
         vt = phi_all @ phi_all.T
-        U = self.spectrum.eigenvectors
-        C = phi_all @ (Yrows @ U)  # (r, n) projected ridge statistics
+        C = phi_all @ basis.project(Yrows)  # (r, n) projected ridge statistics
         self._chols = []
         self._zs = []
-        for xi, cols in self.groups:
+        for _, xi, cols in basis.systems:
             cf = la.cho_factor(xi * vt + eta * np.eye(vt.shape[0]), lower=True)
             self._chols.append(cf)
             self._zs.append(la.cho_solve(cf, C[:, cols]))
 
     def _embed(self, Xq) -> np.ndarray:
-        kq = self.kernel.scalar.pairwise(self._Xd, _as_points(Xq))
+        kq = self._scalar.pairwise(self._Xd, _as_points(Xq))
         return self._emb @ (kq * self._w[:, None])
 
     def mean_batch(self, Xq):
-        Xq = _as_points(Xq)
-        out = np.zeros((Xq.shape[0], self.kernel.n))
         phi = self._embed(Xq)
-        U = self.spectrum.eigenvectors
-        for g, (xi, cols) in enumerate(self.groups):
-            out += xi * (phi.T @ self._zs[g]) @ U[:, cols].T
-        return out
+        return self.basis.assemble_mean([phi.T @ z for z in self._zs], phi.shape[1])
 
     def residuals_batch(self, Xq) -> np.ndarray:
-        """Per-group r~_g(x) = k(x,x) - phi^T phi + eta phi^T (xi v + eta I)^{-1} phi."""
+        """Per-system r~_g(x) = k(x,x) - phi^T phi + eta phi^T (xi v + eta I)^{-1} phi."""
         Xq = _as_points(Xq)
-        kxx = self.kernel.scalar.diag(Xq)
+        kxx = self._scalar.diag(Xq)
         phi = self._embed(Xq)
         pp = np.einsum("kj,kj->j", phi, phi)
-        res = np.empty((len(self.groups), Xq.shape[0]))
-        for g in range(len(self.groups)):
-            S = la.cho_solve(self._chols[g], phi)
+        res = np.empty((len(self._chols), Xq.shape[0]))
+        for g, cf in enumerate(self._chols):
+            S = la.cho_solve(cf, phi)
             res[g] = kxx - pp + self.eta * np.einsum("kj,kj->j", phi, S)
         return res
 
     def cov_norm_batch(self, Xq):
-        res = self.residuals_batch(Xq)
-        vals = np.array([xi for xi, _ in self.groups])[:, None] * res
-        return np.clip(vals.max(axis=0), 0.0, None)
+        return self.basis.assemble_cov_norm(self.residuals_batch(Xq), None)
 
     def cov(self, x):
-        res = self.residuals_batch(x)[:, 0]
-        n = self.kernel.n
-        vals = np.zeros(n)
-        for g, (xi, cols) in enumerate(self.groups):
-            vals[cols] = xi * res[g]
-        vals = np.clip(vals, 0.0, None)
-        U = self.spectrum.eigenvectors
-        return (U * vals) @ U.T
+        return self.basis.assemble_cov(self.residuals_batch(x)[:, 0], None)
 
 
 # Public state ================================================================
@@ -260,12 +244,10 @@ class NystromState:
         self.eta = eta
         self.q = float(q)
         self.rng = rng
-        use_fast = fast_path is True or fast_path == "auto"
         if fast_path is True and not isinstance(kernel, ICMKernel):
-            raise TypeError(
-                f"no fast path for kernel variant {type(kernel).__name__}"
-            )
-        self._fast = use_fast and isinstance(kernel, ICMKernel)
+            raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
+        fast = (fast_path is True or fast_path == "auto") and isinstance(kernel, ICMKernel)
+        self._basis = _TaskBasis(kernel, eta) if fast else None
         self.points: list[np.ndarray] = []
         self.Yrows = np.zeros((0, kernel.n))
         self.logdet_sum = 0.0
@@ -311,9 +293,9 @@ class NystromState:
         hist = self._hist()
         norms = self.cov_norm_batch(hist)  # still the previous support
         self.dictionary = resample_dictionary(norms, self.q, self.rng)
-        if self._fast:
+        if self._basis is not None:
             self._support = _ICMSupport(
-                self.kernel, self.eta, self.dictionary, hist, self.Yrows
+                self._basis, self.eta, self.dictionary, hist, self.Yrows
             )
         else:
             self._support = _GeneralSupport(
@@ -359,7 +341,7 @@ def icm_fast_embeddings(state: NystromState, x) -> np.ndarray:
     returns phi_t(x) with one row per query, shape (N, r).  Raises
     TypeError for non-ICM kernels and ValueError before the first update.
     """
-    if not isinstance(state.kernel, ICMKernel) or not state._fast:
+    if state._basis is None:
         raise TypeError(
             "fast embeddings need a NystromState over an ICMKernel with its "
             "scalar-embedding path enabled"

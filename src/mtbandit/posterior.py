@@ -14,11 +14,19 @@ blocks, and Y_t the concatenated outputs.  The state also accumulates
 incrementally; by the Schur telescoping identity this equals
 log det(I_nt + eta^{-1} G_t) and feeds the confidence radii.
 
-For separable (ICM) kernels Gamma = k * B the eigen-decomposition
-B = sum_i xi_i u_i u_i^T turns the nt x nt solve into independent t x t
-solves per eigendirection; for diagonal kernels the solve splits per
-task.  Both fast paths are selected automatically and agree with the
-general block path to high accuracy.
+Structured kernels decouple in a task basis.  Whenever
+
+    Gamma(x, x') = sum_g xi_g k_g(x, x') U_g U_g^T
+
+with orthonormal column blocks U_g, the nt x nt solve splits into one
+t x t scalar ridge system (xi_g K_g + eta I_t) per term g, acting on the
+projected outputs Y_t U_g.  An ICM kernel k * B has this form through the
+eigen-decomposition of B (one term per distinct positive eigenvalue); a
+diagonal kernel has it through unit vectors (one term per distinct scalar
+kernel, xi = 1), so the independent-task baseline with one shared scalar
+kernel needs a single Gram matrix and factor.  The task-basis solver is
+selected automatically and agrees with the general block path to high
+accuracy; sum-separable kernels use the block path.
 """
 
 import numpy as np
@@ -87,178 +95,126 @@ def _group_eigenvalues(xis: np.ndarray):
     return [(xi, np.asarray(cols, dtype=int)) for xi, cols in groups]
 
 
-# Fast-path state =============================================================
-class _ScalarSystems:
-    """Cholesky factors of (w_j * K_t + eta I_t) for a family of weights.
+# Task-basis engine ===========================================================
+class _TaskBasis:
+    """Scalar ridge systems in a task basis: Gamma = sum_g xi_g k_g U_g U_g^T.
 
-    Shared machinery for the ICM fast path (one Gram, one weight per
-    eigendirection cluster) and the diagonal fast path (one Gram per task,
-    unit weight).  Factors are block-appended and fully rebuilt every
-    REBUILD_EVERY updates.
+    Each system g is a scalar kernel k_g, a weight xi_g and a block of
+    orthonormal output columns U_g.  An ICMKernel gives one scalar kernel,
+    the eigenvalue clusters of B and their eigenvector columns; a
+    DiagonalKernel gives one system per distinct scalar-kernel object, with
+    unit weight and unit-vector columns.
+
+    The state keeps one Gram matrix per distinct scalar kernel, one
+    Cholesky factor of (xi_g K + eta I_t) per system (block-appended, fully
+    rebuilt every REBUILD_EVERY updates) and the outputs projected onto U.
+    ``assemble_*`` turn per-system coordinates and residuals into means and
+    covariances; the budgeted ICM support in nystrom reuses them.
     """
 
-    def __init__(self, scalar_kernel, weights, eta):
-        self.kernel = scalar_kernel
-        self.weights = list(weights)
+    def __init__(self, kernel, eta):
+        if isinstance(kernel, ICMKernel):
+            self.U = kernel.spectrum.eigenvectors
+            self.scalars = [kernel.scalar]
+            groups = _group_eigenvalues(kernel.spectrum.eigenvalues)
+            self.systems = [(0, xi, cols) for xi, cols in groups]
+        else:  # DiagonalKernel
+            self.U = np.eye(kernel.n)
+            by_id = {}
+            for j, k in enumerate(kernel.scalars):
+                by_id.setdefault(id(k), (k, []))[1].append(j)
+            self.scalars = [k for k, _ in by_id.values()]
+            self.systems = [
+                (i, 1.0, np.asarray(cols, dtype=int))
+                for i, (_, cols) in enumerate(by_id.values())
+            ]
         self.eta = float(eta)
-        self.K = np.zeros((0, 0))
-        self.chols = [np.zeros((0, 0)) for _ in self.weights]
+        self.grams = [np.zeros((0, 0)) for _ in self.scalars]
+        self.chols = [np.zeros((0, 0)) for _ in self.systems]
+        self.Yproj = np.zeros((0, kernel.n))
         self._since_rebuild = 0
 
     @property
     def t(self) -> int:
-        return self.K.shape[0]
+        return self.Yproj.shape[0]
 
-    def cross(self, X_hist, Xq) -> np.ndarray:
-        """Scalar kernel matrix k(x_s, z_j) of shape (t, N)."""
-        if self.t == 0:
-            return np.zeros((0, _as_points(Xq).shape[0]))
-        return self.kernel.pairwise(X_hist, Xq)
+    def project(self, Yrows) -> np.ndarray:
+        """Outputs in basis coordinates, Y U."""
+        return np.asarray(Yrows, dtype=float) @ self.U
 
-    def update(self, X_old, x_new):
-        k_vec = (
-            self.kernel.pairwise(X_old, x_new)
-            if len(X_old)
-            else np.zeros((0, 1))
-        )
+    def update(self, X_old, x_new, y_new):
         t = self.t
-        K_new = np.zeros((t + 1, t + 1))
-        K_new[:t, :t] = self.K
-        K_new[:t, t:] = k_vec
-        K_new[t:, :t] = k_vec.T
-        K_new[t, t] = self.kernel(x_new, x_new)
-        self.K = K_new
+        X_new = np.vstack([X_old, x_new]) if t else _as_points(x_new)
+        for i, k in enumerate(self.scalars):
+            K = np.empty((t + 1, t + 1))
+            K[:t, :t] = self.grams[i]
+            K[:, t:] = k.pairwise(X_new, x_new)
+            K[t:, :t] = K[:t, t:].T
+            self.grams[i] = K
         self._since_rebuild += 1
         rebuild = self._since_rebuild >= REBUILD_EVERY
-        for i, w in enumerate(self.weights):
+        for s, (i, xi, _) in enumerate(self.systems):
+            K = self.grams[i]
             if rebuild:
-                self.chols[i] = la.cholesky(
-                    w * self.K + self.eta * np.eye(t + 1), lower=True
-                )
+                self.chols[s] = la.cholesky(xi * K + self.eta * np.eye(t + 1), lower=True)
             else:
-                self.chols[i] = append_cholesky(
-                    self.chols[i],
-                    w * k_vec,
-                    np.array([[w * K_new[t, t] + self.eta]]),
+                self.chols[s] = append_cholesky(
+                    self.chols[s], xi * K[:t, t:], np.array([[xi * K[t, t] + self.eta]])
                 )
         if rebuild:
             self._since_rebuild = 0
+        self.Yproj = np.vstack([self.Yproj, self.project(y_new)[None, :]])
 
-    def solve(self, i: int, rhs: np.ndarray) -> np.ndarray:
-        """(w_i K + eta I)^{-1} rhs."""
-        return la.cho_solve((self.chols[i], True), rhs)
-
-    def quad(self, i: int, Kq: np.ndarray) -> np.ndarray:
-        """Columnwise k_q^T (w_i K + eta I)^{-1} k_q for Kq of shape (t, N)."""
-        if self.t == 0:
-            return np.zeros(Kq.shape[1])
-        V = la.solve_triangular(self.chols[i], Kq, lower=True)
-        return np.einsum("kj,kj->j", V, V)
-
-
-class _ICMFast:
-    """Eigendirection solver for Gamma = k * B.
-
-    Projects outputs onto the eigenvectors of B and runs one scalar ridge
-    system per distinct positive eigenvalue.
-    """
-
-    def __init__(self, kernel: ICMKernel, eta: float):
-        self.kernel = kernel
-        self.spectrum = kernel.spectrum
-        self.groups = _group_eigenvalues(self.spectrum.eigenvalues)
-        self.systems = _ScalarSystems(
-            kernel.scalar, [xi for xi, _ in self.groups], eta
-        )
-        self.Yproj = np.zeros((0, kernel.n))
-
-    def update(self, X_old, x_new, y_new):
-        self.systems.update(X_old, x_new)
-        row = self.spectrum.eigenvectors.T @ y_new
-        self.Yproj = np.vstack([self.Yproj, row[None, :]])
+    def _crosses(self, X_hist, Xq) -> list:
+        """One (t, N) cross matrix k(x_s, z_j) per distinct scalar kernel."""
+        return [k.pairwise(X_hist, Xq) for k in self.scalars]
 
     def mean_batch(self, X_hist, Xq) -> np.ndarray:
         N = _as_points(Xq).shape[0]
-        n = self.kernel.n
-        out = np.zeros((N, n))
-        if self.systems.t == 0:
-            return out
-        Kq = self.systems.cross(X_hist, Xq)
-        U = self.spectrum.eigenvectors
-        for g, (xi, cols) in enumerate(self.groups):
-            A = self.systems.solve(g, self.Yproj[:, cols])
-            out += xi * (Kq.T @ A) @ U[:, cols].T
-        return out
+        if self.t == 0:
+            return np.zeros((N, self.U.shape[0]))
+        Kq = self._crosses(X_hist, Xq)
+        parts = [
+            Kq[i].T @ la.cho_solve((self.chols[s], True), self.Yproj[:, cols])
+            for s, (i, _, cols) in enumerate(self.systems)
+        ]
+        return self.assemble_mean(parts, N)
 
     def residuals_batch(self, X_hist, Xq) -> np.ndarray:
-        """Per-group residuals r_g(x) = k(x,x) - xi_g k_q^T (xi_g K + eta I)^{-1} k_q.
+        """Per-system r_g(x) = k_g(x,x) - xi_g k_q^T (xi_g K + eta I)^{-1} k_q.
 
-        Returns shape (n_groups, N).
+        Returns shape (n_systems, N).
         """
         Xq = _as_points(Xq)
-        N = Xq.shape[0]
-        kxx = self.kernel.scalar.diag(Xq)
-        if self.systems.t == 0:
-            return np.tile(kxx, (len(self.groups), 1))
-        Kq = self.systems.cross(X_hist, Xq)
-        res = np.empty((len(self.groups), N))
-        for g, (xi, _) in enumerate(self.groups):
-            res[g] = kxx - xi * self.systems.quad(g, Kq)
+        Kq = self._crosses(X_hist, Xq) if self.t else None
+        res = np.empty((len(self.systems), Xq.shape[0]))
+        for s, (i, xi, _) in enumerate(self.systems):
+            res[s] = self.scalars[i].diag(Xq)
+            if Kq is not None:
+                V = la.solve_triangular(self.chols[s], Kq[i], lower=True)
+                res[s] -= xi * np.einsum("kj,kj->j", V, V)
         return res
 
-    def cov_norm_batch(self, X_hist, Xq, kappa) -> np.ndarray:
-        res = self.residuals_batch(X_hist, Xq)
-        vals = np.array([xi for xi, _ in self.groups])[:, None] * res
-        return np.clip(vals.max(axis=0), 0.0, kappa)
-
-    def cov(self, X_hist, x, kappa) -> np.ndarray:
-        res = self.residuals_batch(X_hist, x)[:, 0]
-        n = self.kernel.n
-        vals = np.zeros(n)
-        for g, (xi, cols) in enumerate(self.groups):
-            vals[cols] = xi * res[g]
-        vals = np.clip(vals, 0.0, kappa)
-        U = self.spectrum.eigenvectors
-        return (U * vals) @ U.T
-
-
-class _DiagonalFast:
-    """Per-task scalar ridge systems for Gamma = Dg(k_1, ..., k_n)."""
-
-    def __init__(self, kernel: DiagonalKernel, eta: float):
-        self.kernel = kernel
-        self.systems = [_ScalarSystems(k, [1.0], eta) for k in kernel.scalars]
-        self.Yrows = np.zeros((0, kernel.n))
-
-    def update(self, X_old, x_new, y_new):
-        for sys in self.systems:
-            sys.update(X_old, x_new)
-        self.Yrows = np.vstack([self.Yrows, np.asarray(y_new, dtype=float)[None, :]])
-
-    def mean_batch(self, X_hist, Xq) -> np.ndarray:
-        N = _as_points(Xq).shape[0]
-        n = self.kernel.n
-        out = np.zeros((N, n))
-        if self.Yrows.shape[0] == 0:
-            return out
-        for j, sys in enumerate(self.systems):
-            Kq = sys.cross(X_hist, Xq)
-            out[:, j] = Kq.T @ sys.solve(0, self.Yrows[:, j])
+    # -- assembly ---------------------------------------------------------
+    def assemble_mean(self, parts, N) -> np.ndarray:
+        """sum_g xi_g parts_g U_g^T for per-system coordinates parts_g (N, |g|)."""
+        out = np.zeros((N, self.U.shape[0]))
+        for (_, xi, cols), part in zip(self.systems, parts):
+            out += xi * part @ self.U[:, cols].T
         return out
 
-    def residuals_batch(self, X_hist, Xq) -> np.ndarray:
-        """Per-task residual variances, shape (n, N)."""
-        Xq = _as_points(Xq)
-        res = np.empty((self.kernel.n, Xq.shape[0]))
-        for j, sys in enumerate(self.systems):
-            res[j] = sys.kernel.diag(Xq) - sys.quad(0, sys.cross(X_hist, Xq))
-        return res
+    def assemble_cov(self, res, cap) -> np.ndarray:
+        """U diag(xi_g r_g) U^T for one query's residuals, eigenvalues clamped to [0, cap]."""
+        vals = np.zeros(self.U.shape[1])
+        for (_, xi, cols), r in zip(self.systems, res):
+            vals[cols] = xi * r
+        vals = np.clip(vals, 0.0, cap)
+        return (self.U * vals) @ self.U.T
 
-    def cov_norm_batch(self, X_hist, Xq, kappa) -> np.ndarray:
-        return np.clip(self.residuals_batch(X_hist, Xq).max(axis=0), 0.0, kappa)
-
-    def cov(self, X_hist, x, kappa) -> np.ndarray:
-        return np.diag(np.clip(self.residuals_batch(X_hist, x)[:, 0], 0.0, kappa))
+    def assemble_cov_norm(self, res, cap) -> np.ndarray:
+        """max_g xi_g r_g(x) per query, clamped to [0, cap]."""
+        xis = np.array([xi for _, xi, _ in self.systems])
+        return np.clip(np.max(xis[:, None] * res, axis=0, initial=0.0), 0.0, cap)
 
 
 # Public posterior state ======================================================
@@ -271,9 +227,8 @@ class PosteriorState:
     eta : float
         Positive regularizer.
     fast_path : {"auto", True, False}
-        "auto" picks the eigendirection solver for ICM kernels and the
-        per-task solver for diagonal kernels; False forces the general
-        nt x nt block path.
+        "auto" picks the task-basis solver for ICM and diagonal kernels;
+        False forces the general nt x nt block path.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
@@ -287,16 +242,11 @@ class PosteriorState:
         self.points: list[np.ndarray] = []
         self.Y = np.zeros(0)
         self.logdet_sum = 0.0
-        self._fast = None
-        if fast_path is True or fast_path == "auto":
-            if isinstance(kernel, ICMKernel):
-                self._fast = _ICMFast(kernel, eta)
-            elif isinstance(kernel, DiagonalKernel):
-                self._fast = _DiagonalFast(kernel, eta)
-            if fast_path is True and self._fast is None:
-                raise TypeError(
-                    f"no fast path for kernel variant {type(kernel).__name__}"
-                )
+        structured = isinstance(kernel, (ICMKernel, DiagonalKernel))
+        if fast_path is True and not structured:
+            raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
+        use_fast = structured and (fast_path is True or fast_path == "auto")
+        self._fast = _TaskBasis(kernel, eta) if use_fast else None
         self._chol = np.zeros((0, 0))
         self._alpha = np.zeros(0)
         self._since_rebuild = 0
@@ -371,7 +321,8 @@ class PosteriorState:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
         clamped to [0, kappa]."""
         if self._fast is not None:
-            return self._fast.cov(self._hist(), x, self.kernel.kappa)
+            res = self._fast.residuals_batch(self._hist(), x)[:, 0]
+            return self._fast.assemble_cov(res, self.kernel.kappa)
         prior = self.kernel.diag_block(x)
         if self.t == 0:
             C = prior
@@ -391,7 +342,8 @@ class PosteriorState:
         """Posterior covariance norms over a stack of queries, shape (N,)."""
         Xq = _as_points(Xq)
         if self._fast is not None:
-            return self._fast.cov_norm_batch(self._hist(), Xq, self.kernel.kappa)
+            res = self._fast.residuals_batch(self._hist(), Xq)
+            return self._fast.assemble_cov_norm(res, self.kernel.kappa)
         N = Xq.shape[0]
         out = np.empty(N)
         if self.t == 0:
@@ -411,7 +363,7 @@ class PosteriorState:
 
 # ICM fast-path entry points ==================================================
 def _require_icm(state: PosteriorState):
-    if not isinstance(state._fast, _ICMFast):
+    if state._fast is None or not isinstance(state.kernel, ICMKernel):
         raise TypeError(
             "fast-path evaluation needs a PosteriorState over an ICMKernel "
             "with its eigendirection solver enabled"
@@ -424,7 +376,7 @@ def icm_posterior_mean(state: PosteriorState, x) -> np.ndarray:
     Equals the general block path; raises TypeError for other variants.
     """
     _require_icm(state)
-    return state._fast.mean_batch(state._hist(), x)[0]
+    return state.mean_batch(x)[0]
 
 
 def icm_posterior_cov_norm(state: PosteriorState, x) -> float:
@@ -433,6 +385,4 @@ def icm_posterior_cov_norm(state: PosteriorState, x) -> float:
     max_i xi_i (k(x,x) - xi_i k_t(x)^T (xi_i K_t + eta I_t)^{-1} k_t(x)).
     """
     _require_icm(state)
-    return float(
-        state._fast.cov_norm_batch(state._hist(), x, state.kernel.kappa)[0]
-    )
+    return state.cov_norm(x)

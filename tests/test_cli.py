@@ -1,9 +1,8 @@
 """Command-line harness tests.
 
-Covers the config text format (lossless round-trip, line diagnostics),
-schema validation with named-key errors, per-trial seed derivation, the
-run command's CSV contract and byte determinism (also across worker-pool
-sizes), SVG plotting against a golden file, the Pareto and model-dump
+Covers the config text format (TOML with line diagnostics), schema
+validation with named-key errors, per-trial seed derivation, the run
+command's CSV contract and byte determinism, SVG plotting against a golden file, the Pareto and model-dump
 exports, and the validation suites including a mutation check.
 """
 
@@ -14,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from mtbandit import _toml, cli, posterior
+from mtbandit import cli, posterior
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -53,52 +52,44 @@ def _write_config(tmp_path, text=MINIMAL_CONFIG, name="exp.toml"):
 
 
 class TestConfigText:
-    def test_round_trip_is_lossless(self):
-        data = {
-            "run": {
-                "trials": 3,
-                "horizon": 10,
-                "algorithms": ["MTKB", "MTBKB"],
-                "flag": True,
-                "note": 'quote " and \\ backslash',
-            },
-            "bandit": {"eta": 0.1, "checkpoints": [1, 2, 3], "ratio": 1.5e-3},
-        }
-        text = _toml.dumps(data)
-        assert _toml.loads(text) == data
-        assert _toml.dumps(_toml.loads(text)) == text
+    """The config is TOML; syntax errors surface as ConfigError and exit 2."""
 
-    def test_comments_and_nested_sections(self):
-        text = """
+    def _rejects(self, tmp_path, text, match):
+        cfg = _write_config(tmp_path, text)
+        with pytest.raises(cli.ConfigError, match=match):
+            cli.load_config(cfg)
+        assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+
+    def test_comments_and_nested_sections(self, tmp_path):
+        text = MINIMAL_CONFIG + """
         # leading comment
         [a.b]
         x = 1  # trailing comment
         s = "has # no comment"
         """
-        assert _toml.loads(text) == {"a": {"b": {"x": 1, "s": "has # no comment"}}}
+        exp = cli.load_config(_write_config(tmp_path, text))
+        assert exp.raw["a"] == {"b": {"x": 1, "s": "has # no comment"}}
 
-    def test_typed_scalars(self):
-        cfg = _toml.loads('i = -3\nf = 2.5\ng = 1e-3\nb = false\ns = "x"\nl = [1, 2.0]')
+    def test_typed_scalars(self, tmp_path):
+        text = MINIMAL_CONFIG + '[t]\ni = -3\nf = 2.5\ng = 1e-3\nb = false\ns = "x"\n'
+        text += "l = [1, 2.0]\n"
+        cfg = cli.load_config(_write_config(tmp_path, text)).raw["t"]
         assert cfg["i"] == -3 and isinstance(cfg["i"], int)
         assert cfg["f"] == 2.5 and cfg["g"] == 1e-3
         assert cfg["b"] is False and cfg["s"] == "x"
         assert cfg["l"] == [1, 2.0]
 
-    def test_syntax_error_carries_line_number(self):
-        with pytest.raises(_toml.ConfigError, match="line 3"):
-            _toml.loads("a = 1\nb = 2\nc =\n")
+    def test_syntax_error_carries_line_number(self, tmp_path):
+        self._rejects(tmp_path, "a = 1\nb = 2\nc =\n", "line 3")
 
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(_toml.ConfigError, match="duplicate"):
-            _toml.loads("a = 1\na = 2\n")
+    def test_duplicate_key_rejected(self, tmp_path):
+        self._rejects(tmp_path, "a = 1\na = 2\n", "overwrite")
 
-    def test_unterminated_list(self):
-        with pytest.raises(_toml.ConfigError, match="list"):
-            _toml.loads("a = [1, 2\n")
+    def test_unterminated_list(self, tmp_path):
+        self._rejects(tmp_path, "a = [1, 2\n", "array")
 
-    def test_bad_value(self):
-        with pytest.raises(_toml.ConfigError, match="parse"):
-            _toml.loads("a = nonsense\n")
+    def test_bad_value(self, tmp_path):
+        self._rejects(tmp_path, "a = nonsense\n", "Invalid value")
 
 
 class TestOverrides:
@@ -187,16 +178,14 @@ class TestRunCommand:
         assert len(summary) == 6
         assert summary[0].startswith("algorithm,t,mean_time_avg_regret")
 
-    def test_byte_identical_across_runs_and_pool_sizes(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, tmp_path):
         text = MINIMAL_CONFIG.replace(
             'algorithms = ["MTKB"]', 'algorithms = ["MTKB", "MTBKB", "ITKB"]'
         ).replace("trials = 1", "trials = 2").replace(
             "delta = 0.1", "delta = 0.1\nepsilon = 0.5"
         )
         cfg = _write_config(tmp_path, text)
-        monkeypatch.setenv("MTBANDIT_THREADS", "1")
         assert cli.main(["run", cfg, "--outdir", str(tmp_path / "a")]) == 0
-        monkeypatch.setenv("MTBANDIT_THREADS", "3")
         assert cli.main(["run", cfg, "--outdir", str(tmp_path / "b")]) == 0
         names_a = sorted(p.name for p in (tmp_path / "a").iterdir())
         names_b = sorted(p.name for p in (tmp_path / "b").iterdir())
@@ -338,6 +327,7 @@ class TestValidateCommand:
             "trace-inequality",
             "variance-geometry",
             "icm-equivalence",
+            "diagonal-equivalence",
             "full-dictionary-exactness",
         ):
             assert name in out

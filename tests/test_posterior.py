@@ -145,17 +145,43 @@ class TestFastPaths:
         )
 
     def test_diagonal_fast_matches_dense(self):
-        rng = np.random.default_rng(10)
-        kern = kernels.DiagonalKernel(
-            [kernels.SquaredExponential(0.3), kernels.Matern52(0.5)]
-        )
+        """Tasks that share one scalar-kernel object share one ridge system;
+        a distinct scalar gets its own."""
+        rng = np.random.default_rng(21)
+        se = kernels.SquaredExponential(0.3)
+        kern = kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])
         X = rng.random((15, 2))
-        Y = rng.normal(size=(15, 2))
+        Y = rng.normal(size=(15, 3))
         state = _fit(kern, X, Y)
         Xq = rng.random((6, 2))
         np.testing.assert_allclose(
             state.mean_batch(Xq), dense_posterior_mean(kern, X, Y, ETA, Xq), atol=1e-9
         )
+        norms = state.cov_norm_batch(Xq)
+        for j, xq in enumerate(Xq):
+            dense = dense_posterior_cov(kern, X, Y, ETA, xq)
+            np.testing.assert_allclose(state.cov(xq), dense, atol=1e-9)
+            assert norms[j] == pytest.approx(np.linalg.eigvalsh(dense)[-1], abs=1e-9)
+        assert state.logdet_sum == pytest.approx(dense_logdet(kern, X, ETA), abs=1e-9)
+
+    def test_diagonal_equals_identity_coupled_icm(self):
+        """Dg(k, ..., k) and k * I are the same kernel and the same posterior."""
+        rng = np.random.default_rng(22)
+        se = kernels.SquaredExponential(0.3)
+        diag = posterior.PosteriorState(kernels.DiagonalKernel([se] * 3), ETA)
+        icm = posterior.PosteriorState(kernels.ICMKernel(se, np.eye(3)), ETA)
+        for _ in range(30):
+            x, y = rng.random(2), rng.normal(size=3)
+            diag.update(x, y)
+            icm.update(x, y)
+        Xq = rng.random((20, 2))
+        np.testing.assert_allclose(diag.mean_batch(Xq), icm.mean_batch(Xq), atol=1e-10)
+        np.testing.assert_allclose(
+            diag.cov_norm_batch(Xq), icm.cov_norm_batch(Xq), atol=1e-10
+        )
+        for xq in Xq[:5]:
+            np.testing.assert_allclose(diag.cov(xq), icm.cov(xq), atol=1e-10)
+        assert diag.logdet_sum == pytest.approx(icm.logdet_sum, abs=1e-10)
 
     def test_fast_path_rejects_unsupported_kernel(self):
         rng = np.random.default_rng(11)
