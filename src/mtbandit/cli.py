@@ -229,6 +229,23 @@ class ExperimentConfig:
                     "objective.name = 'rkhs' generates from a separable kernel; "
                     f"kernel.variant must be 'icm', got {variant!r}"
                 )
+        # Lower limits of numeric keys: (section, key, type, limit, limit allowed)
+        limits = [
+            ("kernel", "lengthscale", float, 0.0, False),
+            ("objective", "noise_sigma", float, 0.0, True),
+        ]
+        if name == "rkhs":
+            limits.append(("objective", "anchors", int, 0, True))
+        if name == "shifted_branin":
+            limits.append(("objective", "n_tasks", int, 1, True))
+            limits.append(("objective", "grid_side", int, 1, True))
+        else:
+            limits.append(("objective", "grid_step", float, 0.0, False))
+        for section, key, kind, low, closed in limits:
+            value = _get(self.kernel if section == "kernel" else obj, section, key, kind, None)
+            if value is not None and not (value >= low if closed else value > low):
+                rule = ">=" if closed else ">"
+                raise ConfigError(f"{section}.{key} must be {rule} {low}, got {value}")
         # Eagerly exercise kernel/scalarization construction so config
         # errors surface before any worker starts.
         n = self.n_tasks()

@@ -21,14 +21,16 @@ the full history:
 with V_t = sum_s Phi_t(x_s) Phi_t(x_s)^T.  With a full dictionary and all
 probabilities 1 this reproduces the exact posterior.  For separable (ICM)
 kernels the computation splits over the task-basis systems of the exact
-fast path (posterior._TaskBasis) through one scalar embedding.
+fast path (posterior._TaskBasis) through one scalar embedding.  The
+observation checks, the history, the log-det accumulator and the
+covariance clamp are the exact posterior's front-end (posterior._Posterior).
 """
 
 import numpy as np
 import scipy.linalg as la
 
 from .kernels import ICMKernel, MultiTaskKernel, _as_points
-from .posterior import _TaskBasis
+from .posterior import _clamp_spectrum, _logdet_ratio, _Posterior, _prior_blocks, _TaskBasis
 
 __all__ = [
     "Dictionary",
@@ -139,7 +141,7 @@ class _GeneralSupport:
         return (self._embed(Xq).T @ self._z).reshape(Xq.shape[0], -1)
 
     def _cov_stack(self, Xq) -> np.ndarray:
-        """Gamma~(x, x) for each query, shape (N, n, n), PSD-clamped."""
+        """Unclamped Gamma~(x, x) for each query, shape (N, n, n)."""
         Xq = _as_points(Xq)
         N, n = Xq.shape[0], self.kernel.n
         P = self._embed(Xq)
@@ -148,19 +150,13 @@ class _GeneralSupport:
         H3 = H.reshape(-1, N, n)
         PP = np.einsum("kja,kjb->jab", P3, P3)
         PH = np.einsum("kja,kjb->jab", P3, H3)
-        out = np.empty((N, n, n))
-        for j in range(N):
-            C = self.kernel.diag_block(Xq[j]) - PP[j] + self.eta * PH[j]
-            evals, evecs = la.eigh(0.5 * (C + C.T))
-            out[j] = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-        return out
+        return _prior_blocks(self.kernel, Xq) - PP + self.eta * PH
 
     def cov(self, x):
-        return self._cov_stack(x)[0]
+        return _clamp_spectrum(self._cov_stack(x)[0], None, matrix=True)
 
     def cov_norm_batch(self, Xq):
-        covs = self._cov_stack(Xq)
-        return np.array([la.eigvalsh(C)[-1] for C in covs])
+        return _clamp_spectrum(self._cov_stack(Xq), None)[:, -1]
 
 
 class _ICMSupport:
@@ -214,7 +210,7 @@ class _ICMSupport:
 
 
 # Public state ================================================================
-class NystromState:
+class NystromState(_Posterior):
     """Budgeted posterior with a per-round resampled dictionary.
 
     Parameters
@@ -235,78 +231,39 @@ class NystromState:
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, q: float,
                  rng: np.random.Generator, fast_path="auto"):
-        eta = float(eta)
-        if not eta > 0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        super().__init__(kernel, eta)
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
-        self.kernel = kernel
-        self.eta = eta
         self.q = float(q)
         self.rng = rng
-        if fast_path is True and not isinstance(kernel, ICMKernel):
-            raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
-        fast = (fast_path is True or fast_path == "auto") and isinstance(kernel, ICMKernel)
-        self._basis = _TaskBasis(kernel, eta) if fast else None
-        self.points: list[np.ndarray] = []
-        self.Yrows = np.zeros((0, kernel.n))
-        self.logdet_sum = 0.0
+        fast = self._use_fast_path(fast_path, ICMKernel)
+        self._basis = _TaskBasis(kernel, self.eta) if fast else None
         self.dictionary = Dictionary([], [])
         self._support = None
-
-    @property
-    def t(self) -> int:
-        return len(self.points)
 
     @property
     def m(self) -> int:
         return self.dictionary.m
 
-    def _hist(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 1))
-        return np.vstack(self.points)
-
-    # -- updates --------------------------------------------------------
-    def update(self, x, y) -> "NystromState":
-        """Observe (x, y), resample the dictionary, rebuild the support.
+    def _absorb(self) -> float:
+        """Resample the dictionary and rebuild the support.
 
         Inclusion probabilities for all points (the new one included) come
-        from the previous round's covariance; the logdet accumulator is
-        likewise incremented before the support changes.
+        from the previous round's covariance, and so does the log-det
+        increment.
         """
-        x = _as_points(x)[0]
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != self.kernel.n:
-            raise ValueError(
-                f"output has {y.shape[0]} coordinates, kernel has {self.kernel.n} tasks"
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observation contains non-finite entries")
-
-        prev_cov = self.cov(x)
-        evals = np.clip(la.eigvalsh(prev_cov), 0.0, None)
-        self.logdet_sum += float(np.sum(np.log1p(evals / self.eta)))
-
-        self.points.append(x)
-        self.Yrows = np.vstack([self.Yrows, y[None, :]])
-        hist = self._hist()
-        norms = self.cov_norm_batch(hist)  # still the previous support
+        increment = _logdet_ratio(self.cov(self.X[-1]), self.eta, None)
+        norms = self.cov_norm_batch(self.X)  # still the previous support
         self.dictionary = resample_dictionary(norms, self.q, self.rng)
         if self._basis is not None:
-            self._support = _ICMSupport(
-                self._basis, self.eta, self.dictionary, hist, self.Yrows
-            )
+            self._support = _ICMSupport(self._basis, self.eta, self.dictionary, self.X, self.Y)
         else:
             self._support = _GeneralSupport(
-                self.kernel, self.eta, self.dictionary, hist, self.Yrows
+                self.kernel, self.eta, self.dictionary, self.X, self.Y
             )
-        return self
+        return increment
 
     # -- reads ----------------------------------------------------------
-    def mean(self, x) -> np.ndarray:
-        return self.mean_batch(x)[0]
-
     def mean_batch(self, Xq) -> np.ndarray:
         Xq = _as_points(Xq)
         if self._support is None:
@@ -316,20 +273,13 @@ class NystromState:
     def cov(self, x) -> np.ndarray:
         """Approximate covariance Gamma~_t(x, x), symmetric PSD-clamped."""
         if self._support is None:
-            C = self.kernel.diag_block(x)
-            evals, evecs = la.eigh(0.5 * (C + C.T))
-            return (evecs * np.clip(evals, 0.0, None)) @ evecs.T
+            return _clamp_spectrum(self.kernel.diag_block(x), None, matrix=True)
         return self._support.cov(x)
-
-    def cov_norm(self, x) -> float:
-        return float(self.cov_norm_batch(x)[0])
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
         Xq = _as_points(Xq)
         if self._support is None:
-            return np.array(
-                [max(la.eigvalsh(self.kernel.diag_block(x))[-1], 0.0) for x in Xq]
-            )
+            return _clamp_spectrum(_prior_blocks(self.kernel, Xq), None)[:, -1]
         return self._support.cov_norm_batch(Xq)
 
 

@@ -12,7 +12,9 @@ blocks, and Y_t the concatenated outputs.  The state also accumulates
     logdet_sum = sum_{s<=t} log det(I_n + eta^{-1} Gamma_{s-1}(x_s, x_s))
 
 incrementally; by the Schur telescoping identity this equals
-log det(I_nt + eta^{-1} G_t) and feeds the confidence radii.
+log det(I_nt + eta^{-1} G_t) and feeds the confidence radii.  Each
+increment is read off the Schur complement that grows the Cholesky
+factor, so an update evaluates the kernel against the history once.
 
 Structured kernels decouple in a task basis.  Whenever
 
@@ -27,6 +29,13 @@ kernel, xi = 1), so the independent-task baseline with one shared scalar
 kernel needs a single Gram matrix and factor.  The task-basis solver is
 selected automatically and agrees with the general block path to high
 accuracy; sum-separable kernels use the block path.
+
+Every factor grows by block appends only (the bordered Cholesky
+algorithm), whose backward error is that of a fresh factorization.
+
+The observation front-end ``_Posterior`` (checks, history, log-det
+accumulator, covariance clamp) is shared with the budgeted posterior in
+the nystrom module.
 """
 
 import numpy as np
@@ -37,19 +46,13 @@ from .kernels import (
     ICMKernel,
     MultiTaskKernel,
     _as_points,
-    block_kernel_matrix,
+    cross_block,
 )
 
 __all__ = [
     "PosteriorState",
-    "icm_posterior_mean",
-    "icm_posterior_cov_norm",
     "append_cholesky",
-    "REBUILD_EVERY",
 ]
-
-# Full factorization rebuild cadence; block appends in between.
-REBUILD_EVERY = 64
 
 
 def append_cholesky(L: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -70,10 +73,36 @@ def append_cholesky(L: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logdet_ratio(M: np.ndarray, eta: float, cap: float) -> float:
-    """log det(I + M / eta) for a symmetric matrix M with eigenvalues in [0, cap]."""
-    evals = np.clip(la.eigvalsh(0.5 * (M + M.T)), 0.0, cap)
-    return float(np.sum(np.log1p(evals / eta)))
+def _clamp_spectrum(M, cap, matrix=False) -> np.ndarray:
+    """Clamp the eigenvalues of a covariance to [0, cap]; cap None sets no upper bound.
+
+    M is a matrix or a stack of matrices, symmetrised before the eigen
+    decomposition, or a 1-D array of eigenvalues already known.  Returns
+    the clamped eigenvalues (ascending for a matrix), or with ``matrix``
+    the matrix rebuilt from them.  Every covariance clamp of the exact and
+    the budgeted posterior goes through here.
+    """
+    M = np.asarray(M, dtype=float)
+    vecs = None
+    if M.ndim == 1:
+        vals = M
+    else:
+        M = 0.5 * (M + np.swapaxes(M, -1, -2))
+        vals, vecs = np.linalg.eigh(M) if matrix else (np.linalg.eigvalsh(M), None)
+    vals = np.clip(vals, 0.0, cap)
+    if vecs is None:
+        return vals
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+
+def _prior_blocks(kernel, Xq) -> np.ndarray:
+    """Prior blocks Gamma(x, x) for a stack of queries, shape (N, n, n)."""
+    return np.array([kernel.diag_block(x) for x in Xq]).reshape(-1, kernel.n, kernel.n)
+
+
+def _logdet_ratio(M, eta: float, cap) -> float:
+    """log det(I + M / eta) for a covariance M (or its spectrum), clamped to [0, cap]."""
+    return float(np.sum(np.log1p(_clamp_spectrum(M, cap) / eta)))
 
 
 def _group_eigenvalues(xis: np.ndarray):
@@ -95,7 +124,70 @@ def _group_eigenvalues(xis: np.ndarray):
     return [(xi, np.asarray(cols, dtype=int)) for xi, cols in groups]
 
 
-# Task-basis engine ===========================================================
+# Observation front-end =======================================================
+class _Posterior:
+    """Observation front-end shared by the exact and the budgeted posterior.
+
+    Checks eta and every observation, keeps the history as a (t, d) input
+    array ``X`` and a (t, n) output array ``Y`` that grow once per update,
+    and accumulates ``logdet_sum``.  A subclass grows its model in
+    ``_absorb``, which sees the new observation already appended and
+    returns the round's increment log det(I_n + eta^{-1} Gamma_{t-1}(x_t, x_t));
+    it also supplies ``mean_batch``, ``cov`` and ``cov_norm_batch``.
+
+    Updates mutate the state in place (single-writer); reads are pure.
+    """
+
+    def __init__(self, kernel: MultiTaskKernel, eta: float):
+        eta = float(eta)
+        if not eta > 0:
+            raise ValueError(f"eta must be positive, got {eta}")
+        self.kernel = kernel
+        self.eta = eta
+        self.X = np.zeros((0, 0))
+        self.Y = np.zeros((0, kernel.n))
+        self.logdet_sum = 0.0
+
+    def _use_fast_path(self, fast_path, supported) -> bool:
+        """True for the structured solver; ``fast_path=True`` insists on one."""
+        structured = isinstance(self.kernel, supported)
+        if fast_path is True and not structured:
+            raise TypeError(f"no fast path for kernel variant {type(self.kernel).__name__}")
+        return structured and (fast_path is True or fast_path == "auto")
+
+    @property
+    def t(self) -> int:
+        return self.Y.shape[0]
+
+    def update(self, x, y):
+        """Incorporate one observation; returns self.
+
+        The logdet accumulator is incremented with the predictive
+        covariance at x *before* the point is added.
+        """
+        x = _as_points(x)[0]
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != self.kernel.n:
+            raise ValueError(
+                f"output has {y.shape[0]} coordinates, kernel has {self.kernel.n} tasks"
+            )
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observation contains non-finite entries")
+        self.X = np.vstack([self.X, x]) if self.t else np.array([x])
+        self.Y = np.vstack([self.Y, y])
+        self.logdet_sum += self._absorb()
+        return self
+
+    def mean(self, x) -> np.ndarray:
+        """Posterior mean mu_t(x) as an (n,) vector; zero at t = 0."""
+        return self.mean_batch(x)[0]
+
+    def cov_norm(self, x) -> float:
+        """Operator norm ||Gamma_t(x, x)|| of the clamped covariance."""
+        return float(self.cov_norm_batch(x)[0])
+
+
+# Solvers =====================================================================
 class _TaskBasis:
     """Scalar ridge systems in a task basis: Gamma = sum_g xi_g k_g U_g U_g^T.
 
@@ -105,9 +197,8 @@ class _TaskBasis:
     DiagonalKernel gives one system per distinct scalar-kernel object, with
     unit weight and unit-vector columns.
 
-    The state keeps one Gram matrix per distinct scalar kernel, one
-    Cholesky factor of (xi_g K + eta I_t) per system (block-appended, fully
-    rebuilt every REBUILD_EVERY updates) and the outputs projected onto U.
+    The solver keeps one Gram matrix per distinct scalar kernel and one
+    block-appended Cholesky factor of (xi_g K + eta I_t) per system.
     ``assemble_*`` turn per-system coordinates and residuals into means and
     covariances; the budgeted ICM support in nystrom reuses them.
     """
@@ -129,64 +220,56 @@ class _TaskBasis:
                 for i, (_, cols) in enumerate(by_id.values())
             ]
         self.eta = float(eta)
+        self.kappa = kernel.kappa
         self.grams = [np.zeros((0, 0)) for _ in self.scalars]
         self.chols = [np.zeros((0, 0)) for _ in self.systems]
-        self.Yproj = np.zeros((0, kernel.n))
-        self._since_rebuild = 0
 
-    @property
-    def t(self) -> int:
-        return self.Yproj.shape[0]
-
-    def project(self, Yrows) -> np.ndarray:
+    def project(self, Y) -> np.ndarray:
         """Outputs in basis coordinates, Y U."""
-        return np.asarray(Yrows, dtype=float) @ self.U
+        return np.asarray(Y, dtype=float) @ self.U
 
-    def update(self, X_old, x_new, y_new):
-        t = self.t
-        X_new = np.vstack([X_old, x_new]) if t else _as_points(x_new)
+    def update(self, X) -> float:
+        """Grow every Gram and factor by the last row of X; returns the log-det increment.
+
+        System g contributes |cols_g| log(1 + (S_g - eta) / eta), with
+        S_g = xi_g k(x, x) + eta - ||W_g||^2 the Schur complement that grows
+        its factor and S_g - eta, clamped to [0, kappa], the posterior
+        variance along U_g.
+        """
+        t = X.shape[0] - 1
         for i, k in enumerate(self.scalars):
             K = np.empty((t + 1, t + 1))
             K[:t, :t] = self.grams[i]
-            K[:, t:] = k.pairwise(X_new, x_new)
+            K[:, t:] = k.pairwise(X, X[t:])
             K[t:, :t] = K[:t, t:].T
             self.grams[i] = K
-        self._since_rebuild += 1
-        rebuild = self._since_rebuild >= REBUILD_EVERY
+        schur = np.empty(len(self.systems))
         for s, (i, xi, _) in enumerate(self.systems):
             K = self.grams[i]
-            if rebuild:
-                self.chols[s] = la.cholesky(xi * K + self.eta * np.eye(t + 1), lower=True)
-            else:
-                self.chols[s] = append_cholesky(
-                    self.chols[s], xi * K[:t, t:], np.array([[xi * K[t, t] + self.eta]])
-                )
-        if rebuild:
-            self._since_rebuild = 0
-        self.Yproj = np.vstack([self.Yproj, self.project(y_new)[None, :]])
+            L = append_cholesky(
+                self.chols[s], xi * K[:t, t:], np.array([[xi * K[t, t] + self.eta]])
+            )
+            self.chols[s] = L
+            schur[s] = L[t, t] ** 2
+        sizes = [cols.size for _, _, cols in self.systems]
+        return _logdet_ratio(np.repeat(schur - self.eta, sizes), self.eta, self.kappa)
 
-    def _crosses(self, X_hist, Xq) -> list:
-        """One (t, N) cross matrix k(x_s, z_j) per distinct scalar kernel."""
-        return [k.pairwise(X_hist, Xq) for k in self.scalars]
-
-    def mean_batch(self, X_hist, Xq) -> np.ndarray:
-        N = _as_points(Xq).shape[0]
-        if self.t == 0:
-            return np.zeros((N, self.U.shape[0]))
-        Kq = self._crosses(X_hist, Xq)
+    def mean_batch(self, X, Y, Xq) -> np.ndarray:
+        Kq = [k.pairwise(X, Xq) for k in self.scalars]
+        Yp = self.project(Y)
         parts = [
-            Kq[i].T @ la.cho_solve((self.chols[s], True), self.Yproj[:, cols])
+            Kq[i].T @ la.cho_solve((self.chols[s], True), Yp[:, cols])
             for s, (i, _, cols) in enumerate(self.systems)
         ]
-        return self.assemble_mean(parts, N)
+        return self.assemble_mean(parts, Xq.shape[0])
 
-    def residuals_batch(self, X_hist, Xq) -> np.ndarray:
+    def residuals_batch(self, X, Xq) -> np.ndarray:
         """Per-system r_g(x) = k_g(x,x) - xi_g k_q^T (xi_g K + eta I)^{-1} k_q.
 
         Returns shape (n_systems, N).
         """
         Xq = _as_points(Xq)
-        Kq = self._crosses(X_hist, Xq) if self.t else None
+        Kq = [k.pairwise(X, Xq) for k in self.scalars] if X.shape[0] else None
         res = np.empty((len(self.systems), Xq.shape[0]))
         for s, (i, xi, _) in enumerate(self.systems):
             res[s] = self.scalars[i].diag(Xq)
@@ -194,6 +277,12 @@ class _TaskBasis:
                 V = la.solve_triangular(self.chols[s], Kq[i], lower=True)
                 res[s] -= xi * np.einsum("kj,kj->j", V, V)
         return res
+
+    def cov(self, X, x) -> np.ndarray:
+        return self.assemble_cov(self.residuals_batch(X, x)[:, 0], self.kappa)
+
+    def cov_norm_batch(self, X, Xq) -> np.ndarray:
+        return self.assemble_cov_norm(self.residuals_batch(X, Xq), self.kappa)
 
     # -- assembly ---------------------------------------------------------
     def assemble_mean(self, parts, N) -> np.ndarray:
@@ -208,17 +297,56 @@ class _TaskBasis:
         vals = np.zeros(self.U.shape[1])
         for (_, xi, cols), r in zip(self.systems, res):
             vals[cols] = xi * r
-        vals = np.clip(vals, 0.0, cap)
-        return (self.U * vals) @ self.U.T
+        return (self.U * _clamp_spectrum(vals, cap)) @ self.U.T
 
     def assemble_cov_norm(self, res, cap) -> np.ndarray:
         """max_g xi_g r_g(x) per query, clamped to [0, cap]."""
         xis = np.array([xi for _, xi, _ in self.systems])
-        return np.clip(np.max(xis[:, None] * res, axis=0, initial=0.0), 0.0, cap)
+        return _clamp_spectrum(np.max(xis[:, None] * res, axis=0, initial=0.0), cap)
+
+
+class _BlockSystem:
+    """General path: one block-appended Cholesky factor of G_t + eta I_nt."""
+
+    def __init__(self, kernel, eta):
+        self.kernel = kernel
+        self.eta = float(eta)
+        self.chol = np.zeros((0, 0))
+
+    def update(self, X) -> float:
+        """Grow the factor by the last row of X; returns the log-det increment,
+        that of the n x n Schur block minus eta I."""
+        n = self.kernel.n
+        C = cross_block(self.kernel, X[:-1], X[-1])
+        D = self.kernel.diag_block(X[-1]) + self.eta * np.eye(n)
+        self.chol = append_cholesky(self.chol, C, 0.5 * (D + D.T))
+        Ls = self.chol[-n:, -n:]
+        return _logdet_ratio(Ls @ Ls.T - self.eta * np.eye(n), self.eta, self.kernel.kappa)
+
+    def mean_batch(self, X, Y, Xq) -> np.ndarray:
+        alpha = la.cho_solve((self.chol, True), Y.reshape(-1))
+        return (self.kernel._cross(X, Xq).T @ alpha).reshape(Xq.shape[0], self.kernel.n)
+
+    def _cov_stack(self, X, Xq) -> np.ndarray:
+        """Unclamped Gamma_t(x, x) for each query, shape (N, n, n)."""
+        Xq = _as_points(Xq)
+        N, n = Xq.shape[0], self.kernel.n
+        C = _prior_blocks(self.kernel, Xq)
+        if X.shape[0]:
+            W = la.solve_triangular(self.chol, self.kernel._cross(X, Xq), lower=True)
+            W3 = W.reshape(W.shape[0], N, n)
+            C -= np.einsum("kja,kjb->jab", W3, W3)
+        return C
+
+    def cov(self, X, x) -> np.ndarray:
+        return _clamp_spectrum(self._cov_stack(X, x)[0], self.kernel.kappa, matrix=True)
+
+    def cov_norm_batch(self, X, Xq) -> np.ndarray:
+        return _clamp_spectrum(self._cov_stack(X, Xq), self.kernel.kappa)[:, -1]
 
 
 # Public posterior state ======================================================
-class PosteriorState:
+class PosteriorState(_Posterior):
     """Exact multi-task KRR posterior after t observations.
 
     Parameters
@@ -234,155 +362,26 @@ class PosteriorState:
     """
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, fast_path="auto"):
-        eta = float(eta)
-        if not eta > 0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        self.kernel = kernel
-        self.eta = eta
-        self.points: list[np.ndarray] = []
-        self.Y = np.zeros(0)
-        self.logdet_sum = 0.0
-        structured = isinstance(kernel, (ICMKernel, DiagonalKernel))
-        if fast_path is True and not structured:
-            raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
-        use_fast = structured and (fast_path is True or fast_path == "auto")
-        self._fast = _TaskBasis(kernel, eta) if use_fast else None
-        self._chol = np.zeros((0, 0))
-        self._alpha = np.zeros(0)
-        self._since_rebuild = 0
+        super().__init__(kernel, eta)
+        fast = self._use_fast_path(fast_path, (ICMKernel, DiagonalKernel))
+        self._solver = (_TaskBasis if fast else _BlockSystem)(kernel, self.eta)
 
-    @property
-    def t(self) -> int:
-        return len(self.points)
-
-    def _hist(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 1))
-        return np.vstack(self.points)
-
-    # -- updates --------------------------------------------------------
-    def update(self, x, y) -> "PosteriorState":
-        """Incorporate one observation; returns self.
-
-        The logdet accumulator is incremented with the predictive
-        covariance at x *before* the point is added.
-        """
-        x = _as_points(x)[0]
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != self.kernel.n:
-            raise ValueError(
-                f"output has {y.shape[0]} coordinates, kernel has {self.kernel.n} tasks"
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observation contains non-finite entries")
-
-        self.logdet_sum += _logdet_ratio(self.cov(x), self.eta, self.kernel.kappa)
-
-        X_old = self._hist()
-        if self._fast is not None:
-            self._fast.update(X_old, x, y)
-            self.points.append(x)
-        else:
-            n = self.kernel.n
-            C = self.kernel._cross(X_old, _as_points(x)) if self.t else np.zeros((0, n))
-            D = self.kernel.diag_block(x) + self.eta * np.eye(n)
-            self.points.append(x)
-            self._since_rebuild += 1
-            if self._since_rebuild >= REBUILD_EVERY:
-                G = block_kernel_matrix(self.kernel, self._hist())
-                self._chol = la.cholesky(
-                    G + self.eta * np.eye(G.shape[0]), lower=True
-                )
-                self._since_rebuild = 0
-            else:
-                self._chol = append_cholesky(self._chol, C, 0.5 * (D + D.T))
-        self.Y = np.concatenate([self.Y, y])
-        if self._fast is None:
-            self._alpha = la.cho_solve((self._chol, True), self.Y)
-        return self
-
-    # -- reads ----------------------------------------------------------
-    def mean(self, x) -> np.ndarray:
-        """Posterior mean mu_t(x) as an (n,) vector; zero at t = 0."""
-        return self.mean_batch(x)[0]
+    def _absorb(self) -> float:
+        return self._solver.update(self.X)
 
     def mean_batch(self, Xq) -> np.ndarray:
         """Posterior means over a stack of queries, shape (N, n)."""
         Xq = _as_points(Xq)
-        if self._fast is not None:
-            return self._fast.mean_batch(self._hist(), Xq)
-        N, n = Xq.shape[0], self.kernel.n
         if self.t == 0:
-            return np.zeros((N, n))
-        Gq = self.kernel._cross(self._hist(), Xq)
-        return (Gq.T @ self._alpha).reshape(N, n)
+            return np.zeros((Xq.shape[0], self.kernel.n))
+        return self._solver.mean_batch(self.X, self.Y, Xq)
 
     def cov(self, x) -> np.ndarray:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
         clamped to [0, kappa]."""
-        if self._fast is not None:
-            res = self._fast.residuals_batch(self._hist(), x)[:, 0]
-            return self._fast.assemble_cov(res, self.kernel.kappa)
-        prior = self.kernel.diag_block(x)
-        if self.t == 0:
-            C = prior
-        else:
-            g = self.kernel._cross(self._hist(), _as_points(x))
-            W = la.solve_triangular(self._chol, g, lower=True)
-            C = prior - W.T @ W
-        evals, evecs = la.eigh(0.5 * (C + C.T))
-        evals = np.clip(evals, 0.0, self.kernel.kappa)
-        return (evecs * evals) @ evecs.T
-
-    def cov_norm(self, x) -> float:
-        """Operator norm ||Gamma_t(x, x)||, clamped to [0, kappa]."""
-        return float(self.cov_norm_batch(x)[0])
+        return self._solver.cov(self.X, x)
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
-        """Posterior covariance norms over a stack of queries, shape (N,)."""
-        Xq = _as_points(Xq)
-        if self._fast is not None:
-            res = self._fast.residuals_batch(self._hist(), Xq)
-            return self._fast.assemble_cov_norm(res, self.kernel.kappa)
-        N = Xq.shape[0]
-        out = np.empty(N)
-        if self.t == 0:
-            for j in range(N):
-                out[j] = la.eigvalsh(self.kernel.diag_block(Xq[j]))[-1]
-            return np.clip(out, 0.0, self.kernel.kappa)
-        n = self.kernel.n
-        Gq = self.kernel._cross(self._hist(), Xq)
-        W = la.solve_triangular(self._chol, Gq, lower=True)
-        W3 = W.reshape(W.shape[0], N, n)
-        Q = np.einsum("kja,kjb->jab", W3, W3)
-        for j in range(N):
-            C = self.kernel.diag_block(Xq[j]) - Q[j]
-            out[j] = la.eigvalsh(0.5 * (C + C.T))[-1]
-        return np.clip(out, 0.0, self.kernel.kappa)
-
-
-# ICM fast-path entry points ==================================================
-def _require_icm(state: PosteriorState):
-    if state._fast is None or not isinstance(state.kernel, ICMKernel):
-        raise TypeError(
-            "fast-path evaluation needs a PosteriorState over an ICMKernel "
-            "with its eigendirection solver enabled"
-        )
-
-
-def icm_posterior_mean(state: PosteriorState, x) -> np.ndarray:
-    """mu_t(x) through the eigendirection solver of a separable kernel.
-
-    Equals the general block path; raises TypeError for other variants.
-    """
-    _require_icm(state)
-    return state.mean_batch(x)[0]
-
-
-def icm_posterior_cov_norm(state: PosteriorState, x) -> float:
-    """||Gamma_t(x, x)|| through the eigendirection solver.
-
-    max_i xi_i (k(x,x) - xi_i k_t(x)^T (xi_i K_t + eta I_t)^{-1} k_t(x)).
-    """
-    _require_icm(state)
-    return state.cov_norm(x)
+        """Posterior covariance norms over a stack of queries, shape (N,),
+        clamped to [0, kappa]."""
+        return self._solver.cov_norm_batch(self.X, _as_points(Xq))

@@ -214,6 +214,28 @@ class TestRunCommand:
         assert cli.main(["run", cfg]) == 2
         assert "bandit.eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "objective, key, value",
+        [
+            ("rkhs", "kernel.lengthscale", "0.0"),
+            ("rkhs", "objective.grid_step", "0.0"),
+            ("rkhs", "objective.noise_sigma", "-0.1"),
+            ("rkhs", "objective.anchors", "-1"),
+            ("shifted_branin", "objective.grid_side", "0"),
+            ("shifted_branin", "objective.n_tasks", "0"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_key(
+        self, tmp_path, capsys, objective, key, value
+    ):
+        out = tmp_path / "out"
+        argv = ["run", _write_config(tmp_path), "--outdir", str(out), "--set", f"{key}={value}"]
+        if objective != "rkhs":
+            argv += ["--set", f"objective.name={objective}", "--set", "bandit.b=1.0"]
+        assert cli.main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.toml")]) == 2
         assert "nope.toml" in capsys.readouterr().err

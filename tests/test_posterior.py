@@ -3,9 +3,10 @@
 Every incremental quantity (mean, covariance, log-det accumulator) is
 compared with a from-scratch dense computation in conftest, for all
 three kernel variants and both the fast and general code paths.  The
-battery also covers the Cholesky block-append helper, the rebuild
-cadence, the covariance eigenvalue clamp, and the predictive-variance
-geometry used by the regret analysis.
+battery also covers the Cholesky block-append helper, long append-only
+runs at small eta with repeated noiseless queries, the covariance
+eigenvalue clamp, and the predictive-variance geometry used by the
+regret analysis.
 """
 
 import numpy as np
@@ -20,8 +21,8 @@ from mtbandit import kernels, posterior
 ETA = 0.1
 
 
-def _fit(kern, X, Y, **kwargs):
-    state = posterior.PosteriorState(kern, ETA, **kwargs)
+def _fit(kern, X, Y, eta=ETA, **kwargs):
+    state = posterior.PosteriorState(kern, eta, **kwargs)
     for x, y in zip(X, Y):
         state.update(x, y)
     return state
@@ -191,44 +192,32 @@ class TestFastPaths:
         with pytest.raises(TypeError, match="fast path"):
             posterior.PosteriorState(kern, ETA, fast_path=True)
 
-    def test_icm_helper_accessors(self):
-        rng = np.random.default_rng(12)
-        kern = random_icm(rng, n=2)
-        X = rng.random((5, 1))
-        Y = rng.normal(size=(5, 2))
-        state = _fit(kern, X, Y)
-        xq = rng.random(1)
-        np.testing.assert_allclose(
-            posterior.icm_posterior_mean(state, xq), state.mean(xq), atol=1e-12
-        )
-        assert posterior.icm_posterior_cov_norm(state, xq) == pytest.approx(
-            state.cov_norm(xq), abs=1e-12
-        )
-        diag = _fit(
-            kernels.DiagonalKernel([kernels.SquaredExponential(0.3)] * 2), X, Y
-        )
-        with pytest.raises(TypeError):
-            posterior.icm_posterior_mean(diag, xq)
 
-
-class TestRebuildCadence:
-    def test_long_run_crosses_rebuild(self):
-        """Past REBUILD_EVERY updates the factors are rebuilt from scratch;
-        the posterior must stay oracle-exact across the boundary."""
-        assert posterior.REBUILD_EVERY == 64
+class TestAppendOnlyFactors:
+    @pytest.mark.parametrize("eta", [0.1, 1e-3])
+    @pytest.mark.parametrize(
+        "variant, fast_path", [(0, True), (0, False), (1, True), (1, False), (2, False)]
+    )
+    def test_long_repeated_noiseless_run_matches_dense(self, variant, fast_path, eta):
+        """Factors grow by block appends alone.  After 150 noiseless updates,
+        most of them repeating an earlier query, the posterior still matches
+        the dense oracles."""
         rng = np.random.default_rng(13)
-        kern = kernels.SumSeparableKernel(
-            [(kernels.SquaredExponential(0.5), kernels.omega_coupling(0.6, 2))]
-        )
-        t = posterior.REBUILD_EVERY + 6
-        X = rng.random((t, 1))
-        Y = rng.normal(size=(t, 2))
-        state = _fit(kern, X, Y)
-        xq = rng.random(1)
+        kern = _variants(rng)[variant]
+        pool = rng.random((40, 2))
+        X = pool[rng.integers(0, pool.shape[0], size=150)]
+        assert np.unique(X, axis=0).shape[0] <= 75
+        Y = np.sin(3.0 * X @ rng.normal(size=(2, kern.n)))
+        state = _fit(kern, X, Y, eta=eta, fast_path=fast_path)
+        Xq = np.vstack([pool[:4], rng.random((4, 2))])
         np.testing.assert_allclose(
-            state.mean(xq), dense_posterior_mean(kern, X, Y, ETA, xq)[0], atol=1e-8
+            state.mean_batch(Xq), dense_posterior_mean(kern, X, Y, eta, Xq), atol=1e-9
         )
-        assert state.logdet_sum == pytest.approx(dense_logdet(kern, X, ETA), rel=1e-8)
+        for xq in Xq:
+            np.testing.assert_allclose(
+                state.cov(xq), dense_posterior_cov(kern, X, Y, eta, xq), atol=1e-9
+            )
+        assert state.logdet_sum == pytest.approx(dense_logdet(kern, X, eta), rel=1e-10)
 
 
 class TestCovarianceGeometry:
