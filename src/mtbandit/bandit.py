@@ -262,7 +262,7 @@ def run(
     rng_noise = np.random.default_rng(noise_ss)
 
     if config.algorithm == "MTKB":
-        model = PosteriorState(kernel, config.eta)
+        model = PosteriorState(kernel, config.eta, grid=grid)
         radius = beta_t
     else:
         q = dictionary_multiplier(config.epsilon, T, config.delta)

@@ -784,7 +784,8 @@ def _suite_variance_geometry():
 
 
 def _suite_fast_path_equivalence():
-    """Task-basis fast path agrees with the block-matrix formulas (ICM, diagonal)."""
+    """Task-basis fast path, off the grid and grid-resident, agrees with the
+    block-matrix formulas (ICM, diagonal)."""
     eta = 0.1
     rng = np.random.default_rng(123)
     se = kernels.SquaredExponential(0.3)
@@ -796,17 +797,21 @@ def _suite_fast_path_equivalence():
     reports = []
     for name, kern in cases:
         fast = posterior.PosteriorState(kern, eta, fast_path=True)
+        on_grid = posterior.PosteriorState(kern, eta, fast_path=True, grid=queries)
         general = posterior.PosteriorState(kern, eta, fast_path=False)
         for _ in range(25):
             x, y = rng.random(2), rng.normal(size=3)
-            fast.update(x, y)
-            general.update(x, y)
-        err = float(np.max(np.abs(fast.mean_batch(queries) - general.mean_batch(queries))))
-        err = max(
-            err,
-            float(np.max(np.abs(fast.cov_norm_batch(queries) - general.cov_norm_batch(queries)))),
-        )
-        err = max(err, abs(fast.logdet_sum - general.logdet_sum))
+            for state in (fast, on_grid, general):
+                state.update(x, y)
+        mean, norm = general.mean_batch(queries), general.cov_norm_batch(queries)
+        err = 0.0
+        for state in (fast, on_grid):
+            err = max(
+                err,
+                float(np.max(np.abs(state.mean_batch(queries) - mean))),
+                float(np.max(np.abs(state.cov_norm_batch(queries) - norm))),
+                abs(state.logdet_sum - general.logdet_sum),
+            )
         reports.append(SuiteReport(name, err, 1e-8))
     return tuple(reports)
 

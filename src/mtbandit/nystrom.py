@@ -138,7 +138,7 @@ class _GeneralSupport:
 
     def mean_batch(self, Xq):
         Xq = _as_points(Xq)
-        return (self._embed(Xq).T @ self._z).reshape(Xq.shape[0], -1)
+        return (self._embed(Xq).T @ self._z).reshape(Xq.shape[0], self.kernel.n)
 
     def _cov_stack(self, Xq) -> np.ndarray:
         """Unclamped Gamma~(x, x) for each query, shape (N, n, n)."""
@@ -146,8 +146,8 @@ class _GeneralSupport:
         N, n = Xq.shape[0], self.kernel.n
         P = self._embed(Xq)
         H = la.cho_solve(self._cholV, P)
-        P3 = P.reshape(-1, N, n)
-        H3 = H.reshape(-1, N, n)
+        P3 = P.reshape(P.shape[0], N, n)
+        H3 = H.reshape(H.shape[0], N, n)
         PP = np.einsum("kja,kjb->jab", P3, P3)
         PH = np.einsum("kja,kjb->jab", P3, H3)
         return _prior_blocks(self.kernel, Xq) - PP + self.eta * PH

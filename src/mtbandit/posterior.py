@@ -33,6 +33,16 @@ accuracy; sum-separable kernels use the block path.
 Every factor grows by block appends only (the bordered Cholesky
 algorithm), whose backward error is that of a fresh factorization.
 
+A bandit scores the same finite candidate grid every round.  Given that
+grid, the task-basis solver keeps per system g the rows V_g =
+L_g^{-1} k_g(X_t, grid) and z_g = L_g^{-1} Y_t U_g, the grid coordinates
+V_g^T z_g and the grid residuals k_g(x, x) - xi_g ||V_g(x)||^2.  The
+bordered factor's new row [w, l] gives each new row in O(t N), and the
+coordinates and residuals change by one rank-one term, so an update costs
+O(t N) and a read of the grid O(N) rather than O(t^2 N).  Reads match
+the grid by identity (the same array object); the caller must not mutate
+it.  Every other query, and the block path, use the general formulas.
+
 The observation front-end ``_Posterior`` (checks, history, log-det
 accumulator, covariance clamp) is shared with the budgeted posterior in
 the nystrom module.
@@ -197,13 +207,15 @@ class _TaskBasis:
     DiagonalKernel gives one system per distinct scalar-kernel object, with
     unit weight and unit-vector columns.
 
-    The solver keeps one Gram matrix per distinct scalar kernel and one
-    block-appended Cholesky factor of (xi_g K + eta I_t) per system.
-    ``assemble_*`` turn per-system coordinates and residuals into means and
-    covariances; the budgeted ICM support in nystrom reuses them.
+    The solver keeps one block-appended Cholesky factor L_g of
+    (xi_g K_g + eta I_t) per system and, given a candidate ``grid``, the
+    grid-resident statistics of the module docstring; a read of that same
+    grid object comes from them.  ``assemble_*`` turn per-system coordinates
+    and residuals into means and covariances; the budgeted ICM support in
+    nystrom reuses them.
     """
 
-    def __init__(self, kernel, eta):
+    def __init__(self, kernel, eta, grid=None):
         if isinstance(kernel, ICMKernel):
             self.U = kernel.spectrum.eigenvectors
             self.scalars = [kernel.scalar]
@@ -221,40 +233,55 @@ class _TaskBasis:
             ]
         self.eta = float(eta)
         self.kappa = kernel.kappa
-        self.grams = [np.zeros((0, 0)) for _ in self.scalars]
         self.chols = [np.zeros((0, 0)) for _ in self.systems]
+        self.grid = grid
+        if grid is not None:
+            N = grid.shape[0]
+            self._V = [np.zeros((0, N)) for _ in self.systems]
+            self._z = [np.zeros((0, cols.size)) for _, _, cols in self.systems]
+            self._coords = [np.zeros((N, cols.size)) for _, _, cols in self.systems]
+            self._res = np.array([self.scalars[i].diag(grid) for i, _, _ in self.systems])
 
     def project(self, Y) -> np.ndarray:
         """Outputs in basis coordinates, Y U."""
         return np.asarray(Y, dtype=float) @ self.U
 
-    def update(self, X) -> float:
-        """Grow every Gram and factor by the last row of X; returns the log-det increment.
+    def update(self, X, Y) -> float:
+        """Grow every factor (and the grid statistics) by the last row of X and Y;
+        returns the log-det increment.
 
         System g contributes |cols_g| log(1 + (S_g - eta) / eta), with
         S_g = xi_g k(x, x) + eta - ||W_g||^2 the Schur complement that grows
         its factor and S_g - eta, clamped to [0, kappa], the posterior
-        variance along U_g.
+        variance along U_g.  With a grid, the new factor row [w, l] gives the
+        new rows (k_g(x, grid) - w V_g) / l of V_g and (y U_g - w z_g) / l of
+        z_g, which enter the coordinates and residuals as rank-one terms.
         """
         t = X.shape[0] - 1
-        for i, k in enumerate(self.scalars):
-            K = np.empty((t + 1, t + 1))
-            K[:t, :t] = self.grams[i]
-            K[:, t:] = k.pairwise(X, X[t:])
-            K[t:, :t] = K[:t, t:].T
-            self.grams[i] = K
+        cross = [k.pairwise(X, X[t:]) for k in self.scalars]
+        if self.grid is not None:
+            rows = [k.pairwise(X[t:], self.grid)[0] for k in self.scalars]
+            yp = self.project(Y[t])
         schur = np.empty(len(self.systems))
-        for s, (i, xi, _) in enumerate(self.systems):
-            K = self.grams[i]
-            L = append_cholesky(
-                self.chols[s], xi * K[:t, t:], np.array([[xi * K[t, t] + self.eta]])
-            )
+        for s, (i, xi, cols) in enumerate(self.systems):
+            k = cross[i]
+            L = append_cholesky(self.chols[s], xi * k[:t], np.array([[xi * k[t, 0] + self.eta]]))
             self.chols[s] = L
             schur[s] = L[t, t] ** 2
+            if self.grid is not None:
+                w, ell = L[t, :t], L[t, t]
+                v = (rows[i] - w @ self._V[s]) / ell
+                z = (yp[cols] - w @ self._z[s]) / ell
+                self._V[s] = np.vstack([self._V[s], v])
+                self._z[s] = np.vstack([self._z[s], z])
+                self._coords[s] += np.outer(v, z)
+                self._res[s] -= xi * v * v
         sizes = [cols.size for _, _, cols in self.systems]
         return _logdet_ratio(np.repeat(schur - self.eta, sizes), self.eta, self.kappa)
 
     def mean_batch(self, X, Y, Xq) -> np.ndarray:
+        if Xq is self.grid:
+            return self.assemble_mean(self._coords, Xq.shape[0])
         Kq = [k.pairwise(X, Xq) for k in self.scalars]
         Yp = self.project(Y)
         parts = [
@@ -282,7 +309,8 @@ class _TaskBasis:
         return self.assemble_cov(self.residuals_batch(X, x)[:, 0], self.kappa)
 
     def cov_norm_batch(self, X, Xq) -> np.ndarray:
-        return self.assemble_cov_norm(self.residuals_batch(X, Xq), self.kappa)
+        res = self._res if Xq is self.grid else self.residuals_batch(X, Xq)
+        return self.assemble_cov_norm(res, self.kappa)
 
     # -- assembly ---------------------------------------------------------
     def assemble_mean(self, parts, N) -> np.ndarray:
@@ -313,9 +341,9 @@ class _BlockSystem:
         self.eta = float(eta)
         self.chol = np.zeros((0, 0))
 
-    def update(self, X) -> float:
+    def update(self, X, Y) -> float:
         """Grow the factor by the last row of X; returns the log-det increment,
-        that of the n x n Schur block minus eta I."""
+        that of the n x n Schur block minus eta I.  Y enters only at reads."""
         n = self.kernel.n
         C = cross_block(self.kernel, X[:-1], X[-1])
         D = self.kernel.diag_block(X[-1]) + self.eta * np.eye(n)
@@ -357,17 +385,29 @@ class PosteriorState(_Posterior):
     fast_path : {"auto", True, False}
         "auto" picks the task-basis solver for ICM and diagonal kernels;
         False forces the general nt x nt block path.
+    grid : (N, d) float ndarray or None
+        Fixed candidate stack that will be queried every round.  The
+        task-basis solver then keeps L_g^{-1} k_g(X_t, grid), the grid means
+        and the grid residuals up to date, so an update costs O(t N) and
+        ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` costs O(N) instead
+        of O(t^2 N).  Only a query that *is* this array object is served
+        from the cache; every other query (copies included) takes the
+        general read path.  The caller must not mutate the grid afterwards.
+        The block path ignores it.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
 
-    def __init__(self, kernel: MultiTaskKernel, eta: float, fast_path="auto"):
+    def __init__(self, kernel: MultiTaskKernel, eta: float, fast_path="auto", grid=None):
         super().__init__(kernel, eta)
-        fast = self._use_fast_path(fast_path, (ICMKernel, DiagonalKernel))
-        self._solver = (_TaskBasis if fast else _BlockSystem)(kernel, self.eta)
+        if self._use_fast_path(fast_path, (ICMKernel, DiagonalKernel)):
+            grid = None if grid is None else _as_points(grid)
+            self._solver = _TaskBasis(kernel, self.eta, grid)
+        else:
+            self._solver = _BlockSystem(kernel, self.eta)
 
     def _absorb(self) -> float:
-        return self._solver.update(self.X)
+        return self._solver.update(self.X, self.Y)
 
     def mean_batch(self, Xq) -> np.ndarray:
         """Posterior means over a stack of queries, shape (N, n)."""

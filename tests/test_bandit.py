@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from mtbandit import bandit, benchmarks, kernels, scalarize
+from mtbandit import bandit, benchmarks, kernels, posterior, scalarize
 
 # Frozen oracle values for b=1, sigma=0.1, eta=0.1, delta=0.1 and
 # accumulator value 3.0 (epsilon=0.5 for the budgeted radius).
@@ -204,6 +204,28 @@ class TestRunLoop:
         )
         assert seen == [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
         assert np.all(res.micros > 0)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_grid_resident_posterior_replays_off_grid_run(self, diagonal, monkeypatch):
+        """MTKB (ICM) and ITKB (one shared scalar on the diagonal) give the same
+        run whether the posterior keeps grid-resident statistics or not."""
+        env, b, kern = _tiny_env(n=3, seed=7)
+        if diagonal:
+            kern = kernels.DiagonalKernel([kern.scalar] * 3)
+        cfg = _config(rkhs_bound=b, kappa=kern.kappa, horizon=40, seed=17)
+        args = (cfg, env, kern, scalarize.ChebyshevScalarization(),
+                scalarize.InverseWeightedWeights(3))
+        on_grid = bandit.run(*args)
+        monkeypatch.setattr(
+            bandit, "PosteriorState",
+            lambda kernel, eta, grid=None: posterior.PosteriorState(kernel, eta),
+        )
+        off_grid = bandit.run(*args)
+        np.testing.assert_array_equal(on_grid.x_indices, off_grid.x_indices)
+        for name in ("u_values", "betas", "logdet_sums", "variance_norms"):
+            np.testing.assert_allclose(
+                getattr(on_grid, name), getattr(off_grid, name), rtol=0, atol=1e-9
+            )
 
     def test_weight_dimension_mismatch(self):
         env, b, kern = _tiny_env()

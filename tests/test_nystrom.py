@@ -158,6 +158,28 @@ class TestPriorAndValidation:
         with pytest.raises(TypeError):
             nystrom.NystromState(kern, ETA, q=2.0, rng=np.random.default_rng(0), fast_path=True)
 
+    @pytest.mark.parametrize("budgeted", [False, True])
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_empty_query_stack(self, budgeted, structured):
+        """After one update every state maps an empty query stack to empty
+        results: the task-basis and block exact paths, the Nystrom ICM
+        support and the general Nystrom support on a sum-separable kernel."""
+        rng = np.random.default_rng(8)
+        if structured:
+            kern = random_icm(rng, n=2)
+        else:
+            kern = kernels.SumSeparableKernel(
+                [(kernels.SquaredExponential(0.3), kernels.omega_coupling(0.5, 2))]
+            )
+        if budgeted:
+            state = nystrom.NystromState(kern, ETA, q=1e12, rng=np.random.default_rng(0))
+        else:
+            state = posterior.PosteriorState(kern, ETA)
+        state.update(rng.random(2), rng.normal(size=2))
+        empty = np.zeros((0, 2))
+        assert state.mean_batch(empty).shape == (0, 2)
+        assert state.cov_norm_batch(empty).shape == (0,)
+
     def test_embeddings_accessor(self):
         rng = np.random.default_rng(7)
         kern = random_icm(rng, n=2)

@@ -4,9 +4,9 @@ Every incremental quantity (mean, covariance, log-det accumulator) is
 compared with a from-scratch dense computation in conftest, for all
 three kernel variants and both the fast and general code paths.  The
 battery also covers the Cholesky block-append helper, long append-only
-runs at small eta with repeated noiseless queries, the covariance
-eigenvalue clamp, and the predictive-variance geometry used by the
-regret analysis.
+runs at small eta with repeated noiseless queries, grid-resident reads
+along those runs, the covariance eigenvalue clamp, and the
+predictive-variance geometry used by the regret analysis.
 """
 
 import numpy as np
@@ -193,6 +193,17 @@ class TestFastPaths:
             posterior.PosteriorState(kern, ETA, fast_path=True)
 
 
+def _repeated_noiseless_run(variant):
+    """150 noiseless observations drawn from a 40-point pool, mostly repeats."""
+    rng = np.random.default_rng(13)
+    kern = _variants(rng)[variant]
+    pool = rng.random((40, 2))
+    X = pool[rng.integers(0, pool.shape[0], size=150)]
+    assert np.unique(X, axis=0).shape[0] <= 75
+    Y = np.sin(3.0 * X @ rng.normal(size=(2, kern.n)))
+    return rng, kern, pool, X, Y
+
+
 class TestAppendOnlyFactors:
     @pytest.mark.parametrize("eta", [0.1, 1e-3])
     @pytest.mark.parametrize(
@@ -202,12 +213,7 @@ class TestAppendOnlyFactors:
         """Factors grow by block appends alone.  After 150 noiseless updates,
         most of them repeating an earlier query, the posterior still matches
         the dense oracles."""
-        rng = np.random.default_rng(13)
-        kern = _variants(rng)[variant]
-        pool = rng.random((40, 2))
-        X = pool[rng.integers(0, pool.shape[0], size=150)]
-        assert np.unique(X, axis=0).shape[0] <= 75
-        Y = np.sin(3.0 * X @ rng.normal(size=(2, kern.n)))
+        rng, kern, pool, X, Y = _repeated_noiseless_run(variant)
         state = _fit(kern, X, Y, eta=eta, fast_path=fast_path)
         Xq = np.vstack([pool[:4], rng.random((4, 2))])
         np.testing.assert_allclose(
@@ -218,6 +224,32 @@ class TestAppendOnlyFactors:
                 state.cov(xq), dense_posterior_cov(kern, X, Y, eta, xq), atol=1e-9
             )
         assert state.logdet_sum == pytest.approx(dense_logdet(kern, X, eta), rel=1e-10)
+
+    @pytest.mark.parametrize("eta", [0.1, 1e-3])
+    @pytest.mark.parametrize("variant", [0, 1])
+    def test_grid_reads_match_dense_and_off_grid(self, variant, eta):
+        """A task-basis state built on the pool grid serves pool reads from its
+        grid-resident rows.  Along the same repeated noiseless run they match
+        the dense oracles and the off-grid path (a copy of the pool)."""
+        _, kern, pool, X, Y = _repeated_noiseless_run(variant)
+        state = posterior.PosteriorState(kern, eta, fast_path=True, grid=pool)
+        checkpoints = {0, 1, 75, 150}
+        for t in range(X.shape[0] + 1):
+            if t in checkpoints:
+                means, norms = state.mean_batch(pool), state.cov_norm_batch(pool)
+                if t:
+                    dense_means = dense_posterior_mean(kern, X[:t], Y[:t], eta, pool)
+                    covs = [dense_posterior_cov(kern, X[:t], Y[:t], eta, x) for x in pool]
+                else:
+                    dense_means = np.zeros_like(means)
+                    covs = [kern(x, x) for x in pool]
+                dense_norms = np.clip(np.linalg.eigvalsh(covs)[:, -1], 0.0, kern.kappa)
+                np.testing.assert_allclose(means, dense_means, atol=1e-9)
+                np.testing.assert_allclose(norms, dense_norms, atol=1e-9)
+                np.testing.assert_allclose(means, state.mean_batch(pool.copy()), atol=1e-9)
+                np.testing.assert_allclose(norms, state.cov_norm_batch(pool.copy()), atol=1e-9)
+            if t < X.shape[0]:
+                state.update(X[t], Y[t])
 
 
 class TestCovarianceGeometry:
