@@ -176,14 +176,15 @@ def select_point(model, scalarization: Scalarization, lam, beta: float, candidat
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     if candidates.shape[0] == 0:
         raise ValueError("candidate list is empty")
-    scores = _acquisition_batch(model, scalarization, lam, beta, candidates)
+    means, norms = model.mean_batch(candidates), model.cov_norm_batch(candidates)
+    scores = _scores(scalarization, lam, beta, means, norms)
     idx = int(np.argmax(scores))
     return idx, candidates[idx]
 
 
-def _acquisition_batch(model, scalarization, lam, beta, candidates) -> np.ndarray:
-    means = model.mean_batch(candidates)
-    widths = np.sqrt(np.clip(model.cov_norm_batch(candidates), 0.0, None))
+def _scores(scalarization, lam, beta, means, norms) -> np.ndarray:
+    """Acquisition values from the posterior means and covariance norms."""
+    widths = np.sqrt(np.clip(norms, 0.0, None))
     return (
         scalarization.value_batch(lam, means)
         + scalarization.lipschitz(lam) * beta * widths
@@ -230,7 +231,6 @@ def run(
     scalarization: Scalarization,
     weight_dist: WeightDistribution,
     *,
-    beta_override=None,
     round_hook=None,
     timing: bool = False,
 ) -> RunResult:
@@ -241,9 +241,6 @@ def run(
     environment
         Provides ``grid`` (N, d), ``values`` (N, n) noiseless truth, and
         ``observe(index, rng)`` returning a noisy output.
-    beta_override : callable or None
-        Replaces the radius schedule with ``fn(config, logdet_sum)``;
-        testing hook, not reachable from configs.
     round_hook : callable or None
         Called as ``fn(t, model)`` after each round's update.
     timing : bool
@@ -268,8 +265,6 @@ def run(
         q = dictionary_multiplier(config.epsilon, T, config.delta)
         model = NystromState(kernel, config.eta, q, np.random.default_rng(dict_ss))
         radius = beta_tilde_t
-    if beta_override is not None:
-        radius = beta_override
 
     lambdas = np.empty((T, n))
     x_indices = np.empty(T, dtype=int)
@@ -281,15 +276,19 @@ def run(
     variance_norms = np.empty(T)
     micros = np.zeros(T, dtype=int)
 
+    # The grid is read once before the first round and once after each
+    # update: those reads score the next round and give this round's norm.
+    means, norms = model.mean_batch(grid), model.cov_norm_batch(grid)
     for t in range(T):
         tic = time.perf_counter_ns() if timing else 0
         lam = weight_dist.sample(rng_lam)
         beta = float(radius(config, model.logdet_sum))
-        scores = _acquisition_batch(model, scalarization, lam, beta, grid)
+        scores = _scores(scalarization, lam, beta, means, norms)
         idx = int(np.argmax(scores))
         y = environment.observe(idx, rng_noise)
 
         model.update(grid[idx], y)
+        means, norms = model.mean_batch(grid), model.cov_norm_batch(grid)
 
         lambdas[t] = lam
         x_indices[t] = idx
@@ -299,7 +298,7 @@ def run(
         if config.algorithm == "MTBKB":
             m_sizes[t] = model.m
         logdet_sums[t] = model.logdet_sum
-        variance_norms[t] = model.cov_norm(grid[idx])
+        variance_norms[t] = norms[idx]
         if timing:
             micros[t] = (time.perf_counter_ns() - tic) // 1000
         if round_hook is not None:

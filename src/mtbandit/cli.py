@@ -784,20 +784,25 @@ def _suite_variance_geometry():
 
 
 def _suite_fast_path_equivalence():
-    """Task-basis fast path, off the grid and grid-resident, agrees with the
-    block-matrix formulas (ICM, diagonal)."""
+    """The default systems, off the grid and grid-resident, agree with the
+    single general system (ICM, diagonal); on a sum-separable kernel, which
+    is one general system, grid-resident reads agree with off-grid ones."""
     eta = 0.1
     rng = np.random.default_rng(123)
     se = kernels.SquaredExponential(0.3)
     cases = (
         ("icm-equivalence", kernels.ICMKernel(se, kernels.gram_coupling(3, rng))),
         ("diagonal-equivalence", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])),
+        ("sum-separable-grid", kernels.SumSeparableKernel([
+            (se, kernels.omega_coupling(0.5, 3)),
+            (kernels.Matern52(0.5), kernels.gram_coupling(3, rng)),
+        ])),
     )
     queries = rng.random((40, 2))
     reports = []
     for name, kern in cases:
-        fast = posterior.PosteriorState(kern, eta, fast_path=True)
-        on_grid = posterior.PosteriorState(kern, eta, fast_path=True, grid=queries)
+        fast = posterior.PosteriorState(kern, eta)
+        on_grid = posterior.PosteriorState(kern, eta, grid=queries)
         general = posterior.PosteriorState(kern, eta, fast_path=False)
         for _ in range(25):
             x, y = rng.random(2), rng.normal(size=3)
@@ -817,23 +822,30 @@ def _suite_fast_path_equivalence():
 
 
 def _suite_full_dictionary():
-    """Budgeted posterior with an all-points dictionary matches the exact one."""
+    """Budgeted posterior with an all-points dictionary matches the exact one,
+    with one scalar embedding (ICM) and one per distinct scalar (diagonal)."""
     eta = 0.1
     rng = np.random.default_rng(321)
-    kern = kernels.ICMKernel(kernels.SquaredExponential(0.3), kernels.omega_coupling(0.4, 2))
-    exact = posterior.PosteriorState(kern, eta)
-    budget = nystrom.NystromState(kern, eta, q=1e12, rng=np.random.default_rng(9))
-    queries = rng.random((50, 2))
-    for _ in range(25):
-        x, y = rng.random(2), rng.normal(size=2)
-        exact.update(x, y)
-        budget.update(x, y)
-    err = float(np.max(np.abs(exact.mean_batch(queries) - budget.mean_batch(queries))))
-    err = max(
-        err,
-        float(np.max(np.abs(exact.cov_norm_batch(queries) - budget.cov_norm_batch(queries)))),
+    se = kernels.SquaredExponential(0.3)
+    cases = (
+        ("full-dictionary-exactness", kernels.ICMKernel(se, kernels.omega_coupling(0.4, 2))),
+        ("full-dictionary-diagonal", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])),
     )
-    return (SuiteReport("full-dictionary-exactness", err, 1e-6),)
+    queries = rng.random((50, 2))
+    reports = []
+    for name, kern in cases:
+        exact = posterior.PosteriorState(kern, eta)
+        budget = nystrom.NystromState(kern, eta, q=1e12, rng=np.random.default_rng(9))
+        for _ in range(25):
+            x, y = rng.random(2), rng.normal(size=kern.n)
+            exact.update(x, y)
+            budget.update(x, y)
+        err = max(
+            float(np.max(np.abs(exact.mean_batch(queries) - budget.mean_batch(queries)))),
+            float(np.max(np.abs(exact.cov_norm_batch(queries) - budget.cov_norm_batch(queries)))),
+        )
+        reports.append(SuiteReport(name, err, 1e-6))
+    return tuple(reports)
 
 
 def cmd_validate(args) -> int:

@@ -63,11 +63,16 @@ def operator_norm(M: np.ndarray) -> float:
 class ScalarKernel(abc.ABC):
     """Stationary scalar kernel with unit variance, k(x, x) = 1.
 
+    It also acts as a one-task kernel (``n = 1``, ``_cross``,
+    ``diag_blocks``), so the posteriors treat it like a multi-task kernel.
+
     Parameters
     ----------
     lengthscale : float
         Positive lengthscale in input-space units.
     """
+
+    n = 1
 
     def __init__(self, lengthscale: float):
         lengthscale = float(lengthscale)
@@ -87,6 +92,14 @@ class ScalarKernel(abc.ABC):
     def diag(self, X) -> np.ndarray:
         """Vector of k(x_i, x_i); identically 1 for unit-variance kernels."""
         return np.ones(_as_points(X).shape[0])
+
+    def _cross(self, X, Z) -> np.ndarray:
+        """The one-task cross blocks: ``pairwise``."""
+        return self.pairwise(X, Z)
+
+    def diag_blocks(self, X) -> np.ndarray:
+        """k(x_i, x_i) as a stack of 1 x 1 blocks, shape (N, 1, 1)."""
+        return self.diag(X)[:, None, None]
 
     def __call__(self, x, z) -> float:
         return float(self.pairwise(x, z)[0, 0])
@@ -246,6 +259,11 @@ class MultiTaskKernel(abc.ABC):
     def diag_block(self, x) -> np.ndarray:
         """Gamma(x, x), always symmetric PSD for a valid kernel."""
         return self(x, x)
+
+    def diag_blocks(self, X) -> np.ndarray:
+        """Gamma(x_i, x_i) for a stack of points, shape (N, n, n)."""
+        blocks = [self.diag_block(x) for x in _as_points(X)]
+        return np.array(blocks).reshape(-1, self.n, self.n)
 
 
 class ICMKernel(MultiTaskKernel):

@@ -19,9 +19,13 @@ the full history:
                      + eta Phi_t(x)^T (V_t + eta I)^{-1} Phi_t(x')
 
 with V_t = sum_s Phi_t(x_s) Phi_t(x_s)^T.  With a full dictionary and all
-probabilities 1 this reproduces the exact posterior.  For separable (ICM)
-kernels the computation splits over the task-basis systems of the exact
-fast path (posterior._TaskBasis) through one scalar embedding.  The
+probabilities 1 this reproduces the exact posterior.
+
+The computation splits over the same task-basis systems as the exact
+engine (posterior._task_systems, one rule for both): one embedding per
+kernel of the basis and one ridge factor per system.  An ICM kernel
+embeds its scalar kernel once and a diagonal kernel each distinct scalar
+once; any other kernel embeds its n x n blocks as a single system.  The
 observation checks, the history, the log-det accumulator and the
 covariance clamp are the exact posterior's front-end (posterior._Posterior).
 """
@@ -29,14 +33,13 @@ covariance clamp are the exact posterior's front-end (posterior._Posterior).
 import numpy as np
 import scipy.linalg as la
 
-from .kernels import ICMKernel, MultiTaskKernel, _as_points
-from .posterior import _clamp_spectrum, _logdet_ratio, _Posterior, _prior_blocks, _TaskBasis
+from .kernels import MultiTaskKernel, _as_points
+from .posterior import _block_gram, _clamp_spectrum, _logdet_ratio, _Posterior, _TaskBasis
 
 __all__ = [
     "Dictionary",
     "resample_dictionary",
     "NystromState",
-    "icm_fast_embeddings",
     "PINV_RTOL",
 ]
 
@@ -111,102 +114,68 @@ def _truncated_inv_sqrt(M: np.ndarray):
     return (evecs[:, keep] / np.sqrt(evals[keep])).T
 
 
-# Support representations =====================================================
-class _GeneralSupport:
-    """Reweighted block-path embeddings and accumulated ridge statistics."""
+# Support =====================================================================
+class _Support:
+    """Nystrom embeddings over the task-basis systems (posterior._task_systems).
 
-    def __init__(self, kernel, eta, dictionary, X_hist, Yrows):
-        self.kernel = kernel
-        self.dictionary = dictionary
-        n = kernel.n
-        Xd = X_hist[dictionary.indices]
-        w = np.repeat(1.0 / np.sqrt(dictionary.probs), n)
-        Gd = kernel._cross(Xd, Xd) * np.outer(w, w)
-        self._emb = _truncated_inv_sqrt(Gd)  # (r, n m)
-        self._Xd, self._w = Xd, w
-        t = X_hist.shape[0]
-        P = self._embed(X_hist).reshape(-1, t, n)  # (r, t, n)
-        V = np.einsum("ati,bti->ab", P, P)
-        self._cholV = la.cho_factor(V + eta * np.eye(V.shape[0]), lower=True)
-        self._z = la.cho_solve(self._cholV, np.einsum("ati,ti->a", P, Yrows))
-        self.eta = eta
+    One embedding per kernel k_i of the basis, through the truncated
+    inverse square root of its reweighted support matrix, and one ridge
+    factor of (xi_g V_i + eta I) per system, with V_i the embedded
+    history's Gram matrix.  The residual blocks of system g are
 
-    def _embed(self, Xq) -> np.ndarray:
-        """Embeddings for a stack of queries, shape (r, n * N)."""
-        Gx = self.kernel._cross(self._Xd, _as_points(Xq)) * self._w[:, None]
-        return self._emb @ Gx
+        R~_g(x) = k_i(x, x) - phi(x)^T phi(x) + eta phi(x)^T (xi_g V_i + eta I)^{-1} phi(x)
 
-    def mean_batch(self, Xq):
-        Xq = _as_points(Xq)
-        return (self._embed(Xq).T @ self._z).reshape(Xq.shape[0], self.kernel.n)
-
-    def _cov_stack(self, Xq) -> np.ndarray:
-        """Unclamped Gamma~(x, x) for each query, shape (N, n, n)."""
-        Xq = _as_points(Xq)
-        N, n = Xq.shape[0], self.kernel.n
-        P = self._embed(Xq)
-        H = la.cho_solve(self._cholV, P)
-        P3 = P.reshape(P.shape[0], N, n)
-        H3 = H.reshape(H.shape[0], N, n)
-        PP = np.einsum("kja,kjb->jab", P3, P3)
-        PH = np.einsum("kja,kjb->jab", P3, H3)
-        return _prior_blocks(self.kernel, Xq) - PP + self.eta * PH
-
-    def cov(self, x):
-        return _clamp_spectrum(self._cov_stack(x)[0], None, matrix=True)
-
-    def cov_norm_batch(self, Xq):
-        return _clamp_spectrum(self._cov_stack(Xq), None)[:, -1]
-
-
-class _ICMSupport:
-    """Scalar Nystrom embedding shared across the task-basis systems of an ICM kernel."""
+    and the basis assembles them, and the per-system mean coordinates,
+    as the exact engine does.
+    """
 
     def __init__(self, basis: _TaskBasis, eta, dictionary, X_hist, Yrows):
         self.basis = basis
-        self.dictionary = dictionary
         self.eta = eta
-        self._scalar = basis.scalars[0]
-        Xd = X_hist[dictionary.indices]
-        w = 1.0 / np.sqrt(dictionary.probs)
-        Kd = self._scalar.pairwise(Xd, Xd) * np.outer(w, w)
-        self._emb = _truncated_inv_sqrt(Kd)  # (r, m)
-        self._Xd, self._w = Xd, w
-        phi_all = self._embed(X_hist)  # (r, t)
-        vt = phi_all @ phi_all.T
-        C = phi_all @ basis.project(Yrows)  # (r, n) projected ridge statistics
+        self._Xd = X_hist[dictionary.indices]
+        self._w = np.repeat(1.0 / np.sqrt(dictionary.probs), basis.b)
+        W = np.outer(self._w, self._w)
+        self._emb = [
+            _truncated_inv_sqrt(k._cross(self._Xd, self._Xd) * W) for k in basis.kernels
+        ]  # (r_i, m b) each
+        phis = self._embed(X_hist)  # (r_i, t b) each
+        grams = [P @ P.T for P in phis]
+        Yp = basis.project(Yrows)
         self._chols = []
         self._zs = []
-        for _, xi, cols in basis.systems:
-            cf = la.cho_factor(xi * vt + eta * np.eye(vt.shape[0]), lower=True)
+        for i, xi, cols in basis.systems:
+            P = phis[i]
+            cf = la.cho_factor(xi * grams[i] + eta * np.eye(P.shape[0]), lower=True)
             self._chols.append(cf)
-            self._zs.append(la.cho_solve(cf, C[:, cols]))
+            self._zs.append(la.cho_solve(cf, P @ Yp[:, cols].reshape(P.shape[1], -1)))
 
-    def _embed(self, Xq) -> np.ndarray:
-        kq = self._scalar.pairwise(self._Xd, _as_points(Xq))
-        return self._emb @ (kq * self._w[:, None])
+    def _embed(self, Xq) -> list:
+        """Embeddings of a stack of queries, one (r_i, N b) array per kernel."""
+        Xq = _as_points(Xq)
+        w = self._w[:, None]
+        return [E @ (k._cross(self._Xd, Xq) * w) for E, k in zip(self._emb, self.basis.kernels)]
 
     def mean_batch(self, Xq):
-        phi = self._embed(Xq)
-        return self.basis.assemble_mean([phi.T @ z for z in self._zs], phi.shape[1])
+        phis = self._embed(Xq)
+        parts = [phis[i].T @ z for (i, _, _), z in zip(self.basis.systems, self._zs)]
+        return self.basis.assemble_mean(parts, Xq.shape[0])
 
-    def residuals_batch(self, Xq) -> np.ndarray:
-        """Per-system r~_g(x) = k(x,x) - phi^T phi + eta phi^T (xi v + eta I)^{-1} phi."""
+    def residuals_batch(self, Xq) -> list:
+        """Per-system blocks R~_g(x), each of shape (N, b, b)."""
         Xq = _as_points(Xq)
-        kxx = self._scalar.diag(Xq)
-        phi = self._embed(Xq)
-        pp = np.einsum("kj,kj->j", phi, phi)
-        res = np.empty((len(self._chols), Xq.shape[0]))
-        for g, cf in enumerate(self._chols):
-            S = la.cho_solve(cf, phi)
-            res[g] = kxx - pp + self.eta * np.einsum("kj,kj->j", phi, S)
-        return res
+        phis = self._embed(Xq)
+        b = self.basis.b
+        base = [k.diag_blocks(Xq) - _block_gram(P, P, b) for k, P in zip(self.basis.kernels, phis)]
+        return [
+            base[i] + self.eta * _block_gram(phis[i], la.cho_solve(cf, phis[i]), b)
+            for (i, _, _), cf in zip(self.basis.systems, self._chols)
+        ]
 
     def cov_norm_batch(self, Xq):
         return self.basis.assemble_cov_norm(self.residuals_batch(Xq), None)
 
     def cov(self, x):
-        return self.basis.assemble_cov(self.residuals_batch(x)[:, 0], None)
+        return self.basis.assemble_cov([R[0] for R in self.residuals_batch(x)], None)
 
 
 # Public state ================================================================
@@ -223,21 +192,21 @@ class NystromState(_Posterior):
     rng : numpy.random.Generator
         Owns the Bernoulli dictionary draws; advancing it is the only
         source of randomness in this state.
-    fast_path : {"auto", True, False}
-        "auto" uses the scalar-embedding path for ICM kernels.
+
+    The support is built over the kernel's task-basis systems
+    (posterior._task_systems); no option selects another path.
 
     Updates mutate in place (single-writer); reads are pure.
     """
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, q: float,
-                 rng: np.random.Generator, fast_path="auto"):
+                 rng: np.random.Generator):
         super().__init__(kernel, eta)
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
         self.q = float(q)
         self.rng = rng
-        fast = self._use_fast_path(fast_path, ICMKernel)
-        self._basis = _TaskBasis(kernel, self.eta) if fast else None
+        self._basis = _TaskBasis(kernel, self.eta)
         self.dictionary = Dictionary([], [])
         self._support = None
 
@@ -255,12 +224,7 @@ class NystromState(_Posterior):
         increment = _logdet_ratio(self.cov(self.X[-1]), self.eta, None)
         norms = self.cov_norm_batch(self.X)  # still the previous support
         self.dictionary = resample_dictionary(norms, self.q, self.rng)
-        if self._basis is not None:
-            self._support = _ICMSupport(self._basis, self.eta, self.dictionary, self.X, self.Y)
-        else:
-            self._support = _GeneralSupport(
-                self.kernel, self.eta, self.dictionary, self.X, self.Y
-            )
+        self._support = _Support(self._basis, self.eta, self.dictionary, self.X, self.Y)
         return increment
 
     # -- reads ----------------------------------------------------------
@@ -279,23 +243,5 @@ class NystromState(_Posterior):
     def cov_norm_batch(self, Xq) -> np.ndarray:
         Xq = _as_points(Xq)
         if self._support is None:
-            return _clamp_spectrum(_prior_blocks(self.kernel, Xq), None)[:, -1]
+            return _clamp_spectrum(self.kernel.diag_blocks(Xq), None)[:, -1]
         return self._support.cov_norm_batch(Xq)
-
-
-# ICM fast-path entry points ==================================================
-def icm_fast_embeddings(state: NystromState, x) -> np.ndarray:
-    """Scalar Nystrom embedding phi_t(x) of the current ICM support.
-
-    The multi-task embedding is sum_i sqrt(xi_i) phi_t(x) (x) u_i u_i^T;
-    returns phi_t(x) with one row per query, shape (N, r).  Raises
-    TypeError for non-ICM kernels and ValueError before the first update.
-    """
-    if state._basis is None:
-        raise TypeError(
-            "fast embeddings need a NystromState over an ICMKernel with its "
-            "scalar-embedding path enabled"
-        )
-    if state._support is None:
-        raise ValueError("no support yet: update the state first")
-    return state._support._embed(x).T

@@ -13,51 +13,50 @@ blocks, and Y_t the concatenated outputs.  The state also accumulates
 
 incrementally; by the Schur telescoping identity this equals
 log det(I_nt + eta^{-1} G_t) and feeds the confidence radii.  Each
-increment is read off the Schur complement that grows the Cholesky
-factor, so an update evaluates the kernel against the history once.
+increment is read off the Schur complements that grow the Cholesky
+factors, so an update evaluates the kernel against the history once.
 
-Structured kernels decouple in a task basis.  Whenever
+One engine solves every kernel.  It writes the kernel in a task basis as
 
-    Gamma(x, x') = sum_g xi_g k_g(x, x') U_g U_g^T
+    Gamma(x, x') = sum_g xi_g U_g (k_g(x, x') (x) I_{r_g}) U_g^T
 
-with orthonormal column blocks U_g, the nt x nt solve splits into one
-t x t scalar ridge system (xi_g K_g + eta I_t) per term g, acting on the
-projected outputs Y_t U_g.  An ICM kernel k * B has this form through the
-eigen-decomposition of B (one term per distinct positive eigenvalue); a
-diagonal kernel has it through unit vectors (one term per distinct scalar
-kernel, xi = 1), so the independent-task baseline with one shared scalar
-kernel needs a single Gram matrix and factor.  The task-basis solver is
-selected automatically and agrees with the general block path to high
-accuracy; sum-separable kernels use the block path.
+with kernels k_g of b_g x b_g blocks, weights xi_g >= 0 and orthonormal
+column blocks U_g of width b_g r_g.  The nt x nt solve then splits into
+one ridge system (xi_g K_g + eta I) of size t b_g per term, acting on r_g
+right-hand sides: the projected outputs Y_t U_g, stacked point-major.
+The systems are chosen by one rule (``_task_systems``):
+
+* an ICM kernel k * B gives its scalar kernel (b = 1) once per cluster
+  of equal positive eigenvalues of B, with the cluster's eigenvectors;
+* a diagonal kernel gives one b = 1 system per distinct scalar-kernel
+  object (xi = 1, unit vectors), so the independent-task baseline with
+  one shared scalar kernel needs a single factor;
+* any other kernel is a single system: the kernel itself, with b = n,
+  xi = 1 and U = I.  This is the general block solve.
 
 Every factor grows by block appends only (the bordered Cholesky
 algorithm), whose backward error is that of a fresh factorization.
 
 A bandit scores the same finite candidate grid every round.  Given that
-grid, the task-basis solver keeps per system g the rows V_g =
-L_g^{-1} k_g(X_t, grid) and z_g = L_g^{-1} Y_t U_g, the grid coordinates
-V_g^T z_g and the grid residuals k_g(x, x) - xi_g ||V_g(x)||^2.  The
-bordered factor's new row [w, l] gives each new row in O(t N), and the
-coordinates and residuals change by one rank-one term, so an update costs
-O(t N) and a read of the grid O(N) rather than O(t^2 N).  Reads match
-the grid by identity (the same array object); the caller must not mutate
-it.  Every other query, and the block path, use the general formulas.
+grid, the engine keeps per system g the rows V_g = L_g^{-1} k_g(X_t, grid)
+and z_g = L_g^{-1} Y_t U_g, the grid coordinates V_g^T z_g and the grid
+residual blocks k_g(x, x) - xi_g V_g(x)^T V_g(x).  The bordered factor's
+new block row [W, L_s] gives each new block of rows in O(t N), and the
+coordinates and residuals change by one rank-b_g term, so an update costs
+O(t N) and a read of the grid O(N) rather than O(t^2 N), for every
+kernel.  Reads match the grid by identity (the same array object); the
+caller must not mutate it.  Every other query uses the general formulas.
 
 The observation front-end ``_Posterior`` (checks, history, log-det
-accumulator, covariance clamp) is shared with the budgeted posterior in
-the nystrom module.
+accumulator) and the covariance clamp are shared with the budgeted
+posterior in the nystrom module, which builds its supports over the same
+systems and assembles them with the same ``assemble_*`` methods.
 """
 
 import numpy as np
 import scipy.linalg as la
 
-from .kernels import (
-    DiagonalKernel,
-    ICMKernel,
-    MultiTaskKernel,
-    _as_points,
-    cross_block,
-)
+from .kernels import DiagonalKernel, ICMKernel, MultiTaskKernel, _as_points
 
 __all__ = [
     "PosteriorState",
@@ -69,12 +68,15 @@ def append_cholesky(L: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Grow a lower Cholesky factor by one block via the Schur complement.
 
     Given L with L L^T = M, returns the factor of [[M, C], [C^T, D]].
+    The blocks must be finite: the posteriors check their inputs, so the
+    per-call finiteness scans are skipped.  A non-positive-definite Schur
+    complement raises LinAlgError.
     """
     if L.shape[0] == 0:
-        return la.cholesky(D, lower=True)
-    W = la.solve_triangular(L, C, lower=True)
+        return la.cholesky(D, lower=True, check_finite=False)
+    W = la.solve_triangular(L, C, lower=True, check_finite=False)
     S = D - W.T @ W
-    Ls = la.cholesky(0.5 * (S + S.T), lower=True)
+    Ls = la.cholesky(0.5 * (S + S.T), lower=True, check_finite=False)
     p, k = L.shape[0], D.shape[0]
     out = np.zeros((p + k, p + k))
     out[:p, :p] = L
@@ -89,30 +91,39 @@ def _clamp_spectrum(M, cap, matrix=False) -> np.ndarray:
     M is a matrix or a stack of matrices, symmetrised before the eigen
     decomposition, or a 1-D array of eigenvalues already known.  Returns
     the clamped eigenvalues (ascending for a matrix), or with ``matrix``
-    the matrix rebuilt from them.  Every covariance clamp of the exact and
-    the budgeted posterior goes through here.
+    the matrix rebuilt from them.  A 1 x 1 block is its own eigenvalue.
+    Every covariance clamp of the exact and the budgeted posterior goes
+    through here.
     """
     M = np.asarray(M, dtype=float)
-    vecs = None
-    if M.ndim == 1:
-        vals = M
-    else:
-        M = 0.5 * (M + np.swapaxes(M, -1, -2))
-        vals, vecs = np.linalg.eigh(M) if matrix else (np.linalg.eigvalsh(M), None)
+    if M.ndim == 1 or M.shape[-1] == 1:
+        vals = np.clip(M, 0.0, cap)
+        return vals if matrix or M.ndim == 1 else vals[..., 0]
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    if not matrix:
+        return np.clip(np.linalg.eigvalsh(M), 0.0, cap)
+    vals, vecs = np.linalg.eigh(M)
     vals = np.clip(vals, 0.0, cap)
-    if vecs is None:
-        return vals
     return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-
-
-def _prior_blocks(kernel, Xq) -> np.ndarray:
-    """Prior blocks Gamma(x, x) for a stack of queries, shape (N, n, n)."""
-    return np.array([kernel.diag_block(x) for x in Xq]).reshape(-1, kernel.n, kernel.n)
 
 
 def _logdet_ratio(M, eta: float, cap) -> float:
     """log det(I + M / eta) for a covariance M (or its spectrum), clamped to [0, cap]."""
     return float(np.sum(np.log1p(_clamp_spectrum(M, cap) / eta)))
+
+
+def _block_gram(A, B, b: int) -> np.ndarray:
+    """Per-query b x b blocks of A^T B for point-major columns, shape (N, b, b)."""
+    A3 = A.reshape(A.shape[0], -1, b)
+    B3 = B.reshape(B.shape[0], -1, b)
+    return np.einsum("kja,kjb->jab", A3, B3)
+
+
+def _solve_lower(Ls, M) -> np.ndarray:
+    """Ls^{-1} M for a small lower-triangular block; a 1 x 1 block divides."""
+    if Ls.shape[0] == 1:
+        return M / Ls[0, 0]
+    return la.solve_triangular(Ls, M, lower=True)
 
 
 def _group_eigenvalues(xis: np.ndarray):
@@ -134,6 +145,32 @@ def _group_eigenvalues(xis: np.ndarray):
     return [(xi, np.asarray(cols, dtype=int)) for xi, cols in groups]
 
 
+def _task_systems(kernel: MultiTaskKernel, structured: bool = True):
+    """The ridge systems of a multi-task kernel, by the module's one rule.
+
+    Returns (U, kernels, systems): an orthonormal (n, n) basis U, the
+    distinct kernels k_i of the systems (a ``ScalarKernel`` is the b = 1
+    case), and one (i, xi, cols) per system, so that
+
+        Gamma = sum over (i, xi, cols) of xi U[:, cols] (k_i (x) I_r) U[:, cols]^T
+
+    with r = |cols| / b_i.  ``structured=False`` gives the single general
+    system for every kernel.
+    """
+    n = kernel.n
+    if structured and isinstance(kernel, ICMKernel):
+        # A zero coupling keeps one zero-weight system, so no basis is empty.
+        groups = _group_eigenvalues(kernel.spectrum.eigenvalues) or [(0.0, np.arange(n))]
+        return kernel.spectrum.eigenvectors, [kernel.scalar], [(0, xi, c) for xi, c in groups]
+    if structured and isinstance(kernel, DiagonalKernel):
+        by_id = {}
+        for j, k in enumerate(kernel.scalars):
+            by_id.setdefault(id(k), (k, []))[1].append(j)
+        systems = [(i, 1.0, np.asarray(c, dtype=int)) for i, (_, c) in enumerate(by_id.values())]
+        return np.eye(n), [k for k, _ in by_id.values()], systems
+    return np.eye(n), [kernel], [(0, 1.0, np.arange(n))]
+
+
 # Observation front-end =======================================================
 class _Posterior:
     """Observation front-end shared by the exact and the budgeted posterior.
@@ -143,7 +180,9 @@ class _Posterior:
     and accumulates ``logdet_sum``.  A subclass grows its model in
     ``_absorb``, which sees the new observation already appended and
     returns the round's increment log det(I_n + eta^{-1} Gamma_{t-1}(x_t, x_t));
-    it also supplies ``mean_batch``, ``cov`` and ``cov_norm_batch``.
+    it also supplies ``mean_batch``, ``cov`` and ``cov_norm_batch``.  A
+    subclass may fix the input dimension before the first update by
+    giving ``X`` a (0, d) shape.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
@@ -158,13 +197,6 @@ class _Posterior:
         self.Y = np.zeros((0, kernel.n))
         self.logdet_sum = 0.0
 
-    def _use_fast_path(self, fast_path, supported) -> bool:
-        """True for the structured solver; ``fast_path=True`` insists on one."""
-        structured = isinstance(self.kernel, supported)
-        if fast_path is True and not structured:
-            raise TypeError(f"no fast path for kernel variant {type(self.kernel).__name__}")
-        return structured and (fast_path is True or fast_path == "auto")
-
     @property
     def t(self) -> int:
         return self.Y.shape[0]
@@ -173,9 +205,14 @@ class _Posterior:
         """Incorporate one observation; returns self.
 
         The logdet accumulator is incremented with the predictive
-        covariance at x *before* the point is added.
+        covariance at x *before* the point is added.  Every check runs
+        before the history grows, so an invalid observation leaves the
+        state unchanged.
         """
         x = _as_points(x)[0]
+        d = self.X.shape[1]
+        if (self.t or d) and x.shape[0] != d:
+            raise ValueError(f"input has dimension {x.shape[0]}, the posterior expects {d}")
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != self.kernel.n:
             raise ValueError(
@@ -197,50 +234,34 @@ class _Posterior:
         return float(self.cov_norm_batch(x)[0])
 
 
-# Solvers =====================================================================
+# Engine ======================================================================
 class _TaskBasis:
-    """Scalar ridge systems in a task basis: Gamma = sum_g xi_g k_g U_g U_g^T.
+    """Ridge systems in a task basis, one per term of ``_task_systems``.
 
-    Each system g is a scalar kernel k_g, a weight xi_g and a block of
-    orthonormal output columns U_g.  An ICMKernel gives one scalar kernel,
-    the eigenvalue clusters of B and their eigenvector columns; a
-    DiagonalKernel gives one system per distinct scalar-kernel object, with
-    unit weight and unit-vector columns.
-
-    The solver keeps one block-appended Cholesky factor L_g of
-    (xi_g K_g + eta I_t) per system and, given a candidate ``grid``, the
+    The engine keeps one block-appended Cholesky factor L_g of
+    (xi_g K_g + eta I) per system and, given a candidate ``grid``, the
     grid-resident statistics of the module docstring; a read of that same
-    grid object comes from them.  ``assemble_*`` turn per-system coordinates
-    and residuals into means and covariances; the budgeted ICM support in
-    nystrom reuses them.
+    grid object comes from them.  ``assemble_*`` turn per-system
+    coordinates and residual blocks into means and covariances; the
+    budgeted supports in nystrom reuse them.
     """
 
-    def __init__(self, kernel, eta, grid=None):
-        if isinstance(kernel, ICMKernel):
-            self.U = kernel.spectrum.eigenvectors
-            self.scalars = [kernel.scalar]
-            groups = _group_eigenvalues(kernel.spectrum.eigenvalues)
-            self.systems = [(0, xi, cols) for xi, cols in groups]
-        else:  # DiagonalKernel
-            self.U = np.eye(kernel.n)
-            by_id = {}
-            for j, k in enumerate(kernel.scalars):
-                by_id.setdefault(id(k), (k, []))[1].append(j)
-            self.scalars = [k for k, _ in by_id.values()]
-            self.systems = [
-                (i, 1.0, np.asarray(cols, dtype=int))
-                for i, (_, cols) in enumerate(by_id.values())
-            ]
+    def __init__(self, kernel, eta, structured=True, grid=None):
+        self.U, self.kernels, self.systems = _task_systems(kernel, structured)
+        self.b = self.kernels[0].n  # the block size, shared by every system
+        self._r = [cols.size // self.b for _, _, cols in self.systems]
+        self._xi = np.array([xi for _, xi, _ in self.systems])
         self.eta = float(eta)
         self.kappa = kernel.kappa
+        self._etaI = self.eta * np.eye(self.b)
         self.chols = [np.zeros((0, 0)) for _ in self.systems]
         self.grid = grid
         if grid is not None:
             N = grid.shape[0]
-            self._V = [np.zeros((0, N)) for _ in self.systems]
-            self._z = [np.zeros((0, cols.size)) for _, _, cols in self.systems]
-            self._coords = [np.zeros((N, cols.size)) for _, _, cols in self.systems]
-            self._res = np.array([self.scalars[i].diag(grid) for i, _, _ in self.systems])
+            self._V = [np.zeros((0, N * self.b)) for _ in self.systems]
+            self._z = [np.zeros((0, r)) for r in self._r]
+            self._coords = [np.zeros((N * self.b, r)) for r in self._r]
+            self._res = [self.kernels[i].diag_blocks(grid) for i, _, _ in self.systems]
 
     def project(self, Y) -> np.ndarray:
         """Outputs in basis coordinates, Y U."""
@@ -250,63 +271,65 @@ class _TaskBasis:
         """Grow every factor (and the grid statistics) by the last row of X and Y;
         returns the log-det increment.
 
-        System g contributes |cols_g| log(1 + (S_g - eta) / eta), with
-        S_g = xi_g k(x, x) + eta - ||W_g||^2 the Schur complement that grows
-        its factor and S_g - eta, clamped to [0, kappa], the posterior
-        variance along U_g.  With a grid, the new factor row [w, l] gives the
-        new rows (k_g(x, grid) - w V_g) / l of V_g and (y U_g - w z_g) / l of
-        z_g, which enter the coordinates and residuals as rank-one terms.
+        System g contributes (|cols_g| / b_g) log det(I + (S_g - eta I) / eta),
+        with S_g = L_s L_s^T the Schur block that grows its factor and the
+        eigenvalues of S_g - eta I, the posterior covariance along U_g,
+        clamped to [0, kappa].  With a grid, the new block row [W, L_s] gives
+        the new rows L_s^{-1} (k_g(x, grid) - W V_g) of V_g and
+        L_s^{-1} (y U_g - W z_g) of z_g, which enter the coordinates and
+        residuals as rank-b_g terms.
         """
-        t = X.shape[0] - 1
-        cross = [k.pairwise(X, X[t:]) for k in self.scalars]
+        x = X[-1:]
+        cross = [k._cross(X, x) for k in self.kernels]
         if self.grid is not None:
-            rows = [k.pairwise(X[t:], self.grid)[0] for k in self.scalars]
-            yp = self.project(Y[t])
-        schur = np.empty(len(self.systems))
+            rows = [k._cross(x, self.grid) for k in self.kernels]
+            yp = self.project(Y[-1])
+        b = self.b
+        blocks = []
         for s, (i, xi, cols) in enumerate(self.systems):
-            k = cross[i]
-            L = append_cholesky(self.chols[s], xi * k[:t], np.array([[xi * k[t, 0] + self.eta]]))
+            c = xi * cross[i]
+            L = append_cholesky(self.chols[s], c[:-b], c[-b:] + self._etaI)
             self.chols[s] = L
-            schur[s] = L[t, t] ** 2
+            W, Ls = L[-b:, :-b], L[-b:, -b:]
+            blocks.append(Ls)
             if self.grid is not None:
-                w, ell = L[t, :t], L[t, t]
-                v = (rows[i] - w @ self._V[s]) / ell
-                z = (yp[cols] - w @ self._z[s]) / ell
-                self._V[s] = np.vstack([self._V[s], v])
-                self._z[s] = np.vstack([self._z[s], z])
-                self._coords[s] += np.outer(v, z)
-                self._res[s] -= xi * v * v
-        sizes = [cols.size for _, _, cols in self.systems]
-        return _logdet_ratio(np.repeat(schur - self.eta, sizes), self.eta, self.kappa)
+                v = _solve_lower(Ls, rows[i] - W @ self._V[s])
+                z = _solve_lower(Ls, yp[cols].reshape(b, -1) - W @ self._z[s])
+                self._V[s] = np.concatenate([self._V[s], v])
+                self._z[s] = np.concatenate([self._z[s], z])
+                self._coords[s] += v.T @ z
+                self._res[s] -= _block_gram(xi * v, v, b)
+        Ls = np.array(blocks)
+        vals = _clamp_spectrum(Ls @ np.swapaxes(Ls, 1, 2) - self._etaI, None)
+        return _logdet_ratio(np.repeat(vals, self._r, axis=0).ravel(), self.eta, self.kappa)
 
     def mean_batch(self, X, Y, Xq) -> np.ndarray:
         if Xq is self.grid:
             return self.assemble_mean(self._coords, Xq.shape[0])
-        Kq = [k.pairwise(X, Xq) for k in self.scalars]
+        Kq = [k._cross(X, Xq) for k in self.kernels]
         Yp = self.project(Y)
-        parts = [
-            Kq[i].T @ la.cho_solve((self.chols[s], True), Yp[:, cols])
-            for s, (i, _, cols) in enumerate(self.systems)
-        ]
+        parts = []
+        for L, (i, _, cols) in zip(self.chols, self.systems):
+            rhs = Yp[:, cols].reshape(L.shape[0], -1)
+            parts.append(Kq[i].T @ la.cho_solve((L, True), rhs))
         return self.assemble_mean(parts, Xq.shape[0])
 
-    def residuals_batch(self, X, Xq) -> np.ndarray:
-        """Per-system r_g(x) = k_g(x,x) - xi_g k_q^T (xi_g K + eta I)^{-1} k_q.
-
-        Returns shape (n_systems, N).
-        """
+    def residuals_batch(self, X, Xq) -> list:
+        """Per-system blocks R_g(x) = k_g(x,x) - xi_g k_q^T (xi_g K_g + eta I)^{-1} k_q,
+        each of shape (N, b, b)."""
         Xq = _as_points(Xq)
-        Kq = [k.pairwise(X, Xq) for k in self.scalars] if X.shape[0] else None
-        res = np.empty((len(self.systems), Xq.shape[0]))
-        for s, (i, xi, _) in enumerate(self.systems):
-            res[s] = self.scalars[i].diag(Xq)
+        Kq = [k._cross(X, Xq) for k in self.kernels] if X.shape[0] else None
+        res = []
+        for L, (i, xi, _) in zip(self.chols, self.systems):
+            R = self.kernels[i].diag_blocks(Xq)
             if Kq is not None:
-                V = la.solve_triangular(self.chols[s], Kq[i], lower=True)
-                res[s] -= xi * np.einsum("kj,kj->j", V, V)
+                V = la.solve_triangular(L, Kq[i], lower=True)
+                R = R - xi * _block_gram(V, V, self.b)
+            res.append(R)
         return res
 
     def cov(self, X, x) -> np.ndarray:
-        return self.assemble_cov(self.residuals_batch(X, x)[:, 0], self.kappa)
+        return self.assemble_cov([R[0] for R in self.residuals_batch(X, x)], self.kappa)
 
     def cov_norm_batch(self, X, Xq) -> np.ndarray:
         res = self._res if Xq is self.grid else self.residuals_batch(X, Xq)
@@ -314,63 +337,26 @@ class _TaskBasis:
 
     # -- assembly ---------------------------------------------------------
     def assemble_mean(self, parts, N) -> np.ndarray:
-        """sum_g xi_g parts_g U_g^T for per-system coordinates parts_g (N, |g|)."""
+        """sum_g xi_g parts_g U_g^T for per-system coordinates parts_g (N b_g, r_g)."""
         out = np.zeros((N, self.U.shape[0]))
         for (_, xi, cols), part in zip(self.systems, parts):
-            out += xi * part @ self.U[:, cols].T
+            out += xi * part.reshape(N, cols.size) @ self.U[:, cols].T
         return out
 
     def assemble_cov(self, res, cap) -> np.ndarray:
-        """U diag(xi_g r_g) U^T for one query's residuals, eigenvalues clamped to [0, cap]."""
-        vals = np.zeros(self.U.shape[1])
-        for (_, xi, cols), r in zip(self.systems, res):
-            vals[cols] = xi * r
-        return (self.U * _clamp_spectrum(vals, cap)) @ self.U.T
+        """sum_g U_g (xi_g R_g (x) I) U_g^T for one query's residual blocks R_g,
+        eigenvalues clamped to [0, cap]."""
+        C = _clamp_spectrum(self._xi[:, None, None] * np.array(res), cap, matrix=True)
+        M = np.zeros((self.U.shape[1],) * 2)
+        for (_, _, cols), Cg in zip(self.systems, C):
+            pos = cols.reshape(self.b, -1)  # basis column of (block row, right-hand side)
+            M[pos[:, None, :], pos[None, :, :]] = Cg[:, :, None]
+        return self.U @ M @ self.U.T
 
     def assemble_cov_norm(self, res, cap) -> np.ndarray:
-        """max_g xi_g r_g(x) per query, clamped to [0, cap]."""
-        xis = np.array([xi for _, xi, _ in self.systems])
-        return _clamp_spectrum(np.max(xis[:, None] * res, axis=0, initial=0.0), cap)
-
-
-class _BlockSystem:
-    """General path: one block-appended Cholesky factor of G_t + eta I_nt."""
-
-    def __init__(self, kernel, eta):
-        self.kernel = kernel
-        self.eta = float(eta)
-        self.chol = np.zeros((0, 0))
-
-    def update(self, X, Y) -> float:
-        """Grow the factor by the last row of X; returns the log-det increment,
-        that of the n x n Schur block minus eta I.  Y enters only at reads."""
-        n = self.kernel.n
-        C = cross_block(self.kernel, X[:-1], X[-1])
-        D = self.kernel.diag_block(X[-1]) + self.eta * np.eye(n)
-        self.chol = append_cholesky(self.chol, C, 0.5 * (D + D.T))
-        Ls = self.chol[-n:, -n:]
-        return _logdet_ratio(Ls @ Ls.T - self.eta * np.eye(n), self.eta, self.kernel.kappa)
-
-    def mean_batch(self, X, Y, Xq) -> np.ndarray:
-        alpha = la.cho_solve((self.chol, True), Y.reshape(-1))
-        return (self.kernel._cross(X, Xq).T @ alpha).reshape(Xq.shape[0], self.kernel.n)
-
-    def _cov_stack(self, X, Xq) -> np.ndarray:
-        """Unclamped Gamma_t(x, x) for each query, shape (N, n, n)."""
-        Xq = _as_points(Xq)
-        N, n = Xq.shape[0], self.kernel.n
-        C = _prior_blocks(self.kernel, Xq)
-        if X.shape[0]:
-            W = la.solve_triangular(self.chol, self.kernel._cross(X, Xq), lower=True)
-            W3 = W.reshape(W.shape[0], N, n)
-            C -= np.einsum("kja,kjb->jab", W3, W3)
-        return C
-
-    def cov(self, X, x) -> np.ndarray:
-        return _clamp_spectrum(self._cov_stack(X, x)[0], self.kernel.kappa, matrix=True)
-
-    def cov_norm_batch(self, X, Xq) -> np.ndarray:
-        return _clamp_spectrum(self._cov_stack(X, Xq), self.kernel.kappa)[:, -1]
+        """max_g lambda_max(xi_g R_g(x)) per query, clamped to [0, cap]."""
+        tops = self._xi[:, None] * _clamp_spectrum(np.array(res), None)[..., -1]
+        return _clamp_spectrum(np.max(tops, axis=0), cap)
 
 
 # Public posterior state ======================================================
@@ -383,28 +369,35 @@ class PosteriorState(_Posterior):
     eta : float
         Positive regularizer.
     fast_path : {"auto", True, False}
-        "auto" picks the task-basis solver for ICM and diagonal kernels;
-        False forces the general nt x nt block path.
+        Chooses the systems of the one engine.  "auto" splits ICM and
+        diagonal kernels into their task-basis systems (``_task_systems``)
+        and solves any other kernel as one general system; False solves
+        every kernel as one general system; True insists on the split and
+        raises TypeError for a kernel that has none.
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round.  The
-        task-basis solver then keeps L_g^{-1} k_g(X_t, grid), the grid means
-        and the grid residuals up to date, so an update costs O(t N) and
-        ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` costs O(N) instead
-        of O(t^2 N).  Only a query that *is* this array object is served
-        from the cache; every other query (copies included) takes the
-        general read path.  The caller must not mutate the grid afterwards.
-        The block path ignores it.
+        engine then keeps L_g^{-1} k_g(X_t, grid), the grid coordinates and
+        the grid residuals up to date for every kernel and system list, so
+        an update costs O(t N) and ``mean_batch(grid)`` or
+        ``cov_norm_batch(grid)`` costs O(N) instead of O(t^2 N).  Only a
+        query that *is* this array object is served from the cache; every
+        other query (copies included) takes the general read path.  The
+        caller must not mutate the grid afterwards.  Inputs must have the
+        grid's dimension.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, fast_path="auto", grid=None):
         super().__init__(kernel, eta)
-        if self._use_fast_path(fast_path, (ICMKernel, DiagonalKernel)):
-            grid = None if grid is None else _as_points(grid)
-            self._solver = _TaskBasis(kernel, self.eta, grid)
-        else:
-            self._solver = _BlockSystem(kernel, self.eta)
+        structured = isinstance(kernel, (ICMKernel, DiagonalKernel))
+        if fast_path is True and not structured:
+            raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
+        if grid is not None:
+            grid = _as_points(grid)
+            self.X = np.zeros((0, grid.shape[1]))
+        structured = structured and (fast_path is True or fast_path == "auto")
+        self._solver = _TaskBasis(kernel, self.eta, structured, grid)
 
     def _absorb(self) -> float:
         return self._solver.update(self.X, self.Y)

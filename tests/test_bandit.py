@@ -324,10 +324,11 @@ class TestOptimism:
 
 
 class TestBudgetedCoincidence:
-    def test_full_dictionary_budgeted_run_equals_exact_run(self):
+    def test_full_dictionary_budgeted_run_equals_exact_run(self, monkeypatch):
         """A tiny epsilon makes q huge, the dictionary keeps every point,
         and (with the radius schedule pinned) MTBKB replays MTKB's
         selections exactly."""
+        monkeypatch.setattr(bandit, "beta_tilde_t", bandit.beta_t)
         env, b, kern = _tiny_env(seed=9)
         T = 20
         scal = scalarize.ChebyshevScalarization()
@@ -337,9 +338,7 @@ class TestBudgetedCoincidence:
             "MTBKB", rkhs_bound=b, kappa=kern.kappa, horizon=T, seed=13, epsilon=0.02
         )
         r_exact = bandit.run(cfg_exact, env, kern, scal, wdist)
-        r_budget = bandit.run(
-            cfg_budget, env, kern, scal, wdist, beta_override=bandit.beta_t
-        )
+        r_budget = bandit.run(cfg_budget, env, kern, scal, wdist)
         assert np.all(r_budget.m_sizes == np.arange(1, T + 1))
         np.testing.assert_array_equal(r_exact.x_indices, r_budget.x_indices)
         np.testing.assert_allclose(r_exact.betas, r_budget.betas, atol=1e-8)

@@ -350,7 +350,9 @@ class TestValidateCommand:
             "variance-geometry",
             "icm-equivalence",
             "diagonal-equivalence",
+            "sum-separable-grid",
             "full-dictionary-exactness",
+            "full-dictionary-diagonal",
         ):
             assert name in out
         assert "FAIL" not in out

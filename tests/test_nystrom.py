@@ -90,19 +90,30 @@ class TestTruncatedInverseSqrt:
         assert E.shape[0] == 4
 
 
+def _full_dictionary_kernel(name, rng):
+    """An ICM kernel, the same kernel as one sum-separable term (a single
+    general system), or a diagonal kernel with a shared and a distinct scalar."""
+    icm = random_icm(rng, n=2)
+    if name == "icm":
+        return icm
+    if name == "icm-as-sum-separable":
+        return kernels.SumSeparableKernel([(icm.scalar, icm.coupling)])
+    se = kernels.SquaredExponential(0.3)
+    return kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])
+
+
 class TestFullDictionaryExactness:
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_matches_exact_posterior(self, fast):
+    @pytest.mark.parametrize("name", ["icm", "icm-as-sum-separable", "diagonal"])
+    def test_matches_exact_posterior(self, name):
         """With every inclusion probability forced to 1 the budgeted
-        posterior is the exact one (projection onto the full span)."""
+        posterior is the exact one (projection onto the full span), for
+        scalar embeddings per system and for the general block embedding."""
         rng = np.random.default_rng(3)
-        kern = random_icm(rng, n=2)
+        kern = _full_dictionary_kernel(name, rng)
         exact = posterior.PosteriorState(kern, ETA)
-        budget = nystrom.NystromState(
-            kern, ETA, q=1e12, rng=np.random.default_rng(0), fast_path=fast
-        )
+        budget = nystrom.NystromState(kern, ETA, q=1e12, rng=np.random.default_rng(0))
         for _ in range(25):
-            x, y = rng.random(2), rng.normal(size=2)
+            x, y = rng.random(2), rng.normal(size=kern.n)
             exact.update(x, y)
             budget.update(x, y)
         assert budget.m == budget.t == 25
@@ -153,17 +164,12 @@ class TestPriorAndValidation:
         with pytest.raises(ValueError, match="q"):
             nystrom.NystromState(random_icm(rng), ETA, q=0.5, rng=np.random.default_rng(0))
 
-    def test_fast_path_rejects_non_icm(self):
-        kern = kernels.DiagonalKernel([kernels.SquaredExponential(0.3)] * 2)
-        with pytest.raises(TypeError):
-            nystrom.NystromState(kern, ETA, q=2.0, rng=np.random.default_rng(0), fast_path=True)
-
     @pytest.mark.parametrize("budgeted", [False, True])
     @pytest.mark.parametrize("structured", [True, False])
     def test_empty_query_stack(self, budgeted, structured):
         """After one update every state maps an empty query stack to empty
-        results: the task-basis and block exact paths, the Nystrom ICM
-        support and the general Nystrom support on a sum-separable kernel."""
+        results: exact and budgeted, on the task-basis systems of an ICM
+        kernel and on the single general system of a sum-separable kernel."""
         rng = np.random.default_rng(8)
         if structured:
             kern = random_icm(rng, n=2)
@@ -179,24 +185,6 @@ class TestPriorAndValidation:
         empty = np.zeros((0, 2))
         assert state.mean_batch(empty).shape == (0, 2)
         assert state.cov_norm_batch(empty).shape == (0,)
-
-    def test_embeddings_accessor(self):
-        rng = np.random.default_rng(7)
-        kern = random_icm(rng, n=2)
-        state = nystrom.NystromState(kern, ETA, q=1e12, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            nystrom.icm_fast_embeddings(state, rng.random(2))
-        for _ in range(5):
-            state.update(rng.random(2), rng.normal(size=2))
-        phi = nystrom.icm_fast_embeddings(state, rng.random(2))
-        assert phi.ndim == 2 and phi.shape[0] == 1
-        diag_state = nystrom.NystromState(
-            kernels.DiagonalKernel([kernels.SquaredExponential(0.3)] * 2),
-            ETA, q=1e12, rng=np.random.default_rng(0),
-        )
-        diag_state.update(rng.random(2), rng.normal(size=2))
-        with pytest.raises(TypeError):
-            nystrom.icm_fast_embeddings(diag_state, rng.random(2))
 
 
 class TestRhoSandwich:

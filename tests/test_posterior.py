@@ -2,11 +2,13 @@
 
 Every incremental quantity (mean, covariance, log-det accumulator) is
 compared with a from-scratch dense computation in conftest, for all
-three kernel variants and both the fast and general code paths.  The
-battery also covers the Cholesky block-append helper, long append-only
-runs at small eta with repeated noiseless queries, grid-resident reads
-along those runs, the covariance eigenvalue clamp, and the
-predictive-variance geometry used by the regret analysis.
+three kernel variants and both system lists of the one engine (task-basis
+systems and the single general system).  The battery also covers the
+Cholesky block-append helper, long append-only runs at small eta with
+repeated noiseless queries, grid-resident reads along those runs for
+every kernel, the covariance eigenvalue clamp, input checks that leave
+the state unchanged, and the predictive-variance geometry used by the
+regret analysis.
 """
 
 import numpy as np
@@ -226,13 +228,16 @@ class TestAppendOnlyFactors:
         assert state.logdet_sum == pytest.approx(dense_logdet(kern, X, eta), rel=1e-10)
 
     @pytest.mark.parametrize("eta", [0.1, 1e-3])
-    @pytest.mark.parametrize("variant", [0, 1])
-    def test_grid_reads_match_dense_and_off_grid(self, variant, eta):
-        """A task-basis state built on the pool grid serves pool reads from its
-        grid-resident rows.  Along the same repeated noiseless run they match
-        the dense oracles and the off-grid path (a copy of the pool)."""
+    @pytest.mark.parametrize(
+        "variant, fast_path", [(0, "auto"), (1, "auto"), (2, "auto"), (0, False)]
+    )
+    def test_grid_reads_match_dense_and_off_grid(self, variant, fast_path, eta):
+        """A state built on the pool grid serves pool reads from its
+        grid-resident rows, for task-basis systems and for the single
+        general system alike.  Along the same repeated noiseless run they
+        match the dense oracles and the off-grid path (a copy of the pool)."""
         _, kern, pool, X, Y = _repeated_noiseless_run(variant)
-        state = posterior.PosteriorState(kern, eta, fast_path=True, grid=pool)
+        state = posterior.PosteriorState(kern, eta, fast_path=fast_path, grid=pool)
         checkpoints = {0, 1, 75, 150}
         for t in range(X.shape[0] + 1):
             if t in checkpoints:
@@ -309,6 +314,25 @@ class TestValidation:
         state = posterior.PosteriorState(random_icm(rng, n=3), ETA)
         with pytest.raises(ValueError, match="tasks"):
             state.update(rng.random(2), np.zeros(2))
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_wrong_input_dimension_leaves_state_unchanged(self, on_grid):
+        """An input of the wrong dimension is refused before the history
+        grows, whether the dimension comes from the grid or the history."""
+        rng = np.random.default_rng(23)
+        kern = random_icm(rng, n=2)
+        if on_grid:
+            state = posterior.PosteriorState(kern, ETA, grid=np.zeros((5, 3)))
+        else:
+            state = posterior.PosteriorState(kern, ETA).update(np.zeros(3), np.ones(2))
+        t, X, Y, logdet = state.t, state.X.copy(), state.Y.copy(), state.logdet_sum
+        with pytest.raises(ValueError, match="dimension 2.*expects 3"):
+            state.update(np.zeros(2), np.ones(2))
+        assert state.t == t and state.logdet_sum == logdet
+        np.testing.assert_array_equal(state.X, X)
+        np.testing.assert_array_equal(state.Y, Y)
+        state.update(np.ones(3), np.ones(2))
+        assert state.t == t + 1 and state.mean_batch(np.ones((4, 3))).shape == (4, 2)
 
     def test_eta_must_be_positive(self):
         rng = np.random.default_rng(19)
