@@ -263,7 +263,7 @@ def run(
         radius = beta_t
     else:
         q = dictionary_multiplier(config.epsilon, T, config.delta)
-        model = NystromState(kernel, config.eta, q, np.random.default_rng(dict_ss))
+        model = NystromState(kernel, config.eta, q, np.random.default_rng(dict_ss), grid=grid)
         radius = beta_tilde_t
 
     lambdas = np.empty((T, n))

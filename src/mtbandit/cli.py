@@ -823,21 +823,27 @@ def _suite_fast_path_equivalence():
 
 def _suite_full_dictionary():
     """Budgeted posterior with an all-points dictionary matches the exact one,
-    with one scalar embedding (ICM) and one per distinct scalar (diagonal)."""
+    with one scalar embedding (ICM), one per distinct scalar (diagonal), and
+    on grid reads served from the arm arrays of a grid-resident state whose
+    history repeats grid points and mixes in off-grid ones."""
     eta = 0.1
     rng = np.random.default_rng(321)
     se = kernels.SquaredExponential(0.3)
-    cases = (
-        ("full-dictionary-exactness", kernels.ICMKernel(se, kernels.omega_coupling(0.4, 2))),
-        ("full-dictionary-diagonal", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])),
-    )
+    icm = kernels.ICMKernel(se, kernels.omega_coupling(0.4, 2))
     queries = rng.random((50, 2))
+    cases = (
+        ("full-dictionary-exactness", icm, None),
+        ("full-dictionary-diagonal", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)]),
+         None),
+        ("full-dictionary-grid", icm, queries),
+    )
     reports = []
-    for name, kern in cases:
+    for name, kern, grid in cases:
         exact = posterior.PosteriorState(kern, eta)
-        budget = nystrom.NystromState(kern, eta, q=1e12, rng=np.random.default_rng(9))
-        for _ in range(25):
-            x, y = rng.random(2), rng.normal(size=kern.n)
+        budget = nystrom.NystromState(kern, eta, q=1e12, rng=np.random.default_rng(9), grid=grid)
+        for t in range(25):
+            x = queries[rng.integers(5)] if grid is not None and t % 2 else rng.random(2)
+            y = rng.normal(size=kern.n)
             exact.update(x, y)
             budget.update(x, y)
         err = max(

@@ -260,10 +260,9 @@ class MultiTaskKernel(abc.ABC):
         """Gamma(x, x), always symmetric PSD for a valid kernel."""
         return self(x, x)
 
+    @abc.abstractmethod
     def diag_blocks(self, X) -> np.ndarray:
         """Gamma(x_i, x_i) for a stack of points, shape (N, n, n)."""
-        blocks = [self.diag_block(x) for x in _as_points(X)]
-        return np.array(blocks).reshape(-1, self.n, self.n)
 
 
 class ICMKernel(MultiTaskKernel):
@@ -293,6 +292,9 @@ class ICMKernel(MultiTaskKernel):
 
     def _cross(self, X, Z):
         return np.kron(self.scalar.pairwise(X, Z), self.coupling)
+
+    def diag_blocks(self, X):
+        return self.scalar.diag_blocks(X) * self.coupling
 
     def __repr__(self):
         return f"ICMKernel(scalar={self.scalar!r}, n={self.n})"
@@ -324,6 +326,9 @@ class SumSeparableKernel(MultiTaskKernel):
     def _cross(self, X, Z):
         return sum(np.kron(k.pairwise(X, Z), B) for k, B in self.terms)
 
+    def diag_blocks(self, X):
+        return sum(k.diag_blocks(X) * B for k, B in self.terms)
+
     def __repr__(self):
         return f"SumSeparableKernel(n={self.n}, terms={len(self.terms)})"
 
@@ -354,6 +359,10 @@ class DiagonalKernel(MultiTaskKernel):
         for j, k in enumerate(self.scalars):
             out[j::n, j::n] = k.pairwise(X, Z)
         return out
+
+    def diag_blocks(self, X):
+        diags = np.stack([k.diag(X) for k in self.scalars], axis=-1)  # (N, n)
+        return diags[:, :, None] * np.eye(self.n)
 
     def __repr__(self):
         return f"DiagonalKernel(n={self.n})"

@@ -21,9 +21,33 @@ the full history:
 with V_t = sum_s Phi_t(x_s) Phi_t(x_s)^T.  With a full dictionary and all
 probabilities 1 this reproduces the exact posterior.
 
+The state works over a finite universe of arms: the rows of the candidate
+grid, when one is given, then each distinct off-grid history point, found
+through a dict keyed on the point's bytes.  Each history point is an arm
+index, so the history enters compressed per arm,
+
+    V_t = Phi_U diag(c) Phi_U^T,    sum_s Phi_t(x_s) y_s = Phi_U S_U,
+
+with c the visit counts and S_U the output sums of the observed arms U.
+A rebuild evaluates k(X_dict, arms) once per kernel: the support matrix
+is read from its dictionary columns and the history from its observed
+columns.  One eigh of the history Gram, V = Q diag(lambda) Q^T, rotates
+each kernel's embedding, so every system's ridge solve is the diagonal
+scaling 1 / (xi_g lambda + eta) and the residual blocks are
+
+    R~_g(x) = k(x, x) - Phi(x)^T diag(xi_g lambda / (xi_g lambda + eta)) Phi(x)
+
+in rotated coordinates.  Means, residual blocks and covariance norms at
+every arm are computed once per rebuild, with the prior blocks k(a, a)
+computed once per arm.  Grid reads (the grid matched by identity, as in
+the exact engine), the resample's history norms and the round's log-det
+increment are gathers from these arm arrays; only other queries and a
+never-seen off-grid point are embedded afresh.  A rebuild thus costs
+O(m A) kernel entries for m dictionary points and A arms, whatever t.
+
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one embedding per
-kernel of the basis and one ridge factor per system.  An ICM kernel
+kernel of the basis and one diagonal solve per system.  An ICM kernel
 embeds its scalar kernel once and a diagonal kernel each distinct scalar
 once; any other kernel embeds its n x n blocks as a single system.  The
 observation checks, the history, the log-det accumulator and the
@@ -115,67 +139,75 @@ def _truncated_inv_sqrt(M: np.ndarray):
 
 
 # Support =====================================================================
+def _block_cols(idx, b: int) -> np.ndarray:
+    """Point-major column positions of the b x b blocks of the points idx."""
+    return (np.asarray(idx)[:, None] * b + np.arange(b)).ravel()
+
+
 class _Support:
-    """Nystrom embeddings over the task-basis systems (posterior._task_systems).
+    """Nystrom statistics over the task-basis systems, resident on the arms.
 
-    One embedding per kernel k_i of the basis, through the truncated
-    inverse square root of its reweighted support matrix, and one ridge
-    factor of (xi_g V_i + eta I) per system, with V_i the embedded
-    history's Gram matrix.  The residual blocks of system g are
-
-        R~_g(x) = k_i(x, x) - phi(x)^T phi(x) + eta phi(x)^T (xi_g V_i + eta I)^{-1} phi(x)
-
-    and the basis assembles them, and the per-system mean coordinates,
-    as the exact engine does.
+    Built from the dictionary (positions in the history), the arms, their
+    prior blocks (one (A, b, b) array per kernel of the basis) and the
+    history as arm indices with outputs.  Per kernel it keeps the rotated
+    embedding Q^T (Gd^{1/2})^+ and per system the shrink factors
+    xi_g lambda / (xi_g lambda + eta) and the mean coordinates, for reads
+    away from the arms.  ``means``, ``res`` (per-system residual blocks)
+    and ``norms`` hold the model at every arm.
     """
 
-    def __init__(self, basis: _TaskBasis, eta, dictionary, X_hist, Yrows):
+    def __init__(self, basis: _TaskBasis, eta, dictionary, arms, prior, hist_arm, Y):
         self.basis = basis
-        self.eta = eta
-        self._Xd = X_hist[dictionary.indices]
-        self._w = np.repeat(1.0 / np.sqrt(dictionary.probs), basis.b)
-        W = np.outer(self._w, self._w)
-        self._emb = [
-            _truncated_inv_sqrt(k._cross(self._Xd, self._Xd) * W) for k in basis.kernels
-        ]  # (r_i, m b) each
-        phis = self._embed(X_hist)  # (r_i, t b) each
-        grams = [P @ P.T for P in phis]
-        Yp = basis.project(Yrows)
-        self._chols = []
-        self._zs = []
+        b = basis.b
+        dict_arms = hist_arm[dictionary.indices]
+        self._Xd = arms[dict_arms]
+        self._w = np.repeat(1.0 / np.sqrt(dictionary.probs), b)
+        seen, where, counts = np.unique(hist_arm, return_inverse=True, return_counts=True)
+        sums = np.zeros((seen.size, Y.shape[1]))
+        np.add.at(sums, where, Y)
+        Yp = basis.project(sums)  # per-arm output sums in basis coordinates
+        dcols, ucols = _block_cols(dict_arms, b), _block_cols(seen, b)
+        c = np.repeat(counts, b).astype(float)
+        self._emb, phis, lams = [], [], []
+        for k in basis.kernels:
+            Kw = k._cross(self._Xd, arms) * self._w[:, None]  # (m b, A b)
+            E = _truncated_inv_sqrt(Kw[:, dcols] * self._w)
+            PU = E @ Kw[:, ucols]
+            lam, Q = la.eigh((PU * c) @ PU.T)  # the history Gram V = Phi_U diag(c) Phi_U^T
+            self._emb.append(Q.T @ E)
+            phis.append(self._emb[-1] @ Kw)  # (r, A b), rotated
+            lams.append(lam)
+        self._shrink, self._z = [], []
         for i, xi, cols in basis.systems:
-            P = phis[i]
-            cf = la.cho_factor(xi * grams[i] + eta * np.eye(P.shape[0]), lower=True)
-            self._chols.append(cf)
-            self._zs.append(la.cho_solve(cf, P @ Yp[:, cols].reshape(P.shape[1], -1)))
+            inv = 1.0 / (xi * lams[i] + eta)
+            rhs = phis[i][:, ucols] @ Yp[:, cols].reshape(ucols.size, -1)
+            self._shrink.append(xi * lams[i] * inv)
+            self._z.append(inv[:, None] * rhs)
+        self.means = self.mean_at(phis, arms.shape[0])
+        self.res = self.residuals_at(phis, prior)
+        self.norms = basis.assemble_cov_norm(self.res, None)
 
-    def _embed(self, Xq) -> list:
-        """Embeddings of a stack of queries, one (r_i, N b) array per kernel."""
-        Xq = _as_points(Xq)
+    def embed(self, Xq) -> list:
+        """Rotated embeddings of a stack of queries, one (r_i, N b) array per kernel."""
         w = self._w[:, None]
         return [E @ (k._cross(self._Xd, Xq) * w) for E, k in zip(self._emb, self.basis.kernels)]
 
-    def mean_batch(self, Xq):
-        phis = self._embed(Xq)
-        parts = [phis[i].T @ z for (i, _, _), z in zip(self.basis.systems, self._zs)]
-        return self.basis.assemble_mean(parts, Xq.shape[0])
+    def mean_at(self, phis, N) -> np.ndarray:
+        """Means (N, n) from rotated embeddings."""
+        parts = [phis[i].T @ z for (i, _, _), z in zip(self.basis.systems, self._z)]
+        return self.basis.assemble_mean(parts, N)
 
-    def residuals_batch(self, Xq) -> list:
-        """Per-system blocks R~_g(x), each of shape (N, b, b)."""
-        Xq = _as_points(Xq)
-        phis = self._embed(Xq)
+    def residuals_at(self, phis, prior) -> list:
+        """Per-system blocks R~_g = k_i(x, x) - phi^T diag(shrink_g) phi, each (N, b, b)."""
         b = self.basis.b
-        base = [k.diag_blocks(Xq) - _block_gram(P, P, b) for k, P in zip(self.basis.kernels, phis)]
         return [
-            base[i] + self.eta * _block_gram(phis[i], la.cho_solve(cf, phis[i]), b)
-            for (i, _, _), cf in zip(self.basis.systems, self._chols)
+            prior[i] - _block_gram(phis[i] * s[:, None], phis[i], b)
+            for (i, _, _), s in zip(self.basis.systems, self._shrink)
         ]
 
-    def cov_norm_batch(self, Xq):
-        return self.basis.assemble_cov_norm(self.residuals_batch(Xq), None)
-
-    def cov(self, x):
-        return self.basis.assemble_cov([R[0] for R in self.residuals_batch(x)], None)
+    def residuals(self, Xq) -> list:
+        """Per-system residual blocks at a stack of queries, embedded afresh."""
+        return self.residuals_at(self.embed(Xq), [k.diag_blocks(Xq) for k in self.basis.kernels])
 
 
 # Public state ================================================================
@@ -192,15 +224,28 @@ class NystromState(_Posterior):
     rng : numpy.random.Generator
         Owns the Bernoulli dictionary draws; advancing it is the only
         source of randomness in this state.
+    grid : (N, d) float ndarray or None
+        Fixed candidate stack that will be queried every round, as for
+        ``PosteriorState``.  Its rows are the first N arms, so every
+        rebuild computes the means and covariance norms over the grid
+        and ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` is a copy.
+        Only a query that *is* this array object is served from the arm
+        arrays; every other query (copies included) is embedded afresh.
+        The caller must not mutate the grid afterwards.  Inputs must have
+        the grid's dimension.
 
-    The support is built over the kernel's task-basis systems
+    The state keeps its distinct inputs as arms: the grid rows, then each
+    off-grid history point when it is first observed.  Every rebuild
+    compresses the history per arm, rotates each kernel's embedding so
+    that the ridge solves are diagonal, and evaluates the model at every
+    arm once.  The support is built over the kernel's task-basis systems
     (posterior._task_systems); no option selects another path.
 
     Updates mutate in place (single-writer); reads are pure.
     """
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, q: float,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, grid=None):
         super().__init__(kernel, eta)
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
@@ -209,22 +254,66 @@ class NystromState(_Posterior):
         self._basis = _TaskBasis(kernel, self.eta)
         self.dictionary = Dictionary([], [])
         self._support = None
+        b = self._basis.b
+        self._arms = np.zeros((0, 0))
+        self._arm_of = {}  # point bytes -> arm index
+        self._prior = [np.zeros((0, b, b)) for _ in self._basis.kernels]
+        self._hist_arm = np.zeros(0, dtype=int)  # arm index of every history point
+        self._grid = None
+        if grid is not None:
+            self._grid = _as_points(grid)
+            self.X = np.zeros((0, self._grid.shape[1]))
+            self._add_arms(self._grid)
 
     @property
     def m(self) -> int:
         return self.dictionary.m
+
+    def _add_arms(self, X):
+        """Append the points X as arms, with their prior blocks."""
+        A = self._arms.shape[0]
+        for j, x in enumerate(X):
+            self._arm_of.setdefault(x.tobytes(), A + j)
+        self._arms = np.vstack([self._arms.reshape(A, X.shape[1]), X])
+        self._prior = [
+            np.concatenate([P, k.diag_blocks(X)]) for P, k in zip(self._prior, self._basis.kernels)
+        ]
+
+    def _arm(self, x) -> int:
+        """Arm index of the point x; an unseen point becomes a new arm."""
+        a = self._arm_of.get(x.tobytes())
+        if a is None:
+            a = self._arms.shape[0]
+            self._add_arms(x[None])
+        return a
 
     def _absorb(self) -> float:
         """Resample the dictionary and rebuild the support.
 
         Inclusion probabilities for all points (the new one included) come
         from the previous round's covariance, and so does the log-det
-        increment.
+        increment.  Both are gathered from the previous support's arm
+        arrays; only a point that was not an arm then is embedded afresh.
         """
-        increment = _logdet_ratio(self.cov(self.X[-1]), self.eta, None)
-        norms = self.cov_norm_batch(self.X)  # still the previous support
-        self.dictionary = resample_dictionary(norms, self.q, self.rng)
-        self._support = _Support(self._basis, self.eta, self.dictionary, self.X, self.Y)
+        x = self.X[-1]
+        a = self._arm(x)
+        self._hist_arm = np.append(self._hist_arm, a)
+        if self._support is None:
+            res = [self._prior[i] for i, _, _ in self._basis.systems]
+            norms = self._basis.assemble_cov_norm(res, None)
+        else:
+            res, norms = self._support.res, self._support.norms
+            if a == norms.shape[0]:
+                new = self._support.residuals(x[None])
+                res = [np.concatenate(pair) for pair in zip(res, new)]
+                norms = np.append(norms, self._basis.assemble_cov_norm(new, None))
+        increment = _logdet_ratio(
+            self._basis.assemble_cov([R[a] for R in res], None), self.eta, None
+        )
+        self.dictionary = resample_dictionary(norms[self._hist_arm], self.q, self.rng)
+        self._support = _Support(
+            self._basis, self.eta, self.dictionary, self._arms, self._prior, self._hist_arm, self.Y
+        )
         return increment
 
     # -- reads ----------------------------------------------------------
@@ -232,16 +321,21 @@ class NystromState(_Posterior):
         Xq = _as_points(Xq)
         if self._support is None:
             return np.zeros((Xq.shape[0], self.kernel.n))
-        return self._support.mean_batch(Xq)
+        if Xq is self._grid:
+            return self._support.means[: Xq.shape[0]].copy()
+        return self._support.mean_at(self._support.embed(Xq), Xq.shape[0])
 
     def cov(self, x) -> np.ndarray:
         """Approximate covariance Gamma~_t(x, x), symmetric PSD-clamped."""
         if self._support is None:
             return _clamp_spectrum(self.kernel.diag_block(x), None, matrix=True)
-        return self._support.cov(x)
+        res = self._support.residuals(_as_points(x))
+        return self._basis.assemble_cov([R[0] for R in res], None)
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
         Xq = _as_points(Xq)
         if self._support is None:
             return _clamp_spectrum(self.kernel.diag_blocks(Xq), None)[:, -1]
-        return self._support.cov_norm_batch(Xq)
+        if Xq is self._grid:
+            return self._support.norms[: Xq.shape[0]].copy()
+        return self._basis.assemble_cov_norm(self._support.residuals(Xq), None)

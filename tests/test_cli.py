@@ -353,6 +353,7 @@ class TestValidateCommand:
             "sum-separable-grid",
             "full-dictionary-exactness",
             "full-dictionary-diagonal",
+            "full-dictionary-grid",
         ):
             assert name in out
         assert "FAIL" not in out

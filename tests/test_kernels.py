@@ -208,6 +208,23 @@ class TestMultiTaskKernels:
             np.testing.assert_allclose(G, G.T, atol=1e-12)
             assert np.linalg.eigvalsh(G).min() >= -1e-8
 
+    @pytest.mark.parametrize("variant", ["icm", "sum-separable", "diagonal"])
+    def test_diag_blocks_match_pointwise(self, variant):
+        """The vectorised diag_blocks equals Gamma(x, x) point by point."""
+        rng = np.random.default_rng(11)
+        se, matern = kernels.SquaredExponential(0.3), kernels.Matern52(0.6)
+        gamma = {
+            "icm": kernels.ICMKernel(se, kernels.gram_coupling(3, rng)),
+            "sum-separable": kernels.SumSeparableKernel(
+                [(se, kernels.omega_coupling(0.5, 3)), (matern, kernels.gram_coupling(3, rng))]
+            ),
+            "diagonal": kernels.DiagonalKernel([se, matern, se]),
+        }[variant]
+        X = rng.random((7, 2))
+        expected = np.array([gamma.diag_block(x) for x in X])
+        np.testing.assert_array_equal(gamma.diag_blocks(X), expected)
+        assert gamma.diag_blocks(np.zeros((0, 2))).shape == (0, 3, 3)
+
     def test_operator_norm(self):
         M = np.diag([3.0, 1.0, 2.0])
         assert kernels.operator_norm(M) == pytest.approx(3.0, abs=1e-12)

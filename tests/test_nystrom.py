@@ -2,8 +2,10 @@
 
 The budgeted state is validated against the exact posterior in the
 regime where they must coincide (all inclusion probabilities equal to
-one), against the variance-proportional resampling contract, and
-against the rho-sandwich that the regret analysis relies on.
+one, with distinct and with heavily repeated queries), against the
+variance-proportional resampling contract, against the rho-sandwich that
+the regret analysis relies on, and, for grid reads served from the arm
+arrays, against a grid-less twin that embeds the grid afresh.
 """
 
 import numpy as np
@@ -128,6 +130,30 @@ class TestFullDictionaryExactness:
             np.testing.assert_allclose(budget.cov(xq), exact.cov(xq), atol=1e-8)
         assert budget.logdet_sum == pytest.approx(exact.logdet_sum, rel=1e-8)
 
+    @pytest.mark.parametrize("name", ["icm", "icm-as-sum-separable", "diagonal"])
+    def test_repeated_queries_match_exact_posterior(self, name):
+        """Heavily repeated queries enter the history compressed per arm,
+        V = Phi_U diag(c) Phi_U^T; with a full dictionary the budgeted
+        posterior is still the exact one."""
+        rng = np.random.default_rng(13)
+        kern = _full_dictionary_kernel(name, rng)
+        sites = rng.random((4, 2))
+        exact = posterior.PosteriorState(kern, ETA)
+        budget = nystrom.NystromState(kern, ETA, q=1e12, rng=np.random.default_rng(0))
+        for _ in range(30):
+            x, y = sites[rng.integers(4)], rng.normal(size=kern.n)
+            exact.update(x, y)
+            budget.update(x, y)
+        assert budget.m == budget.t == 30
+        Xq = np.vstack([sites, rng.random((10, 2))])
+        np.testing.assert_allclose(budget.mean_batch(Xq), exact.mean_batch(Xq), atol=1e-8)
+        np.testing.assert_allclose(
+            budget.cov_norm_batch(Xq), exact.cov_norm_batch(Xq), atol=1e-8
+        )
+        for xq in sites:
+            np.testing.assert_allclose(budget.cov(xq), exact.cov(xq), atol=1e-8)
+        assert budget.logdet_sum == pytest.approx(exact.logdet_sum, rel=1e-8)
+
     def test_general_path_on_sum_separable(self):
         rng = np.random.default_rng(4)
         kern = kernels.SumSeparableKernel(
@@ -146,6 +172,42 @@ class TestFullDictionaryExactness:
         np.testing.assert_allclose(budget.mean_batch(Xq), exact.mean_batch(Xq), atol=1e-8)
         np.testing.assert_allclose(
             budget.cov_norm_batch(Xq), exact.cov_norm_batch(Xq), atol=1e-8
+        )
+
+
+class TestGridResidentReads:
+    @pytest.mark.parametrize("name", ["icm", "diagonal", "sum-separable"])
+    def test_grid_reads_match_grid_less_twin(self, name):
+        """Grid reads gathered from the arm arrays equal the fresh embedding
+        of a grid-less twin drawing from the same rng, under heavily
+        repeated arms with one off-grid update mixed in; both draw the
+        same dictionaries and accumulate the same log-det."""
+        rng = np.random.default_rng(12)
+        if name == "sum-separable":
+            kern = kernels.SumSeparableKernel(
+                [
+                    (kernels.SquaredExponential(0.3), kernels.omega_coupling(0.5, 2)),
+                    (kernels.Matern52(0.6), kernels.gram_coupling(2, rng)),
+                ]
+            )
+        else:
+            kern = _full_dictionary_kernel(name, rng)
+        G = rng.random((30, 2))
+        resident = nystrom.NystromState(kern, ETA, q=3.0, rng=np.random.default_rng(4), grid=G)
+        twin = nystrom.NystromState(kern, ETA, q=3.0, rng=np.random.default_rng(4))
+        for t in range(40):
+            x = rng.random(2) if t == 20 else G[rng.integers(5)]
+            y = rng.normal(size=kern.n)
+            resident.update(x, y)
+            twin.update(x, y)
+            np.testing.assert_array_equal(resident.dictionary.indices, twin.dictionary.indices)
+        assert resident.m == twin.m < resident.t
+        assert resident.logdet_sum == pytest.approx(twin.logdet_sum, rel=1e-10)
+        np.testing.assert_allclose(resident.mean_batch(G), twin.mean_batch(G), atol=1e-10)
+        np.testing.assert_allclose(resident.cov_norm_batch(G), twin.cov_norm_batch(G), atol=1e-10)
+        # A copy of the grid is not the grid: it takes the embedding path.
+        np.testing.assert_allclose(
+            resident.cov_norm_batch(G.copy()), resident.cov_norm_batch(G), atol=1e-10
         )
 
 
