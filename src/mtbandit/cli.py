@@ -786,26 +786,32 @@ def _suite_variance_geometry():
 def _suite_fast_path_equivalence():
     """The default systems, off the grid and grid-resident, agree with the
     single general system (ICM, diagonal); on a sum-separable kernel, which
-    is one general system, grid-resident reads agree with off-grid ones."""
+    is one general system, grid-resident reads agree with off-grid ones.
+    In exact-grid-interleaved the history alternates repeated grid rows
+    with off-grid points, so the grid-resident state takes the covariance
+    columns of its off-grid updates from the compressed history solve."""
     eta = 0.1
     rng = np.random.default_rng(123)
     se = kernels.SquaredExponential(0.3)
+    icm = kernels.ICMKernel(se, kernels.gram_coupling(3, rng))
     cases = (
-        ("icm-equivalence", kernels.ICMKernel(se, kernels.gram_coupling(3, rng))),
-        ("diagonal-equivalence", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])),
+        ("icm-equivalence", icm, False),
+        ("diagonal-equivalence", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)]), False),
         ("sum-separable-grid", kernels.SumSeparableKernel([
             (se, kernels.omega_coupling(0.5, 3)),
             (kernels.Matern52(0.5), kernels.gram_coupling(3, rng)),
-        ])),
+        ]), False),
+        ("exact-grid-interleaved", icm, True),
     )
     queries = rng.random((40, 2))
     reports = []
-    for name, kern in cases:
+    for name, kern, interleaved in cases:
         fast = posterior.PosteriorState(kern, eta)
         on_grid = posterior.PosteriorState(kern, eta, grid=queries)
         general = posterior.PosteriorState(kern, eta, fast_path=False)
-        for _ in range(25):
-            x, y = rng.random(2), rng.normal(size=3)
+        for t in range(25):
+            x = queries[rng.integers(6)] if interleaved and t % 2 else rng.random(2)
+            y = rng.normal(size=3)
             for state in (fast, on_grid, general):
                 state.update(x, y)
         mean, norm = general.mean_batch(queries), general.cov_norm_batch(queries)

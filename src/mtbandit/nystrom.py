@@ -21,10 +21,11 @@ the full history:
 with V_t = sum_s Phi_t(x_s) Phi_t(x_s)^T.  With a full dictionary and all
 probabilities 1 this reproduces the exact posterior.
 
-The state works over a finite universe of arms: the rows of the candidate
-grid, when one is given, then each distinct off-grid history point, found
-through a dict keyed on the point's bytes.  Each history point is an arm
-index, so the history enters compressed per arm,
+The state works over the arm universe that the observation front-end
+(posterior._Posterior) keeps for both posteriors: the rows of the
+candidate grid, when one is given, then each distinct off-grid history
+point, with the arm index of every history point and per-arm visit counts
+and output sums.  The history thus enters compressed per arm,
 
     V_t = Phi_U diag(c) Phi_U^T,    sum_s Phi_t(x_s) y_s = Phi_U S_U,
 
@@ -50,8 +51,8 @@ engine (posterior._task_systems, one rule for both): one embedding per
 kernel of the basis and one diagonal solve per system.  An ICM kernel
 embeds its scalar kernel once and a diagonal kernel each distinct scalar
 once; any other kernel embeds its n x n blocks as a single system.  The
-observation checks, the history, the log-det accumulator and the
-covariance clamp are the exact posterior's front-end (posterior._Posterior).
+observation checks, the history, the arm universe, the log-det
+accumulator and the covariance clamp are the exact posterior's.
 """
 
 import numpy as np
@@ -148,24 +149,23 @@ class _Support:
     """Nystrom statistics over the task-basis systems, resident on the arms.
 
     Built from the dictionary (positions in the history), the arms, their
-    prior blocks (one (A, b, b) array per kernel of the basis) and the
-    history as arm indices with outputs.  Per kernel it keeps the rotated
-    embedding Q^T (Gd^{1/2})^+ and per system the shrink factors
-    xi_g lambda / (xi_g lambda + eta) and the mean coordinates, for reads
-    away from the arms.  ``means``, ``res`` (per-system residual blocks)
-    and ``norms`` hold the model at every arm.
+    prior blocks (one (A, b, b) array per kernel of the basis), the arm
+    index of every history point and the per-arm visit counts and output
+    sums.  Per kernel it keeps the rotated embedding Q^T (Gd^{1/2})^+ and
+    per system the shrink factors xi_g lambda / (xi_g lambda + eta) and the
+    mean coordinates, for reads away from the arms.  ``means``, ``res``
+    (per-system residual blocks) and ``norms`` hold the model at every arm.
     """
 
-    def __init__(self, basis: _TaskBasis, eta, dictionary, arms, prior, hist_arm, Y):
+    def __init__(self, basis: _TaskBasis, eta, dictionary, arms, prior, hist_arm, counts, sums):
         self.basis = basis
         b = basis.b
         dict_arms = hist_arm[dictionary.indices]
         self._Xd = arms[dict_arms]
         self._w = np.repeat(1.0 / np.sqrt(dictionary.probs), b)
-        seen, where, counts = np.unique(hist_arm, return_inverse=True, return_counts=True)
-        sums = np.zeros((seen.size, Y.shape[1]))
-        np.add.at(sums, where, Y)
-        Yp = basis.project(sums)  # per-arm output sums in basis coordinates
+        seen = np.flatnonzero(counts)
+        counts = counts[seen]
+        Yp = basis.project(sums[seen])  # per-arm output sums in basis coordinates
         dcols, ucols = _block_cols(dict_arms, b), _block_cols(seen, b)
         c = np.repeat(counts, b).astype(float)
         self._emb, phis, lams = [], [], []
@@ -234,8 +234,10 @@ class NystromState(_Posterior):
         The caller must not mutate the grid afterwards.  Inputs must have
         the grid's dimension.
 
-    The state keeps its distinct inputs as arms: the grid rows, then each
-    off-grid history point when it is first observed.  Every rebuild
+    The state's distinct inputs are the arms of the shared front-end: the
+    grid rows, then each off-grid history point when it is first observed;
+    their prior blocks are computed once, at the first update that sees
+    them.  Every rebuild
     compresses the history per arm, rotates each kernel's embedding so
     that the ridge solves are diagonal, and evaluates the model at every
     arm once.  The support is built over the kernel's task-basis systems
@@ -246,65 +248,44 @@ class NystromState(_Posterior):
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, q: float,
                  rng: np.random.Generator, grid=None):
-        super().__init__(kernel, eta)
+        super().__init__(kernel, eta, grid)
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
         self.q = float(q)
         self.rng = rng
-        self._basis = _TaskBasis(kernel, self.eta)
+        self._basis = _TaskBasis(kernel)
         self.dictionary = Dictionary([], [])
         self._support = None
         b = self._basis.b
-        self._arms = np.zeros((0, 0))
-        self._arm_of = {}  # point bytes -> arm index
-        self._prior = [np.zeros((0, b, b)) for _ in self._basis.kernels]
-        self._hist_arm = np.zeros(0, dtype=int)  # arm index of every history point
-        self._grid = None
-        if grid is not None:
-            self._grid = _as_points(grid)
-            self.X = np.zeros((0, self._grid.shape[1]))
-            self._add_arms(self._grid)
+        self._prior = [np.zeros((0, b, b)) for _ in self._basis.kernels]  # k(a, a) per arm
 
     @property
     def m(self) -> int:
         return self.dictionary.m
 
-    def _add_arms(self, X):
-        """Append the points X as arms, with their prior blocks."""
-        A = self._arms.shape[0]
-        for j, x in enumerate(X):
-            self._arm_of.setdefault(x.tobytes(), A + j)
-        self._arms = np.vstack([self._arms.reshape(A, X.shape[1]), X])
-        self._prior = [
-            np.concatenate([P, k.diag_blocks(X)]) for P, k in zip(self._prior, self._basis.kernels)
-        ]
-
-    def _arm(self, x) -> int:
-        """Arm index of the point x; an unseen point becomes a new arm."""
-        a = self._arm_of.get(x.tobytes())
-        if a is None:
-            a = self._arms.shape[0]
-            self._add_arms(x[None])
-        return a
-
-    def _absorb(self) -> float:
-        """Resample the dictionary and rebuild the support.
+    def _absorb(self, a, y) -> float:
+        """Record the observation, resample the dictionary and rebuild the support.
 
         Inclusion probabilities for all points (the new one included) come
         from the previous round's covariance, and so does the log-det
         increment.  Both are gathered from the previous support's arm
         arrays; only a point that was not an arm then is embedded afresh.
         """
-        x = self.X[-1]
-        a = self._arm(x)
-        self._hist_arm = np.append(self._hist_arm, a)
+        self._record(a, y)
+        P = self._prior[0].shape[0]
+        if P < self._arms.shape[0]:
+            new = self._arms[P:]
+            self._prior = [
+                np.concatenate([R, k.diag_blocks(new)])
+                for R, k in zip(self._prior, self._basis.kernels)
+            ]
         if self._support is None:
             res = [self._prior[i] for i, _, _ in self._basis.systems]
             norms = self._basis.assemble_cov_norm(res, None)
         else:
             res, norms = self._support.res, self._support.norms
             if a == norms.shape[0]:
-                new = self._support.residuals(x[None])
+                new = self._support.residuals(self._arms[a:a + 1])
                 res = [np.concatenate(pair) for pair in zip(res, new)]
                 norms = np.append(norms, self._basis.assemble_cov_norm(new, None))
         increment = _logdet_ratio(
@@ -312,7 +293,8 @@ class NystromState(_Posterior):
         )
         self.dictionary = resample_dictionary(norms[self._hist_arm], self.q, self.rng)
         self._support = _Support(
-            self._basis, self.eta, self.dictionary, self._arms, self._prior, self._hist_arm, self.Y
+            self._basis, self.eta, self.dictionary, self._arms, self._prior, self._hist_arm,
+            self._counts, self._sums,
         )
         return increment
 

@@ -12,9 +12,7 @@ blocks, and Y_t the concatenated outputs.  The state also accumulates
     logdet_sum = sum_{s<=t} log det(I_n + eta^{-1} Gamma_{s-1}(x_s, x_s))
 
 incrementally; by the Schur telescoping identity this equals
-log det(I_nt + eta^{-1} G_t) and feeds the confidence radii.  Each
-increment is read off the Schur complements that grow the Cholesky
-factors, so an update evaluates the kernel against the history once.
+log det(I_nt + eta^{-1} G_t) and feeds the confidence radii.
 
 One engine solves every kernel.  It writes the kernel in a task basis as
 
@@ -30,59 +28,56 @@ The systems are chosen by one rule (``_task_systems``):
   of equal positive eigenvalues of B, with the cluster's eigenvectors;
 * a diagonal kernel gives one b = 1 system per distinct scalar-kernel
   object (xi = 1, unit vectors), so the independent-task baseline with
-  one shared scalar kernel needs a single factor;
+  one shared scalar kernel needs a single system;
 * any other kernel is a single system: the kernel itself, with b = n,
   xi = 1 and U = I.  This is the general block solve.
 
-Every factor grows by block appends only (the bordered Cholesky
-algorithm), whose backward error is that of a fresh factorization.
+The observation front-end ``_Posterior`` keeps a universe of arms: the
+rows of the candidate grid, when one is given, then each distinct
+off-grid history point, with per-arm visit counts c and output sums S.
+The c observations of an arm act as one observation of their mean with
+noise eta / c, so over the observed arms U system g solves
 
-A bandit scores the same finite candidate grid every round.  Given that
-grid, the engine keeps per system g the rows V_g = L_g^{-1} k_g(X_t, grid)
-and z_g = L_g^{-1} Y_t U_g, the grid coordinates V_g^T z_g and the grid
-residual blocks k_g(x, x) - xi_g V_g(x)^T V_g(x).  The bordered factor's
-new block row [W, L_s] gives each new block of rows in O(t N), and the
-coordinates and residuals change by one rank-b_g term, so an update costs
-O(t N) and a read of the grid O(N) rather than O(t^2 N), for every
-kernel.  Reads match the grid by identity (the same array object); the
-caller must not mutate it.  Every other query uses the general formulas.
+    (xi_g K_UU + eta diag(1/c) (x) I_b) alpha_g = (S_U / c) U_g,
 
-The observation front-end ``_Posterior`` (checks, history, log-det
-accumulator) and the covariance clamp are shared with the budgeted
-posterior in the nystrom module, which builds its supports over the same
-systems and assembles them with the same ``assemble_*`` methods.
+one dense solve whatever t is.
+
+A bandit observes and scores only the N grid arms, so each system is a
+Gaussian process over them (the finite-arm form of GP-UCB and
+KernelUCB).  The engine keeps per system the arm-space covariance P_g
+(prior k_g(grid, grid); Gamma_t restricted to system g is xi_g P_g) and
+the mean coordinates w_g over the grid.  An observation y at arm i is a
+rank-b_g downdate by the pre-update block column p = P_g[:, i]:
+
+    S = xi_g P_g[i, i] + eta I,   w_g += p S^{-1} (y U_g - xi_g w_g[i]),
+    P_g -= xi_g p S^{-1} p^T,
+
+and the log-det increment is read off the pre-update block xi_g P_g[i, i].
+P_g is the lower triangle of a Fortran-ordered array, downdated in place
+by one BLAS dsyr (b = 1) or dsyrk.  An update costs O((N b)^2) per system
+whatever t, a grid read O(N b^2), and each system stores (N b)^2 floats:
+3 MB for b = 1 on N = 625, but 253 MB for the general system of a 9-task
+kernel there (the CLI builds only ICM and diagonal kernels, so never the
+latter).  No weight is divided by, so a zero coupling keeps a
+zero-weight system.  Grid reads match the grid by identity (the same
+array object); the caller must not mutate it.  Every other read, and the
+column that an update at an off-grid point needs, comes from the
+compressed solve, cached until the next update.
+
+The budgeted posterior in the nystrom module shares the front-end and
+the covariance clamp, builds its supports over the same systems and
+assembles them with the same ``assemble_*`` methods.
 """
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.blas import dsyr, dsyrk
 
 from .kernels import DiagonalKernel, ICMKernel, MultiTaskKernel, _as_points
 
 __all__ = [
     "PosteriorState",
-    "append_cholesky",
 ]
-
-
-def append_cholesky(L: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Grow a lower Cholesky factor by one block via the Schur complement.
-
-    Given L with L L^T = M, returns the factor of [[M, C], [C^T, D]].
-    The blocks must be finite: the posteriors check their inputs, so the
-    per-call finiteness scans are skipped.  A non-positive-definite Schur
-    complement raises LinAlgError.
-    """
-    if L.shape[0] == 0:
-        return la.cholesky(D, lower=True, check_finite=False)
-    W = la.solve_triangular(L, C, lower=True, check_finite=False)
-    S = D - W.T @ W
-    Ls = la.cholesky(0.5 * (S + S.T), lower=True, check_finite=False)
-    p, k = L.shape[0], D.shape[0]
-    out = np.zeros((p + k, p + k))
-    out[:p, :p] = L
-    out[p:, :p] = W.T
-    out[p:, p:] = Ls
-    return out
 
 
 def _clamp_spectrum(M, cap, matrix=False) -> np.ndarray:
@@ -114,23 +109,16 @@ def _logdet_ratio(M, eta: float, cap) -> float:
 
 def _block_gram(A, B, b: int) -> np.ndarray:
     """Per-query b x b blocks of A^T B for point-major columns, shape (N, b, b)."""
-    A3 = A.reshape(A.shape[0], -1, b)
-    B3 = B.reshape(B.shape[0], -1, b)
+    A3 = A.reshape(A.shape[0], A.shape[1] // b, b)
+    B3 = B.reshape(B.shape[0], B.shape[1] // b, b)
     return np.einsum("kja,kjb->jab", A3, B3)
-
-
-def _solve_lower(Ls, M) -> np.ndarray:
-    """Ls^{-1} M for a small lower-triangular block; a 1 x 1 block divides."""
-    if Ls.shape[0] == 1:
-        return M / Ls[0, 0]
-    return la.solve_triangular(Ls, M, lower=True)
 
 
 def _group_eigenvalues(xis: np.ndarray):
     """Group descending eigenvalues into (value, column-index) clusters.
 
     Numerically repeated eigenvalues (relative gap below 1e-12) share one
-    factorization; exact zeros are dropped because their terms vanish
+    system; exact zeros are dropped because their terms vanish
     analytically.
     """
     groups = []
@@ -171,23 +159,51 @@ def _task_systems(kernel: MultiTaskKernel, structured: bool = True):
     return np.eye(n), [kernel], [(0, 1.0, np.arange(n))]
 
 
+def _tril_column(P, lo: int, b: int) -> np.ndarray:
+    """Columns lo .. lo+b-1 of a symmetric matrix stored in its lower triangle.
+
+    Above the diagonal block the column is read as a row of the triangle;
+    the diagonal block is mirrored from its lower half.  Shape (p, b).
+    """
+    col = np.concatenate([P[lo:lo + b, :lo].T, P[lo:, lo:lo + b]])
+    if b > 1:
+        i, j = np.triu_indices(b, 1)
+        col[lo + i, j] = col[lo + j, i]
+    return col
+
+
+def _tril_diag_blocks(P, b: int) -> np.ndarray:
+    """The b x b diagonal blocks of a symmetric matrix stored in its lower
+    triangle, mirrored, shape (N, b, b)."""
+    pos = np.arange(0, P.shape[0], b)[:, None, None] + np.arange(b)
+    D = P[np.swapaxes(pos, 1, 2), pos]
+    if b > 1:
+        i, j = np.triu_indices(b, 1)
+        D[:, i, j] = D[:, j, i]
+    return D
+
+
 # Observation front-end =======================================================
 class _Posterior:
     """Observation front-end shared by the exact and the budgeted posterior.
 
     Checks eta and every observation, keeps the history as a (t, d) input
-    array ``X`` and a (t, n) output array ``Y`` that grow once per update,
-    and accumulates ``logdet_sum``.  A subclass grows its model in
-    ``_absorb``, which sees the new observation already appended and
-    returns the round's increment log det(I_n + eta^{-1} Gamma_{t-1}(x_t, x_t));
-    it also supplies ``mean_batch``, ``cov`` and ``cov_norm_batch``.  A
-    subclass may fix the input dimension before the first update by
-    giving ``X`` a (0, d) shape.
+    array ``X`` and a (t, n) output array ``Y``, accumulates ``logdet_sum``
+    and keeps the arm universe: the rows of ``grid`` (which fixes the input
+    dimension), then each distinct off-grid point when first observed,
+    found by its bytes, with the arm of every history point and the visit
+    count and output sum of every arm.
+
+    A subclass grows its model in ``_absorb(a, y)``, called after every
+    check with the observed point already an arm a.  It records the
+    observation with ``_record(a, y)`` once it no longer needs the history
+    before it, and returns log det(I_n + eta^{-1} Gamma_{t-1}(x_t, x_t)).
+    A subclass also supplies ``mean_batch``, ``cov`` and ``cov_norm_batch``.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
 
-    def __init__(self, kernel: MultiTaskKernel, eta: float):
+    def __init__(self, kernel: MultiTaskKernel, eta: float, grid=None):
         eta = float(eta)
         if not eta > 0:
             raise ValueError(f"eta must be positive, got {eta}")
@@ -196,6 +212,16 @@ class _Posterior:
         self.X = np.zeros((0, 0))
         self.Y = np.zeros((0, kernel.n))
         self.logdet_sum = 0.0
+        self._arms = np.zeros((0, 0))
+        self._arm_of = {}  # point bytes -> arm index
+        self._hist_arm = np.zeros(0, dtype=int)  # arm index of every history point
+        self._counts = np.zeros(0, dtype=int)
+        self._sums = np.zeros((0, kernel.n))
+        self._grid = None
+        if grid is not None:
+            self._grid = _as_points(grid)
+            self.X = np.zeros((0, self._grid.shape[1]))
+            self._add_arms(self._grid)
 
     @property
     def t(self) -> int:
@@ -220,10 +246,34 @@ class _Posterior:
             )
         if not np.all(np.isfinite(y)):
             raise ValueError("observation contains non-finite entries")
+        self.logdet_sum += self._absorb(self._arm(x), y)
+        return self
+
+    def _add_arms(self, X):
+        """Append the points X as unobserved arms."""
+        A = self._arms.shape[0]
+        for j, x in enumerate(X):
+            self._arm_of.setdefault(x.tobytes(), A + j)
+        self._arms = np.vstack([self._arms.reshape(A, X.shape[1]), X])
+        self._counts = np.concatenate([self._counts, np.zeros(X.shape[0], dtype=int)])
+        self._sums = np.vstack([self._sums, np.zeros((X.shape[0], self.kernel.n))])
+
+    def _arm(self, x) -> int:
+        """Arm index of the point x; an unseen point becomes a new arm."""
+        a = self._arm_of.get(x.tobytes())
+        if a is None:
+            a = self._arms.shape[0]
+            self._add_arms(x[None])
+        return a
+
+    def _record(self, a: int, y):
+        """Append the observation y at arm a to the history and the arm statistics."""
+        x = self._arms[a]
         self.X = np.vstack([self.X, x]) if self.t else np.array([x])
         self.Y = np.vstack([self.Y, y])
-        self.logdet_sum += self._absorb()
-        return self
+        self._hist_arm = np.append(self._hist_arm, a)
+        self._counts[a] += 1
+        self._sums[a] += y
 
     def mean(self, x) -> np.ndarray:
         """Posterior mean mu_t(x) as an (n,) vector; zero at t = 0."""
@@ -236,106 +286,20 @@ class _Posterior:
 
 # Engine ======================================================================
 class _TaskBasis:
-    """Ridge systems in a task basis, one per term of ``_task_systems``.
+    """The task-basis systems of a kernel (``_task_systems``) and the
+    assembly of per-system coordinates and residual blocks into means and
+    covariances, shared by the exact and the budgeted posterior."""
 
-    The engine keeps one block-appended Cholesky factor L_g of
-    (xi_g K_g + eta I) per system and, given a candidate ``grid``, the
-    grid-resident statistics of the module docstring; a read of that same
-    grid object comes from them.  ``assemble_*`` turn per-system
-    coordinates and residual blocks into means and covariances; the
-    budgeted supports in nystrom reuse them.
-    """
-
-    def __init__(self, kernel, eta, structured=True, grid=None):
+    def __init__(self, kernel, structured=True):
         self.U, self.kernels, self.systems = _task_systems(kernel, structured)
         self.b = self.kernels[0].n  # the block size, shared by every system
-        self._r = [cols.size // self.b for _, _, cols in self.systems]
+        self.r = [cols.size // self.b for _, _, cols in self.systems]  # right-hand sides
         self._xi = np.array([xi for _, xi, _ in self.systems])
-        self.eta = float(eta)
-        self.kappa = kernel.kappa
-        self._etaI = self.eta * np.eye(self.b)
-        self.chols = [np.zeros((0, 0)) for _ in self.systems]
-        self.grid = grid
-        if grid is not None:
-            N = grid.shape[0]
-            self._V = [np.zeros((0, N * self.b)) for _ in self.systems]
-            self._z = [np.zeros((0, r)) for r in self._r]
-            self._coords = [np.zeros((N * self.b, r)) for r in self._r]
-            self._res = [self.kernels[i].diag_blocks(grid) for i, _, _ in self.systems]
 
     def project(self, Y) -> np.ndarray:
         """Outputs in basis coordinates, Y U."""
         return np.asarray(Y, dtype=float) @ self.U
 
-    def update(self, X, Y) -> float:
-        """Grow every factor (and the grid statistics) by the last row of X and Y;
-        returns the log-det increment.
-
-        System g contributes (|cols_g| / b_g) log det(I + (S_g - eta I) / eta),
-        with S_g = L_s L_s^T the Schur block that grows its factor and the
-        eigenvalues of S_g - eta I, the posterior covariance along U_g,
-        clamped to [0, kappa].  With a grid, the new block row [W, L_s] gives
-        the new rows L_s^{-1} (k_g(x, grid) - W V_g) of V_g and
-        L_s^{-1} (y U_g - W z_g) of z_g, which enter the coordinates and
-        residuals as rank-b_g terms.
-        """
-        x = X[-1:]
-        cross = [k._cross(X, x) for k in self.kernels]
-        if self.grid is not None:
-            rows = [k._cross(x, self.grid) for k in self.kernels]
-            yp = self.project(Y[-1])
-        b = self.b
-        blocks = []
-        for s, (i, xi, cols) in enumerate(self.systems):
-            c = xi * cross[i]
-            L = append_cholesky(self.chols[s], c[:-b], c[-b:] + self._etaI)
-            self.chols[s] = L
-            W, Ls = L[-b:, :-b], L[-b:, -b:]
-            blocks.append(Ls)
-            if self.grid is not None:
-                v = _solve_lower(Ls, rows[i] - W @ self._V[s])
-                z = _solve_lower(Ls, yp[cols].reshape(b, -1) - W @ self._z[s])
-                self._V[s] = np.concatenate([self._V[s], v])
-                self._z[s] = np.concatenate([self._z[s], z])
-                self._coords[s] += v.T @ z
-                self._res[s] -= _block_gram(xi * v, v, b)
-        Ls = np.array(blocks)
-        vals = _clamp_spectrum(Ls @ np.swapaxes(Ls, 1, 2) - self._etaI, None)
-        return _logdet_ratio(np.repeat(vals, self._r, axis=0).ravel(), self.eta, self.kappa)
-
-    def mean_batch(self, X, Y, Xq) -> np.ndarray:
-        if Xq is self.grid:
-            return self.assemble_mean(self._coords, Xq.shape[0])
-        Kq = [k._cross(X, Xq) for k in self.kernels]
-        Yp = self.project(Y)
-        parts = []
-        for L, (i, _, cols) in zip(self.chols, self.systems):
-            rhs = Yp[:, cols].reshape(L.shape[0], -1)
-            parts.append(Kq[i].T @ la.cho_solve((L, True), rhs))
-        return self.assemble_mean(parts, Xq.shape[0])
-
-    def residuals_batch(self, X, Xq) -> list:
-        """Per-system blocks R_g(x) = k_g(x,x) - xi_g k_q^T (xi_g K_g + eta I)^{-1} k_q,
-        each of shape (N, b, b)."""
-        Xq = _as_points(Xq)
-        Kq = [k._cross(X, Xq) for k in self.kernels] if X.shape[0] else None
-        res = []
-        for L, (i, xi, _) in zip(self.chols, self.systems):
-            R = self.kernels[i].diag_blocks(Xq)
-            if Kq is not None:
-                V = la.solve_triangular(L, Kq[i], lower=True)
-                R = R - xi * _block_gram(V, V, self.b)
-            res.append(R)
-        return res
-
-    def cov(self, X, x) -> np.ndarray:
-        return self.assemble_cov([R[0] for R in self.residuals_batch(X, x)], self.kappa)
-
-    def cov_norm_batch(self, X, Xq) -> np.ndarray:
-        res = self._res if Xq is self.grid else self.residuals_batch(X, Xq)
-        return self.assemble_cov_norm(res, self.kappa)
-
-    # -- assembly ---------------------------------------------------------
     def assemble_mean(self, parts, N) -> np.ndarray:
         """sum_g xi_g parts_g U_g^T for per-system coordinates parts_g (N b_g, r_g)."""
         out = np.zeros((N, self.U.shape[0]))
@@ -359,6 +323,55 @@ class _TaskBasis:
         return _clamp_spectrum(np.max(tops, axis=0), cap)
 
 
+class _CompressedSolve:
+    """The ridge systems of every task-basis system over the history
+    compressed per distinct arm (module docstring), factored once."""
+
+    def __init__(self, basis: _TaskBasis, eta, arms, counts, sums):
+        self.basis = basis
+        seen = np.flatnonzero(counts)
+        self._XU = arms[seen]
+        inv_c = np.repeat(1.0 / counts[seen], basis.b)
+        Yp = basis.project(sums[seen] / counts[seen][:, None])
+        K = [k._cross(self._XU, self._XU) for k in basis.kernels]
+        self._chol, self._alpha = [], []
+        for (i, xi, cols), r in zip(basis.systems, basis.r):
+            M = xi * K[i]
+            M[np.diag_indices_from(M)] += eta * inv_c
+            L = la.cholesky(M, lower=True, check_finite=False)
+            rhs = Yp[:, cols].reshape(M.shape[0], r)
+            self._chol.append(L)
+            self._alpha.append(la.cho_solve((L, True), rhs, check_finite=False))
+
+    def _cross(self, Xq) -> list:
+        """k_i(U, Xq) for every kernel of the basis."""
+        return [k._cross(self._XU, Xq) for k in self.basis.kernels]
+
+    def coords(self, Xq) -> list:
+        """Per-system mean coordinates k_q^T alpha_g, each (N b, r_g)."""
+        Kq = self._cross(Xq)
+        return [Kq[i].T @ alpha for (i, _, _), alpha in zip(self.basis.systems, self._alpha)]
+
+    def residuals(self, Xq) -> list:
+        """Per-system blocks P_g(x, x) = k_g(x, x) - xi_g k_q^T M_g^{-1} k_q, each (N, b, b)."""
+        Kq, res = self._cross(Xq), []
+        for L, (i, xi, _) in zip(self._chol, self.basis.systems):
+            V = la.solve_triangular(L, Kq[i], lower=True, check_finite=False)
+            res.append(self.basis.kernels[i].diag_blocks(Xq) - xi * _block_gram(V, V, self.basis.b))
+        return res
+
+    def columns(self, x, grid) -> list:
+        """Per-system block columns P_g(grid, x) = k_g(grid, x) - xi_g k_g(U, grid)^T
+        M_g^{-1} k_g(U, x), each (N b, b)."""
+        Kx, Kg = self._cross(x), self._cross(grid)
+        prior = [k._cross(grid, x) for k in self.basis.kernels]
+        out = []
+        for L, (i, xi, _) in zip(self._chol, self.basis.systems):
+            solved = la.cho_solve((L, True), Kx[i], check_finite=False)
+            out.append(prior[i] - xi * (Kg[i].T @ solved))
+        return out
+
+
 # Public posterior state ======================================================
 class PosteriorState(_Posterior):
     """Exact multi-task KRR posterior after t observations.
@@ -376,45 +389,110 @@ class PosteriorState(_Posterior):
         raises TypeError for a kernel that has none.
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round.  The
-        engine then keeps L_g^{-1} k_g(X_t, grid), the grid coordinates and
-        the grid residuals up to date for every kernel and system list, so
-        an update costs O(t N) and ``mean_batch(grid)`` or
-        ``cov_norm_batch(grid)`` costs O(N) instead of O(t^2 N).  Only a
-        query that *is* this array object is served from the cache; every
-        other query (copies included) takes the general read path.  The
-        caller must not mutate the grid afterwards.  Inputs must have the
-        grid's dimension.
+        engine then keeps each system's arm-space covariance over the grid,
+        (N b)^2 floats, and the grid mean coordinates, downdated by rank b
+        per observation: an update costs O((N b)^2) whatever t, and
+        ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` O(N b^2).  Only a
+        query that *is* this array object is served from them.  Every
+        other query (copies included), and the column that an update at an
+        off-grid point needs, comes from one dense solve over the history
+        compressed per distinct arm, (xi_g K_UU + eta diag(1/c)) (x) I_b
+        per system, cached until the next update.  The caller must not
+        mutate the grid afterwards.  Inputs must have the grid's dimension.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, fast_path="auto", grid=None):
-        super().__init__(kernel, eta)
+        super().__init__(kernel, eta, grid)
         structured = isinstance(kernel, (ICMKernel, DiagonalKernel))
         if fast_path is True and not structured:
             raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
-        if grid is not None:
-            grid = _as_points(grid)
-            self.X = np.zeros((0, grid.shape[1]))
         structured = structured and (fast_path is True or fast_path == "auto")
-        self._solver = _TaskBasis(kernel, self.eta, structured, grid)
+        self._basis = _TaskBasis(kernel, structured)
+        self._solve = None  # the compressed history solve, dropped on update
+        self._cov, self._coords = [], []
+        if self._grid is not None:
+            G, b = self._grid, self._basis.b
+            prior = [k._cross(G, G) for k in self._basis.kernels]
+            # Fortran order: dsyr and dsyrk return a copy of any other array.
+            self._cov = [np.array(prior[i], order="F") for i, _, _ in self._basis.systems]
+            self._coords = [np.zeros((G.shape[0] * b, r)) for r in self._basis.r]
 
-    def _absorb(self) -> float:
-        return self._solver.update(self.X, self.Y)
+    def _compressed(self) -> _CompressedSolve:
+        if self._solve is None:
+            self._solve = _CompressedSolve(
+                self._basis, self.eta, self._arms, self._counts, self._sums
+            )
+        return self._solve
+
+    def _absorb(self, a, y) -> float:
+        """Downdate the grid statistics by the observation y at arm a.
+
+        The block columns P_g(grid, x), the blocks P_g(x, x) and the mean
+        coordinates w_g(x) before the update come from the grid arrays for
+        a grid arm and from the compressed solve otherwise.
+        """
+        basis, b = self._basis, self._basis.b
+        N = 0 if self._grid is None else self._grid.shape[0]
+        if a < N:
+            lo = a * b
+            cols = [_tril_column(P, lo, b) for P in self._cov]
+            blocks = [c[lo:lo + b] for c in cols]
+            means = [w[lo:lo + b] for w in self._coords]
+        else:
+            x, solve = self._arms[a:a + 1], self._compressed()
+            blocks = [R[0] for R in solve.residuals(x)]
+            means = solve.coords(x)
+            cols = solve.columns(x, self._grid) if N else []
+        self._record(a, y)
+        self._solve = None
+        yp = basis.project(y)
+        # Without a grid there are no columns and nothing to downdate.
+        for s, ((_, xi, idx), col, B) in enumerate(zip(basis.systems, cols, blocks)):
+            resid = yp[idx].reshape(b, -1) - xi * means[s]
+            S = xi * B + self.eta * np.eye(b)
+            if b == 1:
+                self._coords[s] += col * (resid / S[0, 0])
+                self._cov[s] = dsyr(-xi / S[0, 0], col[:, 0], lower=1, a=self._cov[s],
+                                    overwrite_a=1)
+            else:
+                L = la.cholesky(S, lower=True, check_finite=False)
+                W = la.solve_triangular(L, col.T, lower=True, check_finite=False)
+                z = la.solve_triangular(L, resid, lower=True, check_finite=False)
+                self._coords[s] += W.T @ z
+                self._cov[s] = dsyrk(-xi, W.T, beta=1.0, c=self._cov[s], lower=1,
+                                     overwrite_c=1)
+        # System g contributes r_g copies of the eigenvalues of xi_g P_g(x, x).
+        vals = [_clamp_spectrum(xi * B, None) for (_, xi, _), B in zip(basis.systems, blocks)]
+        return _logdet_ratio(np.repeat(vals, basis.r, axis=0).ravel(), self.eta, self.kernel.kappa)
 
     def mean_batch(self, Xq) -> np.ndarray:
         """Posterior means over a stack of queries, shape (N, n)."""
         Xq = _as_points(Xq)
         if self.t == 0:
             return np.zeros((Xq.shape[0], self.kernel.n))
-        return self._solver.mean_batch(self.X, self.Y, Xq)
+        if Xq is self._grid:
+            return self._basis.assemble_mean(self._coords, Xq.shape[0])
+        return self._basis.assemble_mean(self._compressed().coords(Xq), Xq.shape[0])
+
+    def _residuals(self, Xq) -> list:
+        if self.t == 0:
+            return [self._basis.kernels[i].diag_blocks(Xq) for i, _, _ in self._basis.systems]
+        return self._compressed().residuals(Xq)
 
     def cov(self, x) -> np.ndarray:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
         clamped to [0, kappa]."""
-        return self._solver.cov(self.X, x)
+        res = self._residuals(_as_points(x))
+        return self._basis.assemble_cov([R[0] for R in res], self.kernel.kappa)
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
         """Posterior covariance norms over a stack of queries, shape (N,),
         clamped to [0, kappa]."""
-        return self._solver.cov_norm_batch(self.X, _as_points(Xq))
+        Xq = _as_points(Xq)
+        if Xq is self._grid:
+            res = [_tril_diag_blocks(P, self._basis.b) for P in self._cov]
+        else:
+            res = self._residuals(Xq)
+        return self._basis.assemble_cov_norm(res, self.kernel.kappa)

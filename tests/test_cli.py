@@ -351,6 +351,7 @@ class TestValidateCommand:
             "icm-equivalence",
             "diagonal-equivalence",
             "sum-separable-grid",
+            "exact-grid-interleaved",
             "full-dictionary-exactness",
             "full-dictionary-diagonal",
             "full-dictionary-grid",

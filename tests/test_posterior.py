@@ -3,17 +3,17 @@
 Every incremental quantity (mean, covariance, log-det accumulator) is
 compared with a from-scratch dense computation in conftest, for all
 three kernel variants and both system lists of the one engine (task-basis
-systems and the single general system).  The battery also covers the
-Cholesky block-append helper, long append-only runs at small eta with
-repeated noiseless queries, grid-resident reads along those runs for
-every kernel, the covariance eigenvalue clamp, input checks that leave
-the state unchanged, and the predictive-variance geometry used by the
-regret analysis.
+systems and the single general system).  The battery also covers long
+runs at small eta with repeated noiseless queries, grid-resident reads
+along those runs for every kernel, grid-resident states whose history
+interleaves grid rows with off-grid points, the log-det accumulator
+against a 60-digit determinant down to eta = 1e-6, the covariance
+eigenvalue clamp, input checks that leave the state unchanged, and the
+predictive-variance geometry used by the regret analysis.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,17 +42,6 @@ def _variants(rng):
             ]
         ),
     ]
-
-
-class TestAppendCholesky:
-    def test_grows_factor_blockwise(self):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(9, 9))
-        M = A @ A.T + 9 * np.eye(9)
-        L_full = la.cholesky(M, lower=True)
-        L = la.cholesky(M[:6, :6], lower=True)
-        grown = posterior.append_cholesky(L, M[:6, 6:], M[6:, 6:])
-        np.testing.assert_allclose(grown, L_full, atol=1e-10)
 
 
 class TestPriorState:
@@ -212,9 +201,8 @@ class TestAppendOnlyFactors:
         "variant, fast_path", [(0, True), (0, False), (1, True), (1, False), (2, False)]
     )
     def test_long_repeated_noiseless_run_matches_dense(self, variant, fast_path, eta):
-        """Factors grow by block appends alone.  After 150 noiseless updates,
-        most of them repeating an earlier query, the posterior still matches
-        the dense oracles."""
+        """After 150 noiseless updates, most of them repeating an earlier
+        query, the posterior still matches the dense oracles."""
         rng, kern, pool, X, Y = _repeated_noiseless_run(variant)
         state = _fit(kern, X, Y, eta=eta, fast_path=fast_path)
         Xq = np.vstack([pool[:4], rng.random((4, 2))])
@@ -255,6 +243,93 @@ class TestAppendOnlyFactors:
                 np.testing.assert_allclose(norms, state.cov_norm_batch(pool.copy()), atol=1e-9)
             if t < X.shape[0]:
                 state.update(X[t], Y[t])
+
+
+def _interleaved_kernel(name, rng, n=3):
+    """The kernels of the off-grid battery: task-basis systems (ICM, diagonal,
+    a rank-1 and an all-zero coupling) and one general b = n system."""
+    se = kernels.SquaredExponential(0.3)
+    if name == "icm":
+        return random_icm(rng, n=n)
+    if name == "diagonal":
+        return kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])
+    if name == "sum-separable":
+        return kernels.SumSeparableKernel([
+            (se, kernels.omega_coupling(0.5, n)),
+            (kernels.Matern52(0.6), kernels.gram_coupling(n, rng)),
+        ])
+    if name == "rank-1":
+        return kernels.ICMKernel(se, kernels.omega_coupling(0.0, n))
+    return kernels.ICMKernel(se, np.zeros((n, n)))
+
+
+class TestOffGridColumns:
+    @pytest.mark.parametrize("eta", [0.1, 1e-3])
+    @pytest.mark.parametrize("name", ["icm", "diagonal", "sum-separable", "rank-1", "zero"])
+    def test_interleaved_history_matches_twin_and_dense(self, name, eta):
+        """A grid-resident state whose history alternates repeated grid rows
+        with new and repeated off-grid points takes every off-grid update's
+        covariance column from the compressed history solve.  Its grid reads,
+        its off-grid reads and its log-det match a grid-less twin and the
+        dense oracles."""
+        rng = np.random.default_rng(31)
+        kern = _interleaved_kernel(name, rng)
+        G, off = rng.random((20, 2)), rng.random((4, 2))
+        resident = posterior.PosteriorState(kern, eta, grid=G)
+        twin = posterior.PosteriorState(kern, eta)
+        X = np.array([G[rng.integers(6)] if t % 2 else off[rng.integers(4)] for t in range(40)])
+        Y = np.sin(3.0 * X @ rng.normal(size=(2, kern.n)))
+        for x, y in zip(X, Y):
+            resident.update(x, y)
+            twin.update(x, y)
+        dense_mean = dense_posterior_mean(kern, X, Y, eta, G)
+        dense_norms = np.clip(
+            [np.linalg.eigvalsh(dense_posterior_cov(kern, X, Y, eta, x))[-1] for x in G],
+            0.0, kern.kappa,
+        )
+        for state in (resident, twin):
+            np.testing.assert_allclose(state.mean_batch(G), dense_mean, atol=1e-9)
+            np.testing.assert_allclose(state.cov_norm_batch(G), dense_norms, atol=1e-9)
+            np.testing.assert_allclose(
+                state.mean_batch(off), dense_posterior_mean(kern, X, Y, eta, off), atol=1e-9
+            )
+            for x in np.vstack([off, G[:3]]):
+                np.testing.assert_allclose(
+                    state.cov(x), dense_posterior_cov(kern, X, Y, eta, x), atol=1e-9
+                )
+            assert state.logdet_sum == pytest.approx(dense_logdet(kern, X, eta), rel=1e-10)
+        np.testing.assert_allclose(resident.mean_batch(G), twin.mean_batch(G), atol=1e-9)
+        np.testing.assert_allclose(resident.cov_norm_batch(G), twin.cov_norm_batch(G), atol=1e-9)
+        assert resident.logdet_sum == pytest.approx(twin.logdet_sum, rel=1e-10)
+
+
+class TestHighPrecisionLogdet:
+    @pytest.mark.parametrize("eta", [1e-1, 1e-3, 1e-6])
+    def test_logdet_matches_60_digit_determinant(self, eta):
+        """400 noiseless updates over 40 arms: on the grid-resident path and
+        the grid-less compressed path the accumulator equals
+        log det(I + K_UU diag(c) / eta), evaluated with 60 significant digits
+        from the same float64 kernel matrix, to rel 1e-10."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        arms = rng.random((40, 2))
+        kern = kernels.ICMKernel(kernels.SquaredExponential(0.3), np.eye(1))
+        visits = rng.integers(0, 40, size=400)
+        states = [
+            posterior.PosteriorState(kern, eta, grid=arms), posterior.PosteriorState(kern, eta)
+        ]
+        for i in visits:
+            for state in states:
+                state.update(arms[i], [np.sin(3.0 * arms[i].sum())])
+        K, c = kern.scalar.pairwise(arms, arms), np.bincount(visits, minlength=40)
+        with mpmath.workdps(60):
+            M = mpmath.matrix(40, 40)
+            for a in range(40):
+                for b in range(40):
+                    M[a, b] = int(a == b) + mpmath.mpf(K[a, b]) * int(c[b]) / mpmath.mpf(eta)
+            exact = float(mpmath.log(mpmath.det(M)))
+        for state in states:
+            assert state.logdet_sum == pytest.approx(exact, rel=1e-10)
 
 
 class TestCovarianceGeometry:
