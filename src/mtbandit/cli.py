@@ -692,7 +692,7 @@ def cmd_model_dump(args) -> int:
     result = bandit.run(
         config, env, kern, exp.build_scalarization(n), exp.build_weight_dist(n)
     )
-    model = posterior.PosteriorState(kern, config.eta)
+    model = posterior.PosteriorState(kern, config.eta, grid=env.grid)
     for x, y in zip(result.X, result.Y):
         model.update(x, y)
     means = model.mean_batch(env.grid)

@@ -6,13 +6,20 @@ enters independently with probability
     p_{t,i} = min{ q * ||approx_cov_{t-1}(x_i, x_i)||, 1 }
 
 so that high-variance (poorly explained) points are more likely to be
-kept.  The retained points, reweighted by 1/sqrt(p), define embeddings
+kept.  The distinct arms D_t of the retained points define embeddings
 
-    Phi_t(x) = (Gd_t^{1/2})^+ Gd_t(x)
+    Phi_t(x) = (K_DD^{1/2})^+ k(D_t, x)
 
-through the pseudo-inverse square root of the reweighted support matrix
-Gd_t.  Means and covariances then use ridge statistics accumulated over
-the full history:
+through the pseudo-inverse square root of the support matrix K_DD.
+The BKB dictionary of Calandriello et al. (COLT 2019) also reweights each
+retained point by 1/sqrt(p) and keeps a point once per visit, but neither
+changes the model: Phi_t(x)^T Phi_t(x') = k(x, D) K_DD^+ k(D, x') is the
+projection of the features onto their span over D, and a positive
+reweighting or a repeated point leaves that span unchanged.  So the
+support is built from each sampled arm once, unweighted, and m_t (the
+number of sampled history points) can exceed the number of its columns.
+Means and covariances then use ridge statistics accumulated over the
+full history:
 
     mu_t(x)       = Phi_t(x)^T (V_t + eta I)^{-1} sum_s Phi_t(x_s) y_s
     Gamma~_t(x,x') = Gamma(x,x') - Phi_t(x)^T Phi_t(x')
@@ -30,7 +37,7 @@ and output sums.  The history thus enters compressed per arm,
     V_t = Phi_U diag(c) Phi_U^T,    sum_s Phi_t(x_s) y_s = Phi_U S_U,
 
 with c the visit counts and S_U the output sums of the observed arms U.
-A rebuild evaluates k(X_dict, arms) once per kernel: the support matrix
+A rebuild evaluates k(D_t, arms) once per kernel: the support matrix
 is read from its dictionary columns and the history from its observed
 columns.  One eigh of the history Gram, V = Q diag(lambda) Q^T, rotates
 each kernel's embedding, so every system's ridge solve is the diagonal
@@ -39,12 +46,12 @@ scaling 1 / (xi_g lambda + eta) and the residual blocks are
     R~_g(x) = k(x, x) - Phi(x)^T diag(xi_g lambda / (xi_g lambda + eta)) Phi(x)
 
 in rotated coordinates.  Means, residual blocks and covariance norms at
-every arm are computed once per rebuild, with the prior blocks k(a, a)
-computed once per arm.  Grid reads (the grid matched by identity, as in
+every arm are computed once per rebuild, from the prior blocks k(a, a)
+evaluated at every arm.  Grid reads (the grid matched by identity, as in
 the exact engine), the resample's history norms and the round's log-det
 increment are gathers from these arm arrays; only other queries and a
 never-seen off-grid point are embedded afresh.  A rebuild thus costs
-O(m A) kernel entries for m dictionary points and A arms, whatever t.
+O(|D_t| A) kernel entries for A arms, whatever t, with |D_t| <= A.
 
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one embedding per
@@ -68,8 +75,8 @@ __all__ = [
     "PINV_RTOL",
 ]
 
-# Relative truncation threshold for pseudo-inverse square roots; reweighted
-# support matrices with duplicate points are numerically rank-deficient.
+# Relative truncation threshold for pseudo-inverse square roots; support
+# matrices over nearby arms are numerically rank-deficient.
 PINV_RTOL = 1e-10
 
 
@@ -94,6 +101,7 @@ class Dictionary:
 
     @property
     def m(self) -> int:
+        """Sampled history points in the dictionary, repeats of an arm included."""
         return self.indices.shape[0]
 
     def __repr__(self):
@@ -148,34 +156,31 @@ def _block_cols(idx, b: int) -> np.ndarray:
 class _Support:
     """Nystrom statistics over the task-basis systems, resident on the arms.
 
-    Built from the dictionary (positions in the history), the arms, their
-    prior blocks (one (A, b, b) array per kernel of the basis), the arm
-    index of every history point and the per-arm visit counts and output
-    sums.  Per kernel it keeps the rotated embedding Q^T (Gd^{1/2})^+ and
-    per system the shrink factors xi_g lambda / (xi_g lambda + eta) and the
-    mean coordinates, for reads away from the arms.  ``means``, ``res``
+    Built from the distinct dictionary arms (indices into the arms, each
+    once and unweighted), the arms and their visit counts and output sums;
+    the prior blocks k(a, a) are evaluated at every arm.  Per kernel it
+    keeps the rotated embedding Q^T (K_DD^{1/2})^+ and per system the
+    shrink factors xi_g lambda / (xi_g lambda + eta) and the mean
+    coordinates, for reads away from the arms.  ``means``, ``res``
     (per-system residual blocks) and ``norms`` hold the model at every arm.
     """
 
-    def __init__(self, basis: _TaskBasis, eta, dictionary, arms, prior, hist_arm, counts, sums):
+    def __init__(self, basis: _TaskBasis, eta, dict_arms, arms, counts, sums):
         self.basis = basis
         b = basis.b
-        dict_arms = hist_arm[dictionary.indices]
         self._Xd = arms[dict_arms]
-        self._w = np.repeat(1.0 / np.sqrt(dictionary.probs), b)
         seen = np.flatnonzero(counts)
-        counts = counts[seen]
         Yp = basis.project(sums[seen])  # per-arm output sums in basis coordinates
         dcols, ucols = _block_cols(dict_arms, b), _block_cols(seen, b)
-        c = np.repeat(counts, b).astype(float)
+        c = np.repeat(counts[seen], b).astype(float)
         self._emb, phis, lams = [], [], []
         for k in basis.kernels:
-            Kw = k._cross(self._Xd, arms) * self._w[:, None]  # (m b, A b)
-            E = _truncated_inv_sqrt(Kw[:, dcols] * self._w)
-            PU = E @ Kw[:, ucols]
+            K = k._cross(self._Xd, arms)  # (m b, A b)
+            E = _truncated_inv_sqrt(K[:, dcols])
+            PU = E @ K[:, ucols]
             lam, Q = la.eigh((PU * c) @ PU.T)  # the history Gram V = Phi_U diag(c) Phi_U^T
             self._emb.append(Q.T @ E)
-            phis.append(self._emb[-1] @ Kw)  # (r, A b), rotated
+            phis.append(self._emb[-1] @ K)  # (r, A b), rotated
             lams.append(lam)
         self._shrink, self._z = [], []
         for i, xi, cols in basis.systems:
@@ -184,13 +189,12 @@ class _Support:
             self._shrink.append(xi * lams[i] * inv)
             self._z.append(inv[:, None] * rhs)
         self.means = self.mean_at(phis, arms.shape[0])
-        self.res = self.residuals_at(phis, prior)
+        self.res = self.residuals_at(phis, [k.diag_blocks(arms) for k in basis.kernels])
         self.norms = basis.assemble_cov_norm(self.res, None)
 
     def embed(self, Xq) -> list:
         """Rotated embeddings of a stack of queries, one (r_i, N b) array per kernel."""
-        w = self._w[:, None]
-        return [E @ (k._cross(self._Xd, Xq) * w) for E, k in zip(self._emb, self.basis.kernels)]
+        return [E @ k._cross(self._Xd, Xq) for E, k in zip(self._emb, self.basis.kernels)]
 
     def mean_at(self, phis, N) -> np.ndarray:
         """Means (N, n) from rotated embeddings."""
@@ -235,13 +239,15 @@ class NystromState(_Posterior):
         the grid's dimension.
 
     The state's distinct inputs are the arms of the shared front-end: the
-    grid rows, then each off-grid history point when it is first observed;
-    their prior blocks are computed once, at the first update that sees
-    them.  Every rebuild
-    compresses the history per arm, rotates each kernel's embedding so
-    that the ridge solves are diagonal, and evaluates the model at every
-    arm once.  The support is built over the kernel's task-basis systems
-    (posterior._task_systems); no option selects another path.
+    grid rows, then each off-grid history point when it is first observed.
+    ``dictionary`` lists the sampled history points with their inclusion
+    probabilities, and ``m`` counts them; the support is built from the
+    distinct arms among them, each once and unweighted (module docstring).
+    Every rebuild compresses the history per arm, rotates each kernel's
+    embedding so that the ridge solves are diagonal, and evaluates the
+    model at every arm once.  The support is built over the kernel's
+    task-basis systems (posterior._task_systems); no option selects
+    another path.
 
     Updates mutate in place (single-writer); reads are pure.
     """
@@ -256,11 +262,10 @@ class NystromState(_Posterior):
         self._basis = _TaskBasis(kernel)
         self.dictionary = Dictionary([], [])
         self._support = None
-        b = self._basis.b
-        self._prior = [np.zeros((0, b, b)) for _ in self._basis.kernels]  # k(a, a) per arm
 
     @property
     def m(self) -> int:
+        """Sampled history points in the dictionary, repeats of an arm included."""
         return self.dictionary.m
 
     def _absorb(self, a, y) -> float:
@@ -272,29 +277,24 @@ class NystromState(_Posterior):
         arrays; only a point that was not an arm then is embedded afresh.
         """
         self._record(a, y)
-        P = self._prior[0].shape[0]
-        if P < self._arms.shape[0]:
-            new = self._arms[P:]
-            self._prior = [
-                np.concatenate([R, k.diag_blocks(new)])
-                for R, k in zip(self._prior, self._basis.kernels)
-            ]
+        basis = self._basis
         if self._support is None:
-            res = [self._prior[i] for i, _, _ in self._basis.systems]
-            norms = self._basis.assemble_cov_norm(res, None)
+            res = [basis.kernels[i].diag_blocks(self._arms) for i, _, _ in basis.systems]
+            norms = basis.assemble_cov_norm(res, None)
         else:
             res, norms = self._support.res, self._support.norms
             if a == norms.shape[0]:
                 new = self._support.residuals(self._arms[a:a + 1])
                 res = [np.concatenate(pair) for pair in zip(res, new)]
-                norms = np.append(norms, self._basis.assemble_cov_norm(new, None))
-        increment = _logdet_ratio(
-            self._basis.assemble_cov([R[a] for R in res], None), self.eta, None
-        )
+                norms = np.append(norms, basis.assemble_cov_norm(new, None))
+        increment = _logdet_ratio(basis.assemble_cov([R[a] for R in res], None), self.eta, None)
         self.dictionary = resample_dictionary(norms[self._hist_arm], self.q, self.rng)
+        # Distinct sampled arms in first-sampled order: repeats and weights
+        # leave the span of the support features, hence Phi^T Phi, unchanged.
+        sampled = self._hist_arm[self.dictionary.indices]
+        _, first = np.unique(sampled, return_index=True)
         self._support = _Support(
-            self._basis, self.eta, self.dictionary, self._arms, self._prior, self._hist_arm,
-            self._counts, self._sums,
+            basis, self.eta, sampled[np.sort(first)], self._arms, self._counts, self._sums
         )
         return increment
 

@@ -174,10 +174,15 @@ def _tril_column(P, lo: int, b: int) -> np.ndarray:
 
 def _tril_diag_blocks(P, b: int) -> np.ndarray:
     """The b x b diagonal blocks of a symmetric matrix stored in its lower
-    triangle, mirrored, shape (N, b, b)."""
-    pos = np.arange(0, P.shape[0], b)[:, None, None] + np.arange(b)
-    D = P[np.swapaxes(pos, 1, 2), pos]
+    triangle, mirrored, shape (N, b, b).
+
+    The blocks are read through a strided view of P, so for b = 1 the
+    result is a read-only view; for b > 1 it is a mirrored copy.
+    """
+    N = P.shape[0] // b
+    D = np.diagonal(P.T.reshape(N, b, N, b), axis1=0, axis2=2).T
     if b > 1:
+        D = D.copy()
         i, j = np.triu_indices(b, 1)
         D[:, i, j] = D[:, j, i]
     return D

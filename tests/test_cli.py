@@ -6,6 +6,7 @@ command's CSV contract and byte determinism, SVG plotting against a golden file,
 exports, and the validation suites including a mutation check.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import dense_posterior_cov, dense_posterior_mean
 from mtbandit import cli, posterior
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -338,6 +340,32 @@ class TestModelDumpCommand:
         first = rows[1].split(",")
         assert len(first[2].split(";")) == 2  # one mean coordinate per task
         assert float(first[3]) >= 0.0
+
+    def test_dump_matches_dense_oracles_on_run_trace(self, tmp_path):
+        """The dumped mean and covariance norm at every grid point equal the
+        dense posterior refit on the (x, y) of the MTKB trace that ``run``
+        writes for the same config."""
+        cfg = _write_config(tmp_path, MINIMAL_CONFIG.replace("horizon = 5", "horizon = 30"))
+        outdir, out = tmp_path / "run", str(tmp_path / "model.csv")
+        assert cli.main(["run", cfg, "--outdir", str(outdir)]) == 0
+        assert cli.main(["model-dump", cfg, "--out", out]) == 0
+        with open(outdir / "trace_MTKB_trial000.csv", encoding="utf-8") as fh:
+            trace = list(csv.DictReader(fh))
+        X = np.array([[float(v) for v in row["x"].split(";")] for row in trace])
+        Y = np.array([[float(v) for v in row["y"].split(";")] for row in trace])
+        with open(out, encoding="utf-8") as fh:
+            dump = list(csv.DictReader(fh))
+        mu = np.array([[float(v) for v in row["mu"].split(";")] for row in dump])
+        norms = np.array([float(row["cov_norm"]) for row in dump])
+        exp = cli.load_config(cfg)
+        grid = exp.build_environment()[0].grid
+        kern = exp.build_inference_kernel("MTKB", 2)
+        assert X.shape == (30, grid.shape[1]) and mu.shape == (grid.shape[0], 2)
+        np.testing.assert_allclose(mu, dense_posterior_mean(kern, X, Y, 0.1, grid), atol=1e-9)
+        dense_norms = [
+            np.linalg.eigvalsh(dense_posterior_cov(kern, X, Y, 0.1, x)).max() for x in grid
+        ]
+        np.testing.assert_allclose(norms, dense_norms, atol=1e-9)
 
 
 class TestValidateCommand:

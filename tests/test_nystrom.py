@@ -4,8 +4,10 @@ The budgeted state is validated against the exact posterior in the
 regime where they must coincide (all inclusion probabilities equal to
 one, with distinct and with heavily repeated queries), against the
 variance-proportional resampling contract, against the rho-sandwich that
-the regret analysis relies on, and, for grid reads served from the arm
-arrays, against a grid-less twin that embeds the grid afresh.
+the regret analysis relies on, against a dictionary listing each arm once
+(repeats and inclusion weights must change nothing), and, for grid reads
+served from the arm arrays, against a grid-less twin that embeds the grid
+afresh.
 """
 
 import numpy as np
@@ -211,6 +213,55 @@ class TestGridResidentReads:
         )
 
 
+class _Keep:
+    """Uniform draws that keep exactly the history positions flagged in ``keep``
+    (draw 0 for a kept position, 1 for any other)."""
+
+    def __init__(self, keep):
+        self.keep = np.asarray(keep, dtype=bool)
+
+    def random(self, size):
+        return np.where(self.keep[:size], 0.0, 1.0)
+
+
+class TestDistinctArmSupport:
+    @pytest.mark.parametrize("name", ["icm", "sum-separable"])
+    def test_repeated_dictionary_arms_change_nothing(self, name):
+        """A dictionary that lists arms several times, with inclusion
+        probabilities below one, gives bitwise the same model as one that
+        lists each arm once: weights and repeats leave the span of the
+        support features unchanged, so the support holds each arm once."""
+        rng = np.random.default_rng(14)
+        if name == "sum-separable":
+            kern = kernels.SumSeparableKernel(
+                [
+                    (kernels.SquaredExponential(0.3), kernels.omega_coupling(0.5, 2)),
+                    (kernels.Matern52(0.6), kernels.gram_coupling(2, rng)),
+                ]
+            )
+        else:
+            kern = random_icm(rng, n=2)
+        G = rng.random((20, 2))
+        sites = np.vstack([G[:4], rng.random((1, 2))])  # four grid arms and one off-grid
+        T = 30
+        visits = rng.integers(5, size=T)
+        first = np.zeros(T, dtype=bool)
+        first[np.unique(visits, return_index=True)[1]] = True
+        every = nystrom.NystromState(kern, ETA, q=1.0, rng=_Keep(np.ones(T)), grid=G)
+        once = nystrom.NystromState(kern, ETA, q=1.0, rng=_Keep(first), grid=G)
+        for v in visits:
+            y = rng.normal(size=kern.n)
+            every.update(sites[v], y)
+            once.update(sites[v], y)
+        assert every.m == T and once.m == 5
+        assert np.any(every.dictionary.probs < 1)
+        Xq = np.vstack([sites, rng.random((6, 2))])
+        for Q in (G, Xq):
+            np.testing.assert_array_equal(every.mean_batch(Q), once.mean_batch(Q))
+            np.testing.assert_array_equal(every.cov_norm_batch(Q), once.cov_norm_batch(Q))
+        assert every.logdet_sum == once.logdet_sum
+
+
 class TestPriorAndValidation:
     def test_prior_state(self):
         rng = np.random.default_rng(5)
@@ -252,6 +303,15 @@ class TestPriorAndValidation:
 class TestRhoSandwich:
     def test_budgeted_cov_within_rho_of_exact(self):
         """Gamma_t / rho <= Gamma~_t <= rho Gamma_t along a subsampled run."""
+        self._sandwich_run(repeats=False)
+
+    def test_budgeted_cov_within_rho_of_exact_on_repeated_arms(self):
+        """The sandwich at the theory q holds when the history revisits six
+        sites, so that the dictionary lists arms more than once."""
+        self._sandwich_run(repeats=True)
+
+    @staticmethod
+    def _sandwich_run(repeats):
         eps = 0.5
         rho = (1 + eps) / (1 - eps)
         T, delta = 40, 0.1
@@ -261,14 +321,20 @@ class TestRhoSandwich:
         exact = posterior.PosteriorState(kern, ETA)
         budget = nystrom.NystromState(kern, ETA, q=q, rng=np.random.default_rng(1))
         queries = rng.random((10, 2))
+        sites = rng.random((6, 2)) if repeats else None
+        duplicated = False
         for _ in range(T):
-            x, y = rng.random(2), rng.normal(size=2)
+            x = sites[rng.integers(6)] if repeats else rng.random(2)
+            y = rng.normal(size=2)
             exact.update(x, y)
             budget.update(x, y)
+            kept = budget.X[budget.dictionary.indices]
+            duplicated |= np.unique(kept, axis=0).shape[0] < budget.m
             for xq in queries:
                 C, Ct = exact.cov(xq), budget.cov(xq)
                 assert np.linalg.eigvalsh(rho * C - Ct).min() >= -1e-6
                 assert np.linalg.eigvalsh(Ct - C / rho).min() >= -1e-6
+        assert duplicated == repeats
 
     def test_dictionary_shrinks_under_repeated_queries(self):
         """Once repeatedly visited locations have small posterior variance,
