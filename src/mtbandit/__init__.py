@@ -30,8 +30,8 @@ Typical usage::
     result = bandit.run(cfg, env, gamma, scalarize.ChebyshevScalarization(),
                         scalarize.InverseWeightedWeights(4))
 
-The command-line harness (``mtbandit run|plot|validate|pareto``) drives the
-same machinery from a config file; see the cli module.
+The command-line harness (``mtbandit run|plot|validate|pareto|model-dump``)
+drives the same machinery from a config file; see the cli module.
 """
 
 __version__ = "0.1.0"

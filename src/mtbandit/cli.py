@@ -40,6 +40,14 @@ Config file layout (TOML, read with the standard-library ``tomllib``)::
     delta = 0.1
     epsilon = 0.5                     # required when MTBKB runs
 
+``_SCHEMA`` is the one list of keys: each key's type, its default (or
+that it is required) and its allowed values or bound.  A key it does not
+list inside these five sections, whether from the file or from
+``--set section.key=value``, is a config error that names
+``section.key``; other sections are kept in ``raw`` and left unread.
+Missing, mistyped, out-of-range and unknown keys all fail at load, before
+``run`` creates its output directory.
+
 Determinism: (config, master seed) fully determines every CSV byte.
 Per-trial seeds are derived by hashing (master seed, trial index,
 algorithm label), so trials share no generator state.  Wall-clock
@@ -59,6 +67,7 @@ import time
 import tomllib
 import traceback
 from dataclasses import dataclass, field
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -101,59 +110,125 @@ class ConfigError(ValueError):
     """Config syntax or schema problem; syntax errors carry the parser's position."""
 
 
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"[{name}] must be a section")
-    return sec
-
-
 _REQUIRED = object()
+_SCALAR_FAMILIES = {
+    "squared_exponential": kernels.SquaredExponential,
+    "matern52": kernels.Matern52,
+}
+_WEIGHT_DISTS = {"inverse": InverseWeightedWeights, "uniform": UniformSimplexWeights}
+
+# Every config key: section -> key -> (type, default or _REQUIRED, check).  A
+# check is a tuple of allowed values or a bound ("> a", ">= a", "in (a, b]",
+# ...), applied to each entry of a list.  A None default is a key that a
+# cross-key rule in ExperimentConfig.from_mapping requires or derives.
+_SCHEMA = {
+    "run": {
+        "trials": (int, 1, ">= 1"),
+        "horizon": (int, _REQUIRED, ">= 1"),
+        "master_seed": (int, 0, None),
+        "outdir": (str, "results", None),
+        "algorithms": (list[str], ["MTKB"], _ALGORITHM_LABELS),
+        "checkpoints": (list[int], [], None),       # Bayes-regret rounds in [1, horizon]
+    },
+    "objective": {
+        "name": (str, _REQUIRED, ("rkhs", "perturbed_sine", "shifted_branin")),
+        "noise_sigma": (float, 0.1, ">= 0"),
+        "tasks": (int, None, ">= 1"),               # rkhs, required there
+        "seed": (int, 0, None),                     # rkhs
+        "anchors": (int, 50, ">= 0"),               # rkhs
+        "grid_step": (float, 0.01, "> 0"),          # rkhs, perturbed_sine
+        "weights": (list[float], None, None),       # perturbed_sine, rows of 3
+        "n_tasks": (int, 9, ">= 1"),                # shifted_branin
+        "grid_side": (int, 25, ">= 1"),             # shifted_branin
+    },
+    "kernel": {
+        "family": (str, "squared_exponential", tuple(_SCALAR_FAMILIES)),
+        "lengthscale": (float, 0.2, "> 0"),
+        "variant": (str, "icm", ("icm", "diagonal")),
+        "coupling": (str, "omega", ("omega", "gram", "inline")),
+        "omega": (float, None, "in [0, 1]"),        # omega coupling, required there
+        "coupling_seed": (int, 0, None),            # gram coupling
+        "rows": (list[float], None, None),          # inline coupling, n * n row-major
+    },
+    "scalarization": {
+        "kind": (str, "chebyshev", ("chebyshev", "linear")),
+        "weights": (str, "inverse", tuple(_WEIGHT_DISTS)),
+        "reference": (list[float], None, None),     # chebyshev, n entries
+    },
+    "bandit": {
+        "eta": (float, _REQUIRED, "> 0"),
+        "delta": (float, _REQUIRED, "in (0, 1]"),
+        "epsilon": (float, None, "in (0, 1)"),      # required when MTBKB runs
+        "b": (float, None, ">= 0"),                 # None: the rkhs objective's norm
+        "sigma": (float, None, ">= 0"),             # None: objective.noise_sigma
+        "kappa": (float, None, "> 0"),              # None: the inference kernel's kappa
+        "L": (float, 1.0, "> 0"),
+    },
+}
 
 
-def _get(sec: dict, section: str, key: str, kind, default=_REQUIRED):
-    """Typed lookup of ``section.key`` with a named-key diagnostic."""
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key: {section}.{key}")
-        return default
-    value = sec[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise ConfigError(
-            f"{section}.{key} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+def _typed(name: str, value, kind):
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list")
+        return [_typed(f"{name} entry", v, get_args(kind)[0]) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
 
 
-def _get_list(sec: dict, section: str, key: str, kind, default=None):
-    if key not in sec:
-        return default
-    value = sec[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"{section}.{key} must be a list")
-    out = []
-    for item in value:
-        if kind is float and isinstance(item, (int, float)) and not isinstance(item, bool):
-            out.append(float(item))
-        elif isinstance(item, kind) and not (kind is not bool and isinstance(item, bool)):
-            out.append(item)
-        else:
-            raise ConfigError(f"{section}.{key} entries must be {kind.__name__}")
-    return out
+def _within(value, bound: str) -> bool:
+    op, _, limits = bound.partition(" ")
+    if op == ">":
+        return value > float(limits)
+    if op == ">=":
+        return value >= float(limits)
+    lo, hi = (float(s) for s in limits[1:-1].split(","))
+    return (lo < value if limits[0] == "(" else lo <= value) and (
+        value < hi if limits[-1] == ")" else value <= hi
+    )
+
+
+def _resolve(cfg: dict) -> dict:
+    """Every ``_SCHEMA`` key of a parsed config, typed, checked and defaulted."""
+    resolved = {}
+    for section, keys in _SCHEMA.items():
+        given = cfg.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"[{section}] must be a section")
+        unknown = [f"{section}.{key}" for key in given if key not in keys]
+        if unknown:
+            raise ConfigError(f"unknown config key: {', '.join(unknown)}")
+        resolved[section] = values = {}
+        for key, (kind, default, check) in keys.items():
+            name, value = f"{section}.{key}", given.get(key, default)
+            if value is _REQUIRED:
+                raise ConfigError(f"missing required key: {name}")
+            if value is not None:
+                value = _typed(name, value, kind)
+                for v in value if isinstance(value, list) else [value]:
+                    if isinstance(check, tuple) and v not in check:
+                        raise ConfigError(f"{name} {v!r} is not one of {check}")
+                    if isinstance(check, str) and not _within(v, check):
+                        raise ConfigError(f"{name} must be {check}, got {v}")
+            values[key] = value
+    return resolved
+
+
+def _require(values: dict, section: str, key: str):
+    if values[key] is None:
+        raise ConfigError(f"missing required key: {section}.{key}")
 
 
 @dataclass
 class ExperimentConfig:
     """Validated experiment description, built from a parsed config mapping.
 
-    Holds the raw per-section values; environments, kernels, and
-    algorithm configs are constructed on demand by the build methods so
-    that objective generation and per-algorithm inference kernels stay
-    independent.
+    ``objective``, ``kernel``, ``scalarization`` and ``bandit_params`` hold
+    every ``_SCHEMA`` key of their section, typed and defaulted; ``raw`` is
+    the parsed mapping.  Environments, kernels, and algorithm configs are
+    constructed on demand by the build methods so that objective generation
+    and per-algorithm inference kernels stay independent.
     """
 
     trials: int
@@ -170,141 +245,70 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, cfg: dict) -> "ExperimentConfig":
-        run = _section(cfg, "run")
-        trials = _get(run, "run", "trials", int, 1)
-        horizon = _get(run, "run", "horizon", int)
-        master_seed = _get(run, "run", "master_seed", int, 0)
-        outdir = _get(run, "run", "outdir", str, "results")
-        algorithms = _get_list(run, "run", "algorithms", str, ["MTKB"])
-        checkpoints = _get_list(run, "run", "checkpoints", int, [])
+        sections = _resolve(cfg)
+        run, obj, kern = sections["run"], sections["objective"], sections["kernel"]
+        scal, params = sections["scalarization"], sections["bandit"]
+        exp = cls(**run, objective=obj, kernel=kern, scalarization=scal,
+                  bandit_params=params, raw=cfg)
 
-        if trials < 1:
-            raise ConfigError(f"run.trials must be >= 1, got {trials}")
-        if horizon < 1:
-            raise ConfigError(f"run.horizon must be >= 1, got {horizon}")
-        if not algorithms:
+        # Cross-key rules ----------------------------------------------------
+        if not exp.algorithms:
             raise ConfigError("run.algorithms must name at least one algorithm")
-        for label in algorithms:
-            if label not in _ALGORITHM_LABELS:
-                raise ConfigError(
-                    f"run.algorithms entry {label!r} is not one of {_ALGORITHM_LABELS}"
-                )
-        if len(set(algorithms)) != len(algorithms):
+        if len(set(exp.algorithms)) != len(exp.algorithms):
             raise ConfigError("run.algorithms entries must be distinct")
-        for c in checkpoints:
-            if c < 1 or c > horizon:
-                raise ConfigError(
-                    f"run.checkpoints entry {c} outside [1, horizon={horizon}]"
-                )
-
-        exp = cls(
-            trials=trials,
-            horizon=horizon,
-            master_seed=master_seed,
-            outdir=outdir,
-            algorithms=list(algorithms),
-            checkpoints=[int(c) for c in checkpoints],
-            objective=dict(_section(cfg, "objective")),
-            kernel=dict(_section(cfg, "kernel")),
-            scalarization=dict(_section(cfg, "scalarization")),
-            bandit_params=dict(_section(cfg, "bandit")),
-            raw=cfg,
-        )
-        exp._validate_sections()
-        return exp
-
-    # -- section validation ----------------------------------------------
-    def _validate_sections(self):
-        obj = self.objective
-        name = _get(obj, "objective", "name", str)
-        if name not in ("rkhs", "perturbed_sine", "shifted_branin"):
-            raise ConfigError(f"objective.name {name!r} is not a known objective")
-        if name == "rkhs":
-            tasks = _get(obj, "objective", "tasks", int)
-            if tasks < 1:
-                raise ConfigError(f"objective.tasks must be >= 1, got {tasks}")
-            variant = _get(self.kernel, "kernel", "variant", str, "icm")
-            if variant != "icm":
+        for c in exp.checkpoints:
+            if not 1 <= c <= exp.horizon:
+                raise ConfigError(f"run.checkpoints entry {c} outside [1, horizon={exp.horizon}]")
+        if obj["name"] == "rkhs":
+            _require(obj, "objective", "tasks")
+            if kern["variant"] != "icm":
                 raise ConfigError(
                     "objective.name = 'rkhs' generates from a separable kernel; "
-                    f"kernel.variant must be 'icm', got {variant!r}"
+                    f"kernel.variant must be 'icm', got {kern['variant']!r}"
                 )
-        # Lower limits of numeric keys: (section, key, type, limit, limit allowed)
-        limits = [
-            ("kernel", "lengthscale", float, 0.0, False),
-            ("objective", "noise_sigma", float, 0.0, True),
-        ]
-        if name == "rkhs":
-            limits.append(("objective", "anchors", int, 0, True))
-        if name == "shifted_branin":
-            limits.append(("objective", "n_tasks", int, 1, True))
-            limits.append(("objective", "grid_side", int, 1, True))
         else:
-            limits.append(("objective", "grid_step", float, 0.0, False))
-        for section, key, kind, low, closed in limits:
-            value = _get(self.kernel if section == "kernel" else obj, section, key, kind, None)
-            if value is not None and not (value >= low if closed else value > low):
-                rule = ">=" if closed else ">"
-                raise ConfigError(f"{section}.{key} must be {rule} {low}, got {value}")
-        # Eagerly exercise kernel/scalarization construction so config
-        # errors surface before any worker starts.
-        n = self.n_tasks()
-        self.build_inference_kernel("MTKB", n)
-        self.build_scalarization(n)
-        self.build_weight_dist(n)
-        _get(self.bandit_params, "bandit", "eta", float)
-        _get(self.bandit_params, "bandit", "delta", float)
-        if "MTBKB" in self.algorithms:
-            _get(self.bandit_params, "bandit", "epsilon", float)
-        if name != "rkhs":
-            _get(self.bandit_params, "bandit", "b", float)
+            _require(params, "bandit", "b")
+        if "MTBKB" in exp.algorithms:
+            _require(params, "bandit", "epsilon")
+        if obj["weights"] is not None and (not obj["weights"] or len(obj["weights"]) % 3):
+            raise ConfigError("objective.weights must be a flat row-major list of 3-entry rows")
+        n = exp.n_tasks()
+        if kern["variant"] == "icm" and kern["coupling"] == "omega":
+            _require(kern, "kernel", "omega")
+        elif kern["variant"] == "icm" and kern["coupling"] == "inline":
+            if len(kern["rows"] or ()) != n * n:
+                raise ConfigError(f"kernel.rows must list {n * n} row-major entries for n = {n}")
+            exp.build_coupling(n)  # the rows must form a valid coupling
+        if scal["reference"] is not None and len(scal["reference"]) != n:
+            raise ConfigError(
+                f"scalarization.reference must have {n} entries, got {len(scal['reference'])}"
+            )
+        return exp
 
     # -- derived quantities ------------------------------------------------
     def n_tasks(self) -> int:
-        name = self.objective["name"]
-        if name == "rkhs":
-            return _get(self.objective, "objective", "tasks", int)
-        if name == "perturbed_sine":
-            weights = _get_list(self.objective, "objective", "weights", float)
-            if weights is None:
+        obj = self.objective
+        if obj["name"] == "rkhs":
+            return obj["tasks"]
+        if obj["name"] == "perturbed_sine":
+            if obj["weights"] is None:
                 return benchmarks.PERTURBED_SINE_WEIGHTS.shape[0]
-            if len(weights) % 3 != 0 or not weights:
-                raise ConfigError(
-                    "objective.weights must be a flat row-major list of 3-entry rows"
-                )
-            return len(weights) // 3
-        return _get(self.objective, "objective", "n_tasks", int, 9)
+            return len(obj["weights"]) // 3
+        return obj["n_tasks"]
 
     def build_scalar_kernel(self) -> kernels.ScalarKernel:
-        family = _get(self.kernel, "kernel", "family", str, "squared_exponential")
-        lengthscale = _get(self.kernel, "kernel", "lengthscale", float, 0.2)
-        if family == "squared_exponential":
-            return kernels.SquaredExponential(lengthscale)
-        if family == "matern52":
-            return kernels.Matern52(lengthscale)
-        raise ConfigError(f"kernel.family {family!r} is not a known family")
+        return _SCALAR_FAMILIES[self.kernel["family"]](self.kernel["lengthscale"])
 
     def build_coupling(self, n: int) -> np.ndarray:
-        kind = _get(self.kernel, "kernel", "coupling", str, "omega")
-        if kind == "omega":
-            omega = _get(self.kernel, "kernel", "omega", float)
-            if not 0.0 <= omega <= 1.0:
-                raise ConfigError(f"kernel.omega must lie in [0, 1], got {omega}")
-            return kernels.omega_coupling(omega, n)
-        if kind == "gram":
-            seed = _get(self.kernel, "kernel", "coupling_seed", int, 0)
-            return kernels.gram_coupling(n, np.random.default_rng(seed))
-        if kind == "inline":
-            rows = _get_list(self.kernel, "kernel", "rows", float)
-            if rows is None or len(rows) != n * n:
-                raise ConfigError(
-                    f"kernel.rows must list {n * n} row-major entries for n = {n}"
-                )
-            try:
-                return kernels.validate_coupling(np.asarray(rows).reshape(n, n))
-            except ValueError as exc:
-                raise ConfigError(f"kernel.rows: {exc}") from None
-        raise ConfigError(f"kernel.coupling {kind!r} is not a known constructor")
+        kern = self.kernel
+        if kern["coupling"] == "omega":
+            return kernels.omega_coupling(kern["omega"], n)
+        if kern["coupling"] == "gram":
+            return kernels.gram_coupling(n, np.random.default_rng(kern["coupling_seed"]))
+        try:
+            return kernels.validate_coupling(np.asarray(kern["rows"]).reshape(n, n))
+        except ValueError as exc:
+            raise ConfigError(f"kernel.rows: {exc}") from None
 
     def build_inference_kernel(self, label: str, n: int) -> kernels.MultiTaskKernel:
         """The kernel the algorithm regresses with.
@@ -314,82 +318,51 @@ class ExperimentConfig:
         scalar family; the other labels follow kernel.variant.
         """
         scalar = self.build_scalar_kernel()
-        variant = _get(self.kernel, "kernel", "variant", str, "icm")
-        if label == "ITKB" or variant == "diagonal":
+        if label == "ITKB" or self.kernel["variant"] == "diagonal":
             return kernels.DiagonalKernel([scalar] * n)
-        if variant == "icm":
-            return kernels.ICMKernel(scalar, self.build_coupling(n))
-        raise ConfigError(f"kernel.variant {variant!r} is not a known variant")
+        return kernels.ICMKernel(scalar, self.build_coupling(n))
 
     def build_environment(self):
         """Returns (environment, auto norm bound or None)."""
         obj = self.objective
-        name = obj["name"]
-        noise_sigma = _get(obj, "objective", "noise_sigma", float, 0.1)
-        if name == "rkhs":
-            n = self.n_tasks()
-            gen_kernel = self.build_inference_kernel("MTKB", n)
-            seed = _get(obj, "objective", "seed", int, 0)
-            anchors = _get(obj, "objective", "anchors", int, 50)
-            grid_step = _get(obj, "objective", "grid_step", float, 0.01)
-            env, b = benchmarks.make_rkhs_objective(
-                gen_kernel,
-                n_anchors=anchors,
-                rng=np.random.default_rng(seed),
-                noise_sigma=noise_sigma,
-                grid_step=grid_step,
+        if obj["name"] == "rkhs":
+            return benchmarks.make_rkhs_objective(
+                self.build_inference_kernel("MTKB", obj["tasks"]),
+                n_anchors=obj["anchors"],
+                rng=np.random.default_rng(obj["seed"]),
+                noise_sigma=obj["noise_sigma"],
+                grid_step=obj["grid_step"],
             )
-            return env, b
-        if name == "perturbed_sine":
-            weights = _get_list(obj, "objective", "weights", float)
-            W = None if weights is None else np.asarray(weights).reshape(-1, 3)
-            grid_step = _get(obj, "objective", "grid_step", float, 0.01)
-            return benchmarks.make_perturbed_sine(W, noise_sigma, grid_step), None
-        n_tasks = _get(obj, "objective", "n_tasks", int, 9)
-        grid_side = _get(obj, "objective", "grid_side", int, 25)
-        return benchmarks.make_shifted_branin(n_tasks, noise_sigma, grid_side), None
+        if obj["name"] == "perturbed_sine":
+            W = None if obj["weights"] is None else np.asarray(obj["weights"]).reshape(-1, 3)
+            return benchmarks.make_perturbed_sine(W, obj["noise_sigma"], obj["grid_step"]), None
+        env = benchmarks.make_shifted_branin(obj["n_tasks"], obj["noise_sigma"], obj["grid_side"])
+        return env, None
 
-    def build_scalarization(self, n: int):
-        kind = _get(self.scalarization, "scalarization", "kind", str, "chebyshev")
-        if kind == "linear":
+    def build_scalarization(self):
+        if self.scalarization["kind"] == "linear":
             return LinearScalarization()
-        if kind == "chebyshev":
-            reference = _get_list(self.scalarization, "scalarization", "reference", float)
-            if reference is not None and len(reference) != n:
-                raise ConfigError(
-                    f"scalarization.reference must have {n} entries, got {len(reference)}"
-                )
-            return ChebyshevScalarization(reference)
-        raise ConfigError(f"scalarization.kind {kind!r} is not a known scalarization")
+        return ChebyshevScalarization(self.scalarization["reference"])
 
     def build_weight_dist(self, n: int):
-        kind = _get(self.scalarization, "scalarization", "weights", str, "inverse")
-        if kind == "uniform":
-            return UniformSimplexWeights(n)
-        if kind == "inverse":
-            return InverseWeightedWeights(n)
-        raise ConfigError(f"scalarization.weights {kind!r} is not a known distribution")
+        return _WEIGHT_DISTS[self.scalarization["weights"]](n)
 
     def build_algorithm_config(
         self, label: str, kernel: kernels.MultiTaskKernel, seed: int, b_auto
     ) -> bandit.AlgorithmConfig:
-        sec = self.bandit_params
-        b = _get(sec, "bandit", "b", float, b_auto)
-        if b is None:
-            raise ConfigError("missing required key: bandit.b")
-        env_sigma = _get(self.objective, "objective", "noise_sigma", float, 0.1)
+        p = self.bandit_params
         try:
             return bandit.AlgorithmConfig(
                 algorithm="MTBKB" if label == "MTBKB" else "MTKB",
-                eta=_get(sec, "bandit", "eta", float),
-                delta=_get(sec, "bandit", "delta", float),
+                eta=p["eta"],
+                delta=p["delta"],
                 horizon=self.horizon,
-                rkhs_bound=b,
-                noise_sigma=_get(sec, "bandit", "sigma", float, env_sigma),
-                kappa=_get(sec, "bandit", "kappa", float, kernel.kappa),
-                lipschitz_bound=_get(sec, "bandit", "L", float, 1.0),
+                rkhs_bound=b_auto if p["b"] is None else p["b"],
+                noise_sigma=self.objective["noise_sigma"] if p["sigma"] is None else p["sigma"],
+                kappa=kernel.kappa if p["kappa"] is None else p["kappa"],
+                lipschitz_bound=p["L"],
                 seed=seed,
-                epsilon=_get(sec, "bandit", "epsilon", float, None),
+                epsilon=p["epsilon"],
             )
         except ValueError as exc:
             raise ConfigError(f"[bandit] {exc}") from None
@@ -513,13 +486,13 @@ def _run_one_trial(exp, env, b_auto, label, trial, timing):
     kern = exp.build_inference_kernel(label, n)
     seed = trial_seed(exp.master_seed, trial, label)
     config = exp.build_algorithm_config(label, kern, seed, b_auto)
-    scal = exp.build_scalarization(n)
+    scal = exp.build_scalarization()
     wdist = exp.build_weight_dist(n)
     dict_rows = []
 
     def hook(t, model):
         if label == "MTBKB":
-            idx = ";".join(str(i) for i in model.dictionary.indices)
+            idx = ";".join(map(str, model.dictionary.indices.tolist()))
             dict_rows.append((t, model.m, idx))
 
     result = bandit.run(
@@ -595,7 +568,7 @@ def cmd_run(args) -> int:
     # Bayes-regret checkpoints ----------------------------------------------
     if exp.checkpoints:
         n = env.n
-        scal = exp.build_scalarization(n)
+        scal = exp.build_scalarization()
         wdist = exp.build_weight_dist(n)
         brows = []
         for label in exp.algorithms:
@@ -690,7 +663,7 @@ def cmd_model_dump(args) -> int:
     seed = trial_seed(exp.master_seed, 0, "MTKB")
     config = exp.build_algorithm_config("MTKB", kern, seed, b_auto)
     result = bandit.run(
-        config, env, kern, exp.build_scalarization(n), exp.build_weight_dist(n)
+        config, env, kern, exp.build_scalarization(), exp.build_weight_dist(n)
     )
     model = posterior.PosteriorState(kern, config.eta, grid=env.grid)
     for x, y in zip(result.X, result.Y):

@@ -246,10 +246,6 @@ class MultiTaskKernel(abc.ABC):
         """Gamma(x, z) as an (n, n) array."""
 
     @abc.abstractmethod
-    def _block_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Point-major block matrix [Gamma(x_i, x_j)]_{i,j} of shape (nt, nt)."""
-
-    @abc.abstractmethod
     def _cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Stacked cross blocks of shape (n * len(X), n * len(Z)).
 
@@ -287,9 +283,6 @@ class ICMKernel(MultiTaskKernel):
     def __call__(self, x, z):
         return self.scalar(x, z) * self.coupling
 
-    def _block_matrix(self, X):
-        return np.kron(self.scalar.pairwise(X, X), self.coupling)
-
     def _cross(self, X, Z):
         return np.kron(self.scalar.pairwise(X, Z), self.coupling)
 
@@ -320,9 +313,6 @@ class SumSeparableKernel(MultiTaskKernel):
     def __call__(self, x, z):
         return sum(k(x, z) * B for k, B in self.terms)
 
-    def _block_matrix(self, X):
-        return sum(np.kron(k.pairwise(X, X), B) for k, B in self.terms)
-
     def _cross(self, X, Z):
         return sum(np.kron(k.pairwise(X, Z), B) for k, B in self.terms)
 
@@ -349,9 +339,6 @@ class DiagonalKernel(MultiTaskKernel):
     def __call__(self, x, z):
         return np.diag([k(x, z) for k in self.scalars])
 
-    def _block_matrix(self, X):
-        return self._cross(X, X)
-
     def _cross(self, X, Z):
         X, Z = _as_points(X), _as_points(Z)
         n, t, m = self.n, X.shape[0], Z.shape[0]
@@ -377,7 +364,7 @@ def block_kernel_matrix(kernel: MultiTaskKernel, X) -> np.ndarray:
     X = _as_points(X)
     if X.shape[0] < 1:
         raise ValueError("block_kernel_matrix needs at least one point")
-    G = kernel._block_matrix(X)
+    G = kernel._cross(X, X)
     return 0.5 * (G + G.T)
 
 

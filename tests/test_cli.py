@@ -144,6 +144,11 @@ class TestExperimentConfig:
         with pytest.raises(cli.ConfigError, match="checkpoints"):
             cli.load_config(_write_config(tmp_path, text))
 
+    def test_unknown_key_is_named(self, tmp_path):
+        text = MINIMAL_CONFIG.replace("lengthscale = 0.2", "lenghtscale = 0.9")
+        with pytest.raises(cli.ConfigError, match="kernel.lenghtscale"):
+            cli.load_config(_write_config(tmp_path, text))
+
     def test_itkb_gets_diagonal_kernel(self, tmp_path):
         exp = cli.load_config(_write_config(tmp_path))
         from mtbandit import kernels
@@ -225,6 +230,9 @@ class TestRunCommand:
             ("rkhs", "objective.anchors", "-1"),
             ("shifted_branin", "objective.grid_side", "0"),
             ("shifted_branin", "objective.n_tasks", "0"),
+            ("rkhs", "kernel.lenghtscale", "0.9"),
+            ("rkhs", "bandit.eta", "-1"),
+            ("rkhs", "bandit.delta", "2"),
         ],
     )
     def test_out_of_range_value_exits_2_naming_key(
