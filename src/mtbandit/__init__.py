@@ -31,7 +31,8 @@ Typical usage::
                         scalarize.InverseWeightedWeights(4))
 
 The command-line harness (``mtbandit run|plot|validate|pareto|model-dump``)
-drives the same machinery from a config file; see the cli module.
+drives the same machinery from a config file; see the cli module, which
+``import mtbandit`` does not load (``python -m mtbandit`` runs it).
 """
 
 __version__ = "0.1.0"
@@ -39,7 +40,6 @@ __version__ = "0.1.0"
 from . import (  # noqa: E402,F401
     bandit,
     benchmarks,
-    cli,
     kernels,
     nystrom,
     posterior,
@@ -50,7 +50,6 @@ from . import (  # noqa: E402,F401
 __all__ = [
     "bandit",
     "benchmarks",
-    "cli",
     "kernels",
     "nystrom",
     "posterior",

@@ -662,12 +662,12 @@ def cmd_model_dump(args) -> int:
     kern = exp.build_inference_kernel("MTKB", n)
     seed = trial_seed(exp.master_seed, 0, "MTKB")
     config = exp.build_algorithm_config("MTKB", kern, seed, b_auto)
-    result = bandit.run(
-        config, env, kern, exp.build_scalarization(), exp.build_weight_dist(n)
+    models = []  # the run's own posterior, the same object after every round
+    bandit.run(
+        config, env, kern, exp.build_scalarization(), exp.build_weight_dist(n),
+        round_hook=lambda t, model: models.append(model),
     )
-    model = posterior.PosteriorState(kern, config.eta, grid=env.grid)
-    for x, y in zip(result.X, result.Y):
-        model.update(x, y)
+    model = models[-1]
     means = model.mean_batch(env.grid)
     norms = model.cov_norm_batch(env.grid)
     rows = [

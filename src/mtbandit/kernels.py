@@ -1,13 +1,18 @@
-"""Scalar kernels, multi-task kernel constructors, and coupling spectra.
+"""Scalar kernels, coupling matrices, and multi-task kernels.
 
 A multi-task kernel maps a pair of inputs to an n x n positive
-semi-definite matrix coupling the n objectives.  Three variants are
-provided:
+semi-definite matrix coupling the n objectives.  Every one is a sum of
+separable terms, Gamma(x, x') = sum_j k_j(x, x') * B_j (the linear model
+of coregionalization), and ``MultiTaskKernel`` implements that sum once.
+The other classes only build its terms:
 
-* ``ICMKernel``        -- separable, Gamma(x, x') = k(x, x') * B.
-* ``SumSeparableKernel`` -- Gamma(x, x') = sum_j k_j(x, x') * B_j.
-* ``DiagonalKernel``   -- Gamma(x, x') = Dg(k_1(x, x'), ..., k_n(x, x')),
-  which treats every task independently.
+* ``ICMKernel(k, B)``       -- the one-term sum k(x, x') * B.
+* ``DiagonalKernel([k_j])`` -- sum_j k_j(x, x') e_j e_j^T, which treats
+  every task independently.
+* ``SumSeparableKernel``    -- any list of terms.
+
+The posteriors solve ICM and diagonal kernels through their scalar kernels
+and any other kernel as one general system.
 
 Block matrices over a point history use point-major layout: rows
 ``i*n .. (i+1)*n - 1`` belong to the i-th point, matching the
@@ -227,8 +232,14 @@ def gram_coupling(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # Multi-task kernels ==========================================================
-class MultiTaskKernel(abc.ABC):
-    """Matrix-valued kernel Gamma(x, x') in R^{n x n}.
+class MultiTaskKernel:
+    """Sum of separable terms, Gamma(x, x') = sum_j k_j(x, x') * B_j.
+
+    Parameters
+    ----------
+    terms : iterable of (ScalarKernel, array_like)
+        Unit-variance scalar kernels k_j with symmetric PSD couplings B_j,
+        all of shape (n, n).
 
     Attributes
     ----------
@@ -238,31 +249,47 @@ class MultiTaskKernel(abc.ABC):
         Uniform operator-norm bound sup_x ||Gamma(x, x)||.
     """
 
-    n: int
-    kappa: float
+    def __init__(self, terms):
+        terms = list(terms)
+        if not terms:
+            raise ValueError(f"{type(self).__name__} needs at least one (kernel, coupling) term")
+        self.terms = [(k, validate_coupling(B)) for k, B in terms]
+        self.n = self.terms[0][1].shape[0]
+        if any(B.shape[0] != self.n for _, B in self.terms):
+            raise ValueError("all coupling matrices must share the task count")
+        # k_j(x, x) = 1 for every stationary unit-variance term, so
+        # Gamma(x, x) = sum_j B_j at every x.
+        self.kappa = operator_norm(sum(B for _, B in self.terms))
 
-    @abc.abstractmethod
     def __call__(self, x, z) -> np.ndarray:
         """Gamma(x, z) as an (n, n) array."""
+        return sum(k(x, z) * B for k, B in self.terms)
 
-    @abc.abstractmethod
-    def _cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def _cross(self, X, Z) -> np.ndarray:
         """Stacked cross blocks of shape (n * len(X), n * len(Z)).
 
         Block (i, j) equals Gamma(x_i, z_j).
         """
+        return sum(np.kron(k.pairwise(X, Z), B) for k, B in self.terms)
 
     def diag_block(self, x) -> np.ndarray:
         """Gamma(x, x), always symmetric PSD for a valid kernel."""
         return self(x, x)
 
-    @abc.abstractmethod
     def diag_blocks(self, X) -> np.ndarray:
         """Gamma(x_i, x_i) for a stack of points, shape (N, n, n)."""
+        return sum(k.diag_blocks(X) * B for k, B in self.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, terms={len(self.terms)})"
+
+
+class SumSeparableKernel(MultiTaskKernel):
+    """A general sum of separable terms, solved as one system by the posteriors."""
 
 
 class ICMKernel(MultiTaskKernel):
-    """Separable kernel Gamma(x, x') = k(x, x') * B.
+    """Separable kernel Gamma(x, x') = k(x, x') * B, the one-term sum.
 
     Parameters
     ----------
@@ -273,86 +300,24 @@ class ICMKernel(MultiTaskKernel):
     """
 
     def __init__(self, scalar: ScalarKernel, coupling):
-        self.scalar = scalar
-        self.coupling = validate_coupling(coupling)
+        super().__init__([(scalar, coupling)])
+        self.scalar, self.coupling = self.terms[0]
         self.spectrum = coupling_spectrum(self.coupling)
-        self.n = self.coupling.shape[0]
-        # k(x, x) = 1, so the operator norm of Gamma(x, x) is that of B.
+        # The spectrum's top eigenvalue, not operator_norm(B): the two differ in
+        # the last bits, and kappa reaches the regret bound.
         self.kappa = float(self.spectrum.eigenvalues[0])
-
-    def __call__(self, x, z):
-        return self.scalar(x, z) * self.coupling
-
-    def _cross(self, X, Z):
-        return np.kron(self.scalar.pairwise(X, Z), self.coupling)
-
-    def diag_blocks(self, X):
-        return self.scalar.diag_blocks(X) * self.coupling
-
-    def __repr__(self):
-        return f"ICMKernel(scalar={self.scalar!r}, n={self.n})"
-
-
-class SumSeparableKernel(MultiTaskKernel):
-    """Sum of separable terms, Gamma(x, x') = sum_j k_j(x, x') * B_j."""
-
-    def __init__(self, terms):
-        terms = list(terms)
-        if not terms:
-            raise ValueError("SumSeparableKernel needs at least one (kernel, coupling) term")
-        self.terms = [(k, validate_coupling(B)) for k, B in terms]
-        n = self.terms[0][1].shape[0]
-        for _, B in self.terms:
-            if B.shape[0] != n:
-                raise ValueError("all coupling matrices must share the task count")
-        self.n = n
-        # k_j(x, x) = 1 for every stationary unit-variance term, so
-        # Gamma(x, x) = sum_j B_j at every x.
-        self.kappa = operator_norm(sum(B for _, B in self.terms))
-
-    def __call__(self, x, z):
-        return sum(k(x, z) * B for k, B in self.terms)
-
-    def _cross(self, X, Z):
-        return sum(np.kron(k.pairwise(X, Z), B) for k, B in self.terms)
-
-    def diag_blocks(self, X):
-        return sum(k.diag_blocks(X) * B for k, B in self.terms)
-
-    def __repr__(self):
-        return f"SumSeparableKernel(n={self.n}, terms={len(self.terms)})"
 
 
 class DiagonalKernel(MultiTaskKernel):
     """Independent tasks: Gamma(x, x') = Dg(k_1(x, x'), ..., k_n(x, x')).
 
-    Equivalent to a SumSeparableKernel with couplings e_j e_j^T.
+    The sum of the terms k_j e_j e_j^T.
     """
 
     def __init__(self, scalars):
         self.scalars = list(scalars)
-        if not self.scalars:
-            raise ValueError("DiagonalKernel needs at least one scalar kernel")
-        self.n = len(self.scalars)
-        self.kappa = 1.0  # max_j k_j(x, x) with unit-variance scalars
-
-    def __call__(self, x, z):
-        return np.diag([k(x, z) for k in self.scalars])
-
-    def _cross(self, X, Z):
-        X, Z = _as_points(X), _as_points(Z)
-        n, t, m = self.n, X.shape[0], Z.shape[0]
-        out = np.zeros((n * t, n * m))
-        for j, k in enumerate(self.scalars):
-            out[j::n, j::n] = k.pairwise(X, Z)
-        return out
-
-    def diag_blocks(self, X):
-        diags = np.stack([k.diag(X) for k in self.scalars], axis=-1)  # (N, n)
-        return diags[:, :, None] * np.eye(self.n)
-
-    def __repr__(self):
-        return f"DiagonalKernel(n={self.n})"
+        E = np.eye(len(self.scalars))
+        super().__init__((k, np.outer(e, e)) for k, e in zip(self.scalars, E))
 
 
 # Block assembly ==============================================================

@@ -3,13 +3,16 @@
 Covers the config text format (TOML with line diagnostics), schema
 validation with named-key errors, per-trial seed derivation, the run
 command's CSV contract and byte determinism, SVG plotting against a golden file, the Pareto and model-dump
-exports, and the validation suites including a mutation check.
+exports, the validation suites including a mutation check, and the
+``python -m`` entry points.
 """
 
 import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -407,3 +410,23 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "variance-geometry" in out
         assert "FAIL" in out
+
+
+class TestModuleEntryPoints:
+    def test_python_m_runs_without_warnings_and_import_skips_cli(self):
+        """Both module entry points run under -W error; the package leaves cli unloaded."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+        for module in ("mtbandit", "mtbandit.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--version"],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert cli.__version__ in proc.stdout
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, mtbandit; print('mtbandit.cli' in sys.modules)"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr

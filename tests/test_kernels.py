@@ -1,8 +1,9 @@
 """Kernel and coupling tests.
 
 Covers frozen scalar-kernel values, coupling constructors and their
-spectra, the three multi-task variants, and the point-major block
-assembly, with positive-semidefiniteness checked on randomized inputs.
+spectra, the multi-task kernels as sums of separable terms, and the
+point-major block assembly, with positive-semidefiniteness checked on
+randomized inputs.
 """
 
 import numpy as np
@@ -224,6 +225,29 @@ class TestMultiTaskKernels:
         expected = np.array([gamma.diag_block(x) for x in X])
         np.testing.assert_array_equal(gamma.diag_blocks(X), expected)
         assert gamma.diag_blocks(np.zeros((0, 2))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize(
+        "variant", ["icm-gram", "icm-omega-0", "diagonal-shared", "diagonal-mixed"]
+    )
+    def test_constructors_are_sums_of_separable_terms(self, variant):
+        """ICM and diagonal kernels evaluate exactly as the sum of their terms."""
+        rng = np.random.default_rng(12)
+        se, matern = kernels.SquaredExponential(0.3), kernels.Matern52(0.6)
+        gamma = {
+            "icm-gram": kernels.ICMKernel(se, kernels.gram_coupling(3, rng)),
+            "icm-omega-0": kernels.ICMKernel(matern, kernels.omega_coupling(0.0, 3)),
+            "diagonal-shared": kernels.DiagonalKernel([se] * 3),
+            "diagonal-mixed": kernels.DiagonalKernel([se, matern, se]),
+        }[variant]
+        reference = kernels.SumSeparableKernel(gamma.terms)
+        X, Z = rng.random((6, 2)), rng.random((4, 2))
+        np.testing.assert_array_equal(gamma(X[0], Z[0]), reference(X[0], Z[0]))
+        np.testing.assert_array_equal(gamma._cross(X, Z), reference._cross(X, Z))
+        np.testing.assert_array_equal(gamma.diag_blocks(X), reference.diag_blocks(X))
+        if isinstance(gamma, kernels.ICMKernel):
+            assert gamma.kappa == gamma.spectrum.eigenvalues[0]
+        else:
+            assert gamma.kappa == 1.0
 
     def test_operator_norm(self):
         M = np.diag([3.0, 1.0, 2.0])
