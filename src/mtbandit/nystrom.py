@@ -37,9 +37,13 @@ and output sums.  The history thus enters compressed per arm,
     V_t = Phi_U diag(c) Phi_U^T,    sum_s Phi_t(x_s) y_s = Phi_U S_U,
 
 with c the visit counts and S_U the output sums of the observed arms U.
-A rebuild evaluates k(D_t, arms) once per kernel: the support matrix
-is read from its dictionary columns and the history from its observed
-columns.  One eigh of the history Gram, V = Q diag(lambda) Q^T, rotates
+A rebuild holds k(D_t, arms) once per kernel: the support matrix is
+read from its dictionary columns and the history from its observed
+columns.  The rows of arms that the previous support's dictionary held
+are carried over, so a rebuild evaluates only the rows of the arms new
+to the dictionary and the columns of the arms new to the universe; an
+unchanged dictionary (the same arms in the same order) also keeps its
+embedding.  One eigh of the history Gram, V = Q diag(lambda) Q^T, rotates
 each kernel's embedding, so every system's ridge solve is the diagonal
 scaling 1 / (xi_g lambda + eta) and the residual blocks are
 
@@ -50,8 +54,14 @@ every arm are computed once per rebuild, from the prior blocks k(a, a)
 evaluated at every arm.  Grid reads (the grid matched by identity, as in
 the exact engine), the resample's history norms and the round's log-det
 increment are gathers from these arm arrays; only other queries and a
-never-seen off-grid point are embedded afresh.  A rebuild thus costs
-O(|D_t| A) kernel entries for A arms, whatever t, with |D_t| <= A.
+never-seen off-grid point are embedded afresh.  A rebuild thus holds
+|D_t| A kernel entries for A arms, whatever t, with |D_t| <= A, and
+evaluates O(A) of them per arm that is new to the dictionary.  Both
+eigendecompositions of a rebuild, of K_DD and of V, use LAPACK's
+divide-and-conquer driver (evd).  On the near-identity matrices of arms
+many lengthscales apart, whose eigenvalues cluster near 1, it ran 2-3
+times as fast as scipy's default MRRR driver (evr) at 30-120 arms, and
+no slower on dense ones.
 
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one embedding per
@@ -141,7 +151,7 @@ def _truncated_inv_sqrt(M: np.ndarray):
     PINV_RTOL times the largest are truncated), so E @ v gives coordinates
     of (M^{1/2})^+ v in an orthonormal basis of range(M).
     """
-    evals, evecs = la.eigh(0.5 * (M + M.T))
+    evals, evecs = la.eigh(0.5 * (M + M.T), driver="evd")
     lam_max = max(float(evals[-1]), 0.0)
     keep = evals > PINV_RTOL * max(lam_max, 1e-300)
     return (evecs[:, keep] / np.sqrt(evals[keep])).T
@@ -153,32 +163,70 @@ def _block_cols(idx, b: int) -> np.ndarray:
     return (np.asarray(idx)[:, None] * b + np.arange(b)).ravel()
 
 
+def _dict_rows(k, dict_arms, arms, prev, i) -> np.ndarray:
+    """k(D, arms), (m b, A b), for the dictionary arms D and basis kernel k = k_i.
+
+    ``prev`` is the previous support or None.  The arms only grow, so the
+    rows of arms in its dictionary D' are copied from its k_i(D', arms')
+    and only their columns at the arms added since are evaluated, with
+    the rows of the other dictionary arms.  A kernel entry depends only
+    on its two points, so the result is bitwise the fresh k(D, arms).
+    """
+    if prev is None:
+        return k._cross(arms[dict_arms], arms)
+    prev_dict, prev_K = prev._dict, prev._K[i]
+    b, A, Ap = k.n, arms.shape[0], prev_K.shape[1] // k.n
+    pos = np.full(A, -1)  # row of each arm in the previous dictionary
+    pos[prev_dict] = np.arange(prev_dict.size)
+    old = pos[dict_arms]
+    held, new = np.flatnonzero(old >= 0), np.flatnonzero(old < 0)
+    K = np.empty((dict_arms.size * b, A * b))
+    if held.size:
+        rows = _block_cols(held, b)
+        K[rows, :Ap * b] = prev_K[_block_cols(old[held], b)]
+        if A > Ap:
+            K[rows, Ap * b:] = k._cross(arms[dict_arms[held]], arms[Ap:])
+    if new.size:
+        K[_block_cols(new, b)] = k._cross(arms[dict_arms[new]], arms)
+    return K
+
+
 class _Support:
     """Nystrom statistics over the task-basis systems, resident on the arms.
 
     Built from the distinct dictionary arms (indices into the arms, each
     once and unweighted), the arms and their visit counts and output sums;
     the prior blocks k(a, a) are evaluated at every arm.  Per kernel it
-    keeps the rotated embedding Q^T (K_DD^{1/2})^+ and per system the
-    shrink factors xi_g lambda / (xi_g lambda + eta) and the mean
-    coordinates, for reads away from the arms.  ``means``, ``res``
-    (per-system residual blocks) and ``norms`` hold the model at every arm.
+    keeps k(D, arms), the embedding (K_DD^{1/2})^+ and its rotation
+    Q^T (K_DD^{1/2})^+, and per system the shrink factors
+    xi_g lambda / (xi_g lambda + eta) and the mean coordinates, for reads
+    away from the arms.  ``means``, ``res`` (per-system residual blocks)
+    and ``norms`` hold the model at every arm.
+
+    ``prev``, the previous round's support, lends its kernel rows
+    (``_dict_rows``) and, when the dictionary lists the same arms in the
+    same order, its embedding; the support is bitwise the one built
+    without it.
     """
 
-    def __init__(self, basis: _TaskBasis, eta, dict_arms, arms, counts, sums):
+    def __init__(self, basis: _TaskBasis, eta, dict_arms, arms, counts, sums, prev=None):
         self.basis = basis
         b = basis.b
-        self._Xd = arms[dict_arms]
+        self._dict, self._Xd = dict_arms, arms[dict_arms]
         seen = np.flatnonzero(counts)
         Yp = basis.project(sums[seen])  # per-arm output sums in basis coordinates
         dcols, ucols = _block_cols(dict_arms, b), _block_cols(seen, b)
         c = np.repeat(counts[seen], b).astype(float)
-        self._emb, phis, lams = [], [], []
-        for k in basis.kernels:
-            K = k._cross(self._Xd, arms)  # (m b, A b)
-            E = _truncated_inv_sqrt(K[:, dcols])
+        same = prev is not None and np.array_equal(prev._dict, dict_arms)
+        self._K, self._E, self._emb, phis, lams = [], [], [], [], []
+        for i, k in enumerate(basis.kernels):
+            K = _dict_rows(k, dict_arms, arms, prev, i)
+            E = prev._E[i] if same else _truncated_inv_sqrt(K[:, dcols])
             PU = E @ K[:, ucols]
-            lam, Q = la.eigh((PU * c) @ PU.T)  # the history Gram V = Phi_U diag(c) Phi_U^T
+            # The history Gram V = Phi_U diag(c) Phi_U^T.
+            lam, Q = la.eigh((PU * c) @ PU.T, driver="evd")
+            self._K.append(K)
+            self._E.append(E)
             self._emb.append(Q.T @ E)
             phis.append(self._emb[-1] @ K)  # (r, A b), rotated
             lams.append(lam)
@@ -294,7 +342,8 @@ class NystromState(_Posterior):
         sampled = self._hist_arm[self.dictionary.indices]
         _, first = np.unique(sampled, return_index=True)
         self._support = _Support(
-            basis, self.eta, sampled[np.sort(first)], self._arms, self._counts, self._sums
+            basis, self.eta, sampled[np.sort(first)], self._arms, self._counts, self._sums,
+            prev=self._support,
         )
         return increment
 

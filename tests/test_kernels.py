@@ -1,10 +1,16 @@
 """Kernel and coupling tests.
 
-Covers frozen scalar-kernel values, coupling constructors and their
-spectra, the multi-task kernels as sums of separable terms, and the
+Covers frozen scalar-kernel values, the pairwise matrix against the
+closed forms on scipy's cdist distances with subnormal values flushed to
+zero, an import path free of scipy.spatial, coupling constructors and
+their spectra, the multi-task kernels as sums of separable terms, and the
 point-major block assembly, with positive-semidefiniteness checked on
 randomized inputs.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +23,15 @@ from mtbandit import kernels
 # Frozen by evaluating the closed forms with stdlib math.
 EXP_MINUS_HALF = 0.6065306597126334
 MATERN52_AT_HALF = 0.8286491424181255
+TINY = np.finfo(float).tiny
+
+
+def _closed_form(k, r):
+    """The kernel formula at distances r, without the flush of small values."""
+    if isinstance(k, kernels.SquaredExponential):
+        return np.exp(-0.5 * (r / k.lengthscale) ** 2)
+    s = np.sqrt(5.0) * r / k.lengthscale
+    return (1.0 + s + s**2 / 3.0) * np.exp(-s)
 
 
 class TestScalarKernels:
@@ -69,6 +84,47 @@ class TestScalarKernels:
         """Every scalar Gram matrix is PSD up to roundoff."""
         K = kernels.SquaredExponential(0.5).pairwise(X, X)
         assert np.linalg.eigvalsh(K).min() >= -1e-8
+
+
+class TestPairwise:
+    @pytest.mark.parametrize("k", [kernels.SquaredExponential(0.2), kernels.Matern52(0.2)])
+    def test_no_subnormal_entries(self, k):
+        """Distances across the underflow of the closed form give 0.0 or a
+        normal float, never a subnormal one."""
+        r = np.linspace(0.0, 200.0, 200_001)
+        raw = _closed_form(k, r)
+        assert np.any((raw > 0) & (raw < TINY))  # the sweep crosses the subnormal band
+        K = k.pairwise(np.zeros((1, 1)), r[:, None])
+        assert not np.any((K > 0) & (K < TINY))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("k", [kernels.SquaredExponential(0.3), kernels.Matern52(0.05)])
+    def test_closed_form_on_cdist_distances(self, d, k):
+        """pairwise equals the closed form on cdist distances bit for bit
+        wherever that is at least the smallest normal float, and 0.0 elsewhere."""
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(d)
+        X, Z = rng.normal(size=(40, d)) * 5.0, rng.normal(size=(30, d)) * 5.0
+        raw = _closed_form(k, cdist(X, Z))
+        assert np.any(raw >= TINY) and np.any(raw < TINY)
+        np.testing.assert_array_equal(k.pairwise(X, Z), np.where(raw >= TINY, raw, 0.0))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            kernels.SquaredExponential(1.0).pairwise(np.zeros((2, 3)), np.zeros((2, 2)))
+
+    def test_cli_import_skips_scipy_spatial(self):
+        """Distances need no scipy.spatial, so a fresh import of the CLI does not load it."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mtbandit.cli; print('scipy.spatial' in sys.modules)"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
 
 
 class TestCouplings:

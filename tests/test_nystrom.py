@@ -262,6 +262,66 @@ class TestDistinctArmSupport:
         assert every.logdet_sum == once.logdet_sum
 
 
+class _Fresh(nystrom._Support):
+    """A support built without the previous one."""
+
+    def __init__(self, *args, prev=None):
+        super().__init__(*args)
+
+
+class TestSupportCarryOver:
+    @pytest.mark.parametrize("name", ["icm", "icm-as-sum-separable", "diagonal"])
+    def test_matches_support_built_afresh(self, name, monkeypatch):
+        """Kernel rows carried over from the previous support, and its
+        embedding when the dictionary repeats, give bitwise the support
+        built afresh, under a binding budget (q = 1, so arms leave the
+        dictionary and return), repeated arms and new off-grid arms."""
+        rng = np.random.default_rng(21)
+        kern = _full_dictionary_kernel(name, rng)
+        sites = rng.random((6, 2))
+        steps = [
+            (sites[rng.integers(6)] if rng.random() < 0.7 else rng.random(2),
+             rng.normal(size=kern.n))
+            for _ in range(40)
+        ]
+        entries = []
+        pairwise = kernels.ScalarKernel.pairwise
+
+        def counted(self, X, Z):
+            K = pairwise(self, X, Z)
+            entries[-1] += K.size
+            return K
+
+        monkeypatch.setattr(kernels.ScalarKernel, "pairwise", counted)
+
+        def run():
+            entries.append(0)
+            state = nystrom.NystromState(kern, ETA, q=1.0, rng=np.random.default_rng(5))
+            rounds = []
+            for x, y in steps:
+                state.update(x, y)
+                s = state._support
+                rounds.append((list(s._dict), s.means, s.norms, s.res, state.logdet_sum))
+            return rounds
+
+        carried = run()
+        with monkeypatch.context() as m:
+            m.setattr(nystrom, "_Support", _Fresh)
+            fresh = run()
+        for (dc, mc, nc, rc, lc), (df, mf, nf, rf, lf) in zip(carried, fresh):
+            assert dc == df
+            np.testing.assert_array_equal(mc, mf)
+            np.testing.assert_array_equal(nc, nf)
+            for a, b in zip(rc, rf):
+                np.testing.assert_array_equal(a, b)
+            assert lc == lf
+        dicts = [set(d) for d, *_ in carried]
+        assert any(carried[t][0] == carried[t - 1][0] for t in range(1, 40))
+        assert any((d - dicts[t - 1]) & set().union(*dicts[:t - 1]) for t, d in enumerate(dicts)
+                   if t > 1)
+        assert entries[0] < entries[1]
+
+
 class TestPriorAndValidation:
     def test_prior_state(self):
         rng = np.random.default_rng(5)
