@@ -761,8 +761,9 @@ def _suite_fast_path_equivalence():
     single general system (ICM, diagonal); on a sum-separable kernel, which
     is one general system, grid-resident reads agree with off-grid ones.
     In exact-grid-interleaved the history alternates repeated grid rows
-    with off-grid points, so the grid-resident state takes the covariance
-    columns of its off-grid updates from the compressed history solve."""
+    with off-grid points, so the grid-resident state adds each new
+    off-grid arm by forward substitution through its history rows and
+    restarts a repeated arm's column from that arm's last row."""
     eta = 0.1
     rng = np.random.default_rng(123)
     se = kernels.SquaredExponential(0.3)

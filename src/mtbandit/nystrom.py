@@ -32,7 +32,8 @@ The state works over the arm universe that the observation front-end
 (posterior._Posterior) keeps for both posteriors: the rows of the
 candidate grid, when one is given, then each distinct off-grid history
 point, with the arm index of every history point and per-arm visit counts
-and output sums.  The history thus enters compressed per arm,
+and output sums.  Where the exact engine keeps one row per observation
+over these arms, here the history enters compressed per arm,
 
     V_t = Phi_U diag(c) Phi_U^T,    sum_s Phi_t(x_s) y_s = Phi_U S_U,
 
@@ -55,8 +56,9 @@ evaluated at every arm.  Grid reads (the grid matched by identity, as in
 the exact engine), the resample's history norms and the round's log-det
 increment are gathers from these arm arrays; only other queries and a
 never-seen off-grid point are embedded afresh.  A rebuild thus holds
-|D_t| A kernel entries for A arms, whatever t, with |D_t| <= A, and
-evaluates O(A) of them per arm that is new to the dictionary.  Both
+|D_t| A kernel entries for A arms, whatever t, with |D_t| <= A (the
+exact engine's rows take t A b^2 floats), and evaluates O(A) of them per
+arm that is new to the dictionary.  Both
 eigendecompositions of a rebuild, of K_DD and of V, use LAPACK's
 divide-and-conquer driver (evd).  On the near-identity matrices of arms
 many lengthscales apart, whose eigenvalues cluster near 1, it ran 2-3

@@ -7,10 +7,13 @@ systems and the single general system).  The battery also covers long
 runs at small eta with repeated noiseless queries, grid-resident reads
 along those runs for every kernel, grid-resident states whose history
 interleaves grid rows with off-grid points, the log-det accumulator
-against a 60-digit determinant down to eta = 1e-6, the covariance
-eigenvalue clamp, input checks that leave the state unchanged, and the
-predictive-variance geometry used by the regret analysis.
+against a 60-digit determinant down to eta = 1e-6 (grid, grid-less and
+half-grid states), the traced memory of a state on a 6,400-arm grid, the
+covariance eigenvalue clamp, input checks that leave the state unchanged,
+and the predictive-variance geometry used by the regret analysis.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_logdet, dense_posterior_cov, dense_posterior_mean, random_icm
-from mtbandit import kernels, posterior
+from mtbandit import benchmarks, kernels, posterior
 
 ETA = 0.1
 
@@ -268,10 +271,10 @@ class TestOffGridColumns:
     @pytest.mark.parametrize("name", ["icm", "diagonal", "sum-separable", "rank-1", "zero"])
     def test_interleaved_history_matches_twin_and_dense(self, name, eta):
         """A grid-resident state whose history alternates repeated grid rows
-        with new and repeated off-grid points takes every off-grid update's
-        covariance column from the compressed history solve.  Its grid reads,
-        its off-grid reads and its log-det match a grid-less twin and the
-        dense oracles."""
+        with new and repeated off-grid points adds each new off-grid arm by
+        forward substitution through its history rows and restarts every
+        repeat from the arm's last row.  Its grid reads, its off-grid reads
+        and its log-det match a grid-less twin and the dense oracles."""
         rng = np.random.default_rng(31)
         kern = _interleaved_kernel(name, rng)
         G, off = rng.random((20, 2)), rng.random((4, 2))
@@ -306,17 +309,21 @@ class TestOffGridColumns:
 class TestHighPrecisionLogdet:
     @pytest.mark.parametrize("eta", [1e-1, 1e-3, 1e-6])
     def test_logdet_matches_60_digit_determinant(self, eta):
-        """400 noiseless updates over 40 arms: on the grid-resident path and
-        the grid-less compressed path the accumulator equals
-        log det(I + K_UU diag(c) / eta), evaluated with 60 significant digits
-        from the same float64 kernel matrix, to rel 1e-10."""
+        """400 noiseless updates over 40 arms: on a state whose grid holds
+        every arm, on a grid-less state, and on a state whose grid holds the
+        first 20 arms, so that the other 20 arrive off-grid (each new arm's
+        blocks by forward substitution, then restarts from its last row),
+        the accumulator equals log det(I + K_UU diag(c) / eta), evaluated
+        with 60 significant digits from the same float64 kernel matrix, to
+        rel 1e-10."""
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
         arms = rng.random((40, 2))
         kern = kernels.ICMKernel(kernels.SquaredExponential(0.3), np.eye(1))
         visits = rng.integers(0, 40, size=400)
         states = [
-            posterior.PosteriorState(kern, eta, grid=arms), posterior.PosteriorState(kern, eta)
+            posterior.PosteriorState(kern, eta, grid=arms), posterior.PosteriorState(kern, eta),
+            posterior.PosteriorState(kern, eta, grid=arms[:20]),
         ]
         for i in visits:
             for state in states:
@@ -330,6 +337,35 @@ class TestHighPrecisionLogdet:
             exact = float(mpmath.log(mpmath.det(M)))
         for state in states:
             assert state.logdet_sum == pytest.approx(exact, rel=1e-10)
+
+
+class TestMemory:
+    def test_wide_grid_state_stays_small(self):
+        """On the 6,400-arm branin grid (9 tasks, omega 0.5: two systems) a
+        state keeps rows over the arms, not an arm-space covariance: 100
+        grid updates, a third of them repeats, and grid reads peak under
+        64 MB of traced allocations, where the prior k(grid, grid) alone
+        takes 328 MB.  The means at the visited arms match the dense oracle."""
+        env = benchmarks.make_shifted_branin(9, 0.1, 80)
+        kern = kernels.ICMKernel(kernels.SquaredExponential(0.2), kernels.omega_coupling(0.5, 9))
+        rng = np.random.default_rng(41)
+        pool = rng.choice(env.grid.shape[0], size=66, replace=False)
+        visits = np.concatenate([pool, pool[rng.integers(0, 66, size=34)]])
+        tracemalloc.start()
+        try:
+            state = posterior.PosteriorState(kern, ETA, grid=env.grid)
+            for i in visits:
+                state.update(env.grid[i], env.observe(i, rng))
+            means, norms = state.mean_batch(env.grid), state.cov_norm_batch(env.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.t == 100 and norms.shape == (6400,)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        np.testing.assert_allclose(
+            means[pool[:5]],
+            dense_posterior_mean(kern, state.X, state.Y, ETA, env.grid[pool[:5]]), atol=1e-9,
+        )
 
 
 class TestCovarianceGeometry:
