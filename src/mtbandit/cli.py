@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 from typing import get_args, get_origin
 
 import numpy as np
+import scipy.linalg as la
 
 from . import __version__, bandit, benchmarks, kernels, nystrom, posterior, theorybounds
 from ._svg import render_line_plot
@@ -801,11 +802,26 @@ def _suite_fast_path_equivalence():
     return tuple(reports)
 
 
+def _dense_posterior(kern, X, Y, eta, Xq):
+    """Means (N, n) and covariance norms (N,) at Xq by one dense solve."""
+    N, n = Xq.shape[0], kern.n
+    G = kernels.block_kernel_matrix(kern, X)
+    L = np.linalg.cholesky(G + eta * np.eye(G.shape[0]))
+    W = la.solve_triangular(L, kernels.cross_block(kern, X, Xq), lower=True)
+    mean = W.T @ la.solve_triangular(L, Y.reshape(-1), lower=True)
+    W3 = W.reshape(-1, N, n)
+    cov = kern.diag_blocks(Xq) - np.einsum("kja,kjb->jab", W3, W3)
+    return mean.reshape(N, n), np.linalg.eigvalsh(0.5 * (cov + cov.transpose(0, 2, 1)))[:, -1]
+
+
 def _suite_full_dictionary():
     """Budgeted posterior with an all-points dictionary matches the exact one,
-    with one scalar embedding (ICM), one per distinct scalar (diagonal), and
+    with one scalar factor (ICM), one per distinct scalar (diagonal), and
     on grid reads served from the arm arrays of a grid-resident state whose
-    history repeats grid points and mixes in off-grid ones."""
+    history repeats grid points and mixes in off-grid ones.  On 45 of 101
+    arms 0.01 apart at lengthscale 0.2 the dictionary is numerically
+    rank-deficient, so the features skip arms at the pivot cut; there the
+    grid reads are checked against the dense solve."""
     eta = 0.1
     rng = np.random.default_rng(321)
     se = kernels.SquaredExponential(0.3)
@@ -831,6 +847,18 @@ def _suite_full_dictionary():
             float(np.max(np.abs(exact.cov_norm_batch(queries) - budget.cov_norm_batch(queries)))),
         )
         reports.append(SuiteReport(name, err, 1e-6))
+    grid = np.linspace(0.0, 1.0, 101)[:, None]
+    kern = kernels.ICMKernel(kernels.SquaredExponential(0.2), kernels.gram_coupling(4, rng))
+    arms = rng.choice(101, size=45, replace=False)
+    X = grid[np.concatenate([arms, arms[rng.integers(45, size=15)]])]
+    Y = rng.normal(size=(60, 4))
+    budget = nystrom.NystromState(kern, eta, q=1e12, rng=np.random.default_rng(9), grid=grid)
+    for x, y in zip(X, Y):
+        budget.update(x, y)
+    mean, norms = _dense_posterior(kern, X, Y, eta, grid)
+    err = max(float(np.max(np.abs(budget.mean_batch(grid) - mean))),
+              float(np.max(np.abs(budget.cov_norm_batch(grid) - np.clip(norms, 0.0, None)))))
+    reports.append(SuiteReport("full-dictionary-rank-deficient", err, 1e-5))
     return tuple(reports)
 
 

@@ -24,11 +24,13 @@ apart (lengthscale 0.2 on a domain of width 15, say) give such subnormal
 values, and the hardware computes with subnormals far more slowly: a
 product of a 120 x 120 matrix with a 120 x 625 kernel matrix holding
 4.6 % subnormal entries took 19 times as long as with those entries
-zeroed.  A value that small cannot change any sum of O(1) terms.  The
-squared exponential skips exp where its value would be that small, since
-exp is also slow there.  Distances are summed coordinate by coordinate,
-in the order of scipy's cdist and with its bits, without importing
-scipy.spatial.
+zeroed.  A value that small cannot change any sum of O(1) terms.
+Feature rows built from kernel values (the nystrom module's incomplete
+Cholesky factor) are flushed at sqrt(tiny) = 1.5e-154, so that no
+product of two of them is subnormal either.  The squared exponential
+skips exp where its value would be below tiny, since exp is also slow
+there.  Distances are summed coordinate by coordinate, in the order of
+scipy's cdist and with its bits, without importing scipy.spatial.
 """
 
 import abc

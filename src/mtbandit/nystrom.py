@@ -7,16 +7,15 @@ enters independently with probability
 
 so that high-variance (poorly explained) points are more likely to be
 kept.  The distinct arms D_t of the retained points define embeddings
+Phi_t(x) with
 
-    Phi_t(x) = (K_DD^{1/2})^+ k(D_t, x)
+    Phi_t(x)^T Phi_t(x') = k(x, D_t) K_DD^+ k(D_t, x'),
 
-through the pseudo-inverse square root of the support matrix K_DD.
-The BKB dictionary of Calandriello et al. (COLT 2019) also reweights each
-retained point by 1/sqrt(p) and keeps a point once per visit, but neither
-changes the model: Phi_t(x)^T Phi_t(x') = k(x, D) K_DD^+ k(D, x') is the
-projection of the features onto their span over D, and a positive
-reweighting or a repeated point leaves that span unchanged.  So the
-support is built from each sampled arm once, unweighted, and m_t (the
+the projection of the features onto their span over D_t.  The BKB
+dictionary of Calandriello et al. (COLT 2019) also reweights each
+retained point by 1/sqrt(p) and keeps a point once per visit, but a
+positive reweighting or a repeated point leaves that span unchanged.  So
+the support is built from each sampled arm once, unweighted, and m_t (the
 number of sampled history points) can exceed the number of its columns.
 Means and covariances then use ridge statistics accumulated over the
 full history:
@@ -28,25 +27,46 @@ full history:
 with V_t = sum_s Phi_t(x_s) Phi_t(x_s)^T.  With a full dictionary and all
 probabilities 1 this reproduces the exact posterior.
 
-The state works over the arm universe that the observation front-end
-(posterior._Posterior) keeps for both posteriors: the rows of the
-candidate grid, when one is given, then each distinct off-grid history
-point, with the arm index of every history point and per-arm visit counts
-and output sums.  Where the exact engine keeps one row per observation
-over these arms, here the history enters compressed per arm,
+The state works over the arm universe of the observation front-end
+(posterior._Posterior): the rows of the candidate grid, when one is
+given, then each distinct off-grid history point, with the arm index of
+every history point.  The state adds the visit count and the output sum
+of every arm, and the history enters compressed per arm,
 
     V_t = Phi_U diag(c) Phi_U^T,    sum_s Phi_t(x_s) y_s = Phi_U S_U,
 
 with c the visit counts and S_U the output sums of the observed arms U.
-A rebuild holds k(D_t, arms) once per kernel: the support matrix is
-read from its dictionary columns and the history from its observed
-columns.  The rows of arms that the previous support's dictionary held
-are carried over, so a rebuild evaluates only the rows of the arms new
-to the dictionary and the columns of the arms new to the universe; an
-unchanged dictionary (the same arms in the same order) also keeps its
-embedding.  One eigh of the history Gram, V = Q diag(lambda) Q^T, rotates
-each kernel's embedding, so every system's ridge solve is the diagonal
-scaling 1 / (xi_g lambda + eta) and the residual blocks are
+
+The features are an incomplete Cholesky factor F over the arms, one per
+kernel of the basis, built by appending the dictionary arms in dictionary
+order.  For arm a, with l = F[:, a] the features it already has, the
+pivot is the residual k(a, a) - l^T l.  An arm whose pivot is at most
+PINV_RTOL times the largest prior diagonal adds nothing; otherwise it
+appends the row (k(a, arms) - l^T F) / sqrt(pivot).  A b x b pivot of the
+general system keeps its eigen-directions above that cut, one row each.
+A dictionary spanning K_DD exactly gives F^T F = k(arms, D) K_DD^+
+k(D, arms); a pivot at the cut leaves a residual of at most the cut at
+its arm.  Every feature entry below sqrt(tiny) = 1.5e-154 in magnitude
+is 0.0, so no product of two features is subnormal (the kernels module
+docstring gives the cost of subnormals).  Far from the dictionary,
+features and thus means are exactly 0.0.  A point that is not an arm is
+embedded by forward substitution through the pivot triangle, the same
+recurrence restricted to the pivot arms.
+
+A rebuild keeps the rows of the longest common prefix of the previous
+and the new dictionary and appends the rest.  The dictionary lists its
+arms in the order of their first visit in the history, so the same arm
+set always gives the same factor and an arm visited for the first time
+comes last: a rebuild evaluates no kernel row for an unchanged arm set
+and one row k(a, arms) for a newly visited arm.  When every point is
+kept, this is also the order in which the arms were first sampled.  A
+new arm in the universe voids the prefix, and with no common prefix the
+factor is appended from scratch through the same code; the carried
+factor is bitwise the one built afresh.
+
+One eigh of the history Gram, V = Q diag(lambda) Q^T, rotates each
+kernel's features, so every system's ridge solve is the diagonal scaling
+1 / (xi_g lambda + eta) and the residual blocks are
 
     R~_g(x) = k(x, x) - Phi(x)^T diag(xi_g lambda / (xi_g lambda + eta)) Phi(x)
 
@@ -55,21 +75,19 @@ every arm are computed once per rebuild, from the prior blocks k(a, a)
 evaluated at every arm.  Grid reads (the grid matched by identity, as in
 the exact engine), the resample's history norms and the round's log-det
 increment are gathers from these arm arrays; only other queries and a
-never-seen off-grid point are embedded afresh.  A rebuild thus holds
-|D_t| A kernel entries for A arms, whatever t, with |D_t| <= A (the
-exact engine's rows take t A b^2 floats), and evaluates O(A) of them per
-arm that is new to the dictionary.  Both
-eigendecompositions of a rebuild, of K_DD and of V, use LAPACK's
-divide-and-conquer driver (evd).  On the near-identity matrices of arms
-many lengthscales apart, whose eigenvalues cluster near 1, it ran 2-3
-times as fast as scipy's default MRRR driver (evr) at 30-120 arms, and
-no slower on dense ones.
+never-seen off-grid point are embedded afresh.  A rebuild thus holds at
+most |D_t| A b^2 feature entries for A arms, whatever t (the exact
+engine's rows take t A b^2 floats).  The eigendecomposition of V uses
+LAPACK's divide-and-conquer driver (evd).  On the near-identity matrices
+of arms many lengthscales apart, whose eigenvalues cluster near 1, it ran
+2-3 times as fast as scipy's default MRRR driver (evr) at 30-120 arms,
+and no slower on dense ones.
 
 The computation splits over the same task-basis systems as the exact
-engine (posterior._task_systems, one rule for both): one embedding per
+engine (posterior._task_systems, one rule for both): one factor per
 kernel of the basis and one diagonal solve per system.  An ICM kernel
-embeds its scalar kernel once and a diagonal kernel each distinct scalar
-once; any other kernel embeds its n x n blocks as a single system.  The
+factors its scalar kernel once and a diagonal kernel each distinct scalar
+once; any other kernel factors its n x n blocks as a single system.  The
 observation checks, the history, the arm universe, the log-det
 accumulator and the covariance clamp are the exact posterior's.
 """
@@ -78,7 +96,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .kernels import MultiTaskKernel, _as_points
-from .posterior import _block_gram, _clamp_spectrum, _logdet_ratio, _Posterior, _TaskBasis
+from .posterior import _clamp_spectrum, _logdet_ratio, _Posterior, _TaskBasis
 
 __all__ = [
     "Dictionary",
@@ -87,9 +105,12 @@ __all__ = [
     "PINV_RTOL",
 ]
 
-# Relative truncation threshold for pseudo-inverse square roots; support
+# Relative cut for the pivots of the incomplete Cholesky features; support
 # matrices over nearby arms are numerically rank-deficient.
 PINV_RTOL = 1e-10
+# Feature entries below this magnitude are 0.0: the product of two larger
+# ones is a normal float.
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 class Dictionary:
@@ -146,51 +167,76 @@ def resample_dictionary(variance_norms, q: float, rng: np.random.Generator) -> D
     return Dictionary(included, probs[included])
 
 
-def _truncated_inv_sqrt(M: np.ndarray):
-    """Rows of (M^{1/2})^+ in its eigenbasis, for symmetric PSD M.
-
-    Returns an (r, p) matrix E with E^T E = M^+ (eigenvalues below
-    PINV_RTOL times the largest are truncated), so E @ v gives coordinates
-    of (M^{1/2})^+ v in an orthonormal basis of range(M).
-    """
-    evals, evecs = la.eigh(0.5 * (M + M.T), driver="evd")
-    lam_max = max(float(evals[-1]), 0.0)
-    keep = evals > PINV_RTOL * max(lam_max, 1e-300)
-    return (evecs[:, keep] / np.sqrt(evals[keep])).T
-
-
 # Support =====================================================================
 def _block_cols(idx, b: int) -> np.ndarray:
     """Point-major column positions of the b x b blocks of the points idx."""
     return (np.asarray(idx)[:, None] * b + np.arange(b)).ravel()
 
 
-def _dict_rows(k, dict_arms, arms, prev, i) -> np.ndarray:
-    """k(D, arms), (m b, A b), for the dictionary arms D and basis kernel k = k_i.
+def _flush(M) -> np.ndarray:
+    """M with every entry below sqrt(tiny) in magnitude set to 0.0, in place."""
+    M *= np.abs(M) >= _SQRT_TINY
+    return M
 
-    ``prev`` is the previous support or None.  The arms only grow, so the
-    rows of arms in its dictionary D' are copied from its k_i(D', arms')
-    and only their columns at the arms added since are evaluated, with
-    the rows of the other dictionary arms.  A kernel entry depends only
-    on its two points, so the result is bitwise the fresh k(D, arms).
+
+def _pivot_rows(P, cut) -> np.ndarray:
+    """Rows C, (k, b), with C P C^T = I over the k eigen-directions of the
+    b x b pivot P above cut."""
+    if P.shape[0] == 1:
+        return 1.0 / np.sqrt(P) if P[0, 0] > cut else np.zeros((0, 1))
+    w, W = np.linalg.eigh(0.5 * (P + P.T))
+    keep = w > cut
+    return (W[:, keep] / np.sqrt(w[keep])).T
+
+
+def _common_prefix(u, v) -> int:
+    """Length of the longest common prefix of two 1-D arrays."""
+    n = min(u.size, v.size)
+    diff = np.flatnonzero(u[:n] != v[:n])
+    return int(diff[0]) if diff.size else n
+
+
+class _Features:
+    """Incomplete Cholesky features of one basis kernel k over the arms.
+
+    Appends the dictionary arms from position ``keep`` on to the rows that
+    ``prev`` holds for the first ``keep`` (module docstring).  ``F`` (r, A b)
+    holds the feature rows; ``C`` (r, b) the pivot direction and ``piv``
+    (r,) the arm that made each row; ``ends[j]`` the row count after
+    dictionary arm j.
     """
-    if prev is None:
-        return k._cross(arms[dict_arms], arms)
-    prev_dict, prev_K = prev._dict, prev._K[i]
-    b, A, Ap = k.n, arms.shape[0], prev_K.shape[1] // k.n
-    pos = np.full(A, -1)  # row of each arm in the previous dictionary
-    pos[prev_dict] = np.arange(prev_dict.size)
-    old = pos[dict_arms]
-    held, new = np.flatnonzero(old >= 0), np.flatnonzero(old < 0)
-    K = np.empty((dict_arms.size * b, A * b))
-    if held.size:
-        rows = _block_cols(held, b)
-        K[rows, :Ap * b] = prev_K[_block_cols(old[held], b)]
-        if A > Ap:
-            K[rows, Ap * b:] = k._cross(arms[dict_arms[held]], arms[Ap:])
-    if new.size:
-        K[_block_cols(new, b)] = k._cross(arms[dict_arms[new]], arms)
-    return K
+
+    def __init__(self, k, arms, dict_arms, cut, prev=None, keep=0):
+        b, m = k.n, dict_arms.size
+        F, C = np.empty((m * b, arms.shape[0] * b)), np.empty((m * b, b))
+        piv, ends = np.empty(m * b, dtype=int), np.empty(m, dtype=int)
+        n = prev.ends[keep - 1] if keep else 0
+        if keep:
+            F[:n], C[:n], piv[:n] = prev.F[:n], prev.C[:n], prev.piv[:n]
+            ends[:keep] = prev.ends[:keep]
+        new = dict_arms[keep:]
+        rows = k._cross(arms[new], arms) if new.size else None
+        for j, a in enumerate(new):
+            krow, cols = rows[j * b:(j + 1) * b], slice(a * b, (a + 1) * b)
+            l = F[:n, cols]
+            Cj = _pivot_rows(krow[:, cols] - l.T @ l, cut)
+            if Cj.size:
+                e = n + Cj.shape[0]
+                F[n:e] = _flush(Cj @ (krow - l.T @ F[:n]))
+                C[n:e], piv[n:e], n = Cj, a, e
+            ends[keep + j] = n
+        self.F, self.C, self.piv, self.ends = F[:n], C[:n], piv[:n], ends
+
+    def embed(self, k, arms, Xq) -> np.ndarray:
+        """Features (r, q b) of the points Xq, by forward substitution through
+        the pivot triangle: row i of the pivot arm a_i solves
+        C_i (k(a_i, x) - F[:i, a_i]^T phi[:i](x)) = phi_i(x)."""
+        b, r, piv = k.n, self.piv.size, self.piv
+        rhs = np.einsum("ic,icq->iq", self.C, k._cross(arms[piv], Xq).reshape(r, b, len(Xq) * b))
+        T = np.einsum("ic,sic->is", self.C, self.F[:, _block_cols(piv, b)].reshape(r, r, b))
+        T *= piv[:, None] != piv[None, :]  # the rows of one pivot are independent
+        return _flush(la.solve_triangular(T, rhs, lower=True, unit_diagonal=True,
+                                          check_finite=False))
 
 
 class _Support:
@@ -199,38 +245,38 @@ class _Support:
     Built from the distinct dictionary arms (indices into the arms, each
     once and unweighted), the arms and their visit counts and output sums;
     the prior blocks k(a, a) are evaluated at every arm.  Per kernel it
-    keeps k(D, arms), the embedding (K_DD^{1/2})^+ and its rotation
-    Q^T (K_DD^{1/2})^+, and per system the shrink factors
+    keeps the features over the arms (``_Features``) and the rotation Q^T
+    of the history Gram, and per system the shrink factors
     xi_g lambda / (xi_g lambda + eta) and the mean coordinates, for reads
     away from the arms.  ``means``, ``res`` (per-system residual blocks)
     and ``norms`` hold the model at every arm.
 
-    ``prev``, the previous round's support, lends its kernel rows
-    (``_dict_rows``) and, when the dictionary lists the same arms in the
-    same order, its embedding; the support is bitwise the one built
-    without it.
+    ``prev``, the previous round's support, lends the feature rows of the
+    longest common prefix of the two dictionaries when the arms are the
+    same; the support is bitwise the one built without it.
     """
 
     def __init__(self, basis: _TaskBasis, eta, dict_arms, arms, counts, sums, prev=None):
-        self.basis = basis
+        self.basis, self._dict, self._arms = basis, dict_arms, arms
         b = basis.b
-        self._dict, self._Xd = dict_arms, arms[dict_arms]
+        keep = 0
+        if prev is not None and prev._arms.shape[0] == arms.shape[0]:
+            keep = _common_prefix(prev._dict, dict_arms)
         seen = np.flatnonzero(counts)
         Yp = basis.project(sums[seen])  # per-arm output sums in basis coordinates
-        dcols, ucols = _block_cols(dict_arms, b), _block_cols(seen, b)
+        ucols = _block_cols(seen, b)
         c = np.repeat(counts[seen], b).astype(float)
-        same = prev is not None and np.array_equal(prev._dict, dict_arms)
-        self._K, self._E, self._emb, phis, lams = [], [], [], [], []
+        prior = [k.diag_blocks(arms) for k in basis.kernels]
+        self._feats, self._rot, phis, lams = [], [], [], []
         for i, k in enumerate(basis.kernels):
-            K = _dict_rows(k, dict_arms, arms, prev, i)
-            E = prev._E[i] if same else _truncated_inv_sqrt(K[:, dcols])
-            PU = E @ K[:, ucols]
+            cut = PINV_RTOL * np.max(np.diagonal(prior[i], axis1=1, axis2=2))
+            f = _Features(k, arms, dict_arms, cut, prev._feats[i] if keep else None, keep)
+            FU = f.F[:, ucols]
             # The history Gram V = Phi_U diag(c) Phi_U^T.
-            lam, Q = la.eigh((PU * c) @ PU.T, driver="evd")
-            self._K.append(K)
-            self._E.append(E)
-            self._emb.append(Q.T @ E)
-            phis.append(self._emb[-1] @ K)  # (r, A b), rotated
+            lam, Q = la.eigh((FU * c) @ FU.T, driver="evd", check_finite=False)
+            self._feats.append(f)
+            self._rot.append(Q.T)
+            phis.append(Q.T @ f.F)  # (r, A b), rotated
             lams.append(lam)
         self._shrink, self._z = [], []
         for i, xi, cols in basis.systems:
@@ -239,12 +285,13 @@ class _Support:
             self._shrink.append(xi * lams[i] * inv)
             self._z.append(inv[:, None] * rhs)
         self.means = self.mean_at(phis, arms.shape[0])
-        self.res = self.residuals_at(phis, [k.diag_blocks(arms) for k in basis.kernels])
+        self.res = self.residuals_at(phis, prior)
         self.norms = basis.assemble_cov_norm(self.res, None)
 
     def embed(self, Xq) -> list:
         """Rotated embeddings of a stack of queries, one (r_i, N b) array per kernel."""
-        return [E @ k._cross(self._Xd, Xq) for E, k in zip(self._emb, self.basis.kernels)]
+        return [R @ f.embed(k, self._arms, Xq)
+                for R, f, k in zip(self._rot, self._feats, self.basis.kernels)]
 
     def mean_at(self, phis, N) -> np.ndarray:
         """Means (N, n) from rotated embeddings."""
@@ -252,12 +299,17 @@ class _Support:
         return self.basis.assemble_mean(parts, N)
 
     def residuals_at(self, phis, prior) -> list:
-        """Per-system blocks R~_g = k_i(x, x) - phi^T diag(shrink_g) phi, each (N, b, b)."""
-        b = self.basis.b
-        return [
-            prior[i] - _block_gram(phis[i] * s[:, None], phis[i], b)
-            for (i, _, _), s in zip(self.basis.systems, self._shrink)
-        ]
+        """Per-system blocks R~_g = k_i(x, x) - phi^T diag(shrink_g) phi, each (N, b, b).
+
+        Per kernel the entry products of every row's b x b blocks are formed
+        once; each system weighs them by its shrink factors in one product.
+        """
+        b, outer = self.basis.b, []
+        for phi in phis:
+            p = phi.reshape(phi.shape[0], -1, b)
+            outer.append((p[..., :, None] * p[..., None, :]).reshape(phi.shape[0], -1))
+        return [prior[i] - (s @ outer[i]).reshape(prior[i].shape)
+                for (i, _, _), s in zip(self.basis.systems, self._shrink)]
 
     def residuals(self, Xq) -> list:
         """Per-system residual blocks at a stack of queries, embedded afresh."""
@@ -293,10 +345,12 @@ class NystromState(_Posterior):
     ``dictionary`` lists the sampled history points with their inclusion
     probabilities, and ``m`` counts them; the support is built from the
     distinct arms among them, each once and unweighted (module docstring).
-    Every rebuild compresses the history per arm, rotates each kernel's
-    embedding so that the ridge solves are diagonal, and evaluates the
-    model at every arm once.  The support is built over the kernel's
-    task-basis systems (posterior._task_systems); no option selects
+    Every rebuild appends the dictionary arms after the common prefix with
+    the previous dictionary to each kernel's features, compresses the
+    history per arm with the visit counts and output sums kept here,
+    rotates the features so that the ridge solves are diagonal, and
+    evaluates the model at every arm once.  The support is built over the
+    kernel's task-basis systems (posterior._task_systems); no option selects
     another path.
 
     Updates mutate in place (single-writer); reads are pure.
@@ -304,6 +358,12 @@ class NystromState(_Posterior):
 
     def __init__(self, kernel: MultiTaskKernel, eta: float, q: float,
                  rng: np.random.Generator, grid=None):
+        # Visit count and output sum of every arm, grown with the arms (so
+        # set before the front-end adds the grid), and the visited arms in
+        # first-visit order.
+        self._counts = np.zeros(0, dtype=int)
+        self._sums = np.zeros((0, kernel.n))
+        self._visited = []
         super().__init__(kernel, eta, grid)
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
@@ -317,6 +377,18 @@ class NystromState(_Posterior):
     def m(self) -> int:
         """Sampled history points in the dictionary, repeats of an arm included."""
         return self.dictionary.m
+
+    def _add_arms(self, X):
+        super()._add_arms(X)
+        self._counts = np.concatenate([self._counts, np.zeros(X.shape[0], dtype=int)])
+        self._sums = np.vstack([self._sums, np.zeros((X.shape[0], self.kernel.n))])
+
+    def _record(self, a: int, y):
+        if not self._counts[a]:
+            self._visited.append(a)
+        super()._record(a, y)
+        self._counts[a] += 1
+        self._sums[a] += y
 
     def _absorb(self, a, y) -> float:
         """Record the observation, resample the dictionary and rebuild the support.
@@ -339,13 +411,12 @@ class NystromState(_Posterior):
                 norms = np.append(norms, basis.assemble_cov_norm(new, None))
         increment = _logdet_ratio(basis.assemble_cov([R[a] for R in res], None), self.eta, None)
         self.dictionary = resample_dictionary(norms[self._hist_arm], self.q, self.rng)
-        # Distinct sampled arms in first-sampled order: repeats and weights
+        # Distinct sampled arms in first-visit order: repeats and weights
         # leave the span of the support features, hence Phi^T Phi, unchanged.
-        sampled = self._hist_arm[self.dictionary.indices]
-        _, first = np.unique(sampled, return_index=True)
+        visited = np.array(self._visited)
         self._support = _Support(
-            basis, self.eta, sampled[np.sort(first)], self._arms, self._counts, self._sums,
-            prev=self._support,
+            basis, self.eta, visited[np.isin(visited, self._hist_arm[self.dictionary.indices])],
+            self._arms, self._counts, self._sums, prev=self._support,
         )
         return increment
 

@@ -34,8 +34,8 @@ The systems are chosen by one rule (``_task_systems``):
 
 The observation front-end ``_Posterior`` keeps a universe of arms: the
 rows of the candidate grid, when one is given, then each distinct
-off-grid history point from its first visit, with per-arm visit counts
-and output sums, into which the budgeted posterior compresses its history.
+off-grid history point from its first visit, and the arm of every
+history point.
 
 The engine keeps each system as one row per observation over the arms.
 Write P_g for its posterior covariance (prior k_g; Gamma_t restricted to
@@ -207,8 +207,7 @@ class _Posterior:
     array ``X`` and a (t, n) output array ``Y``, accumulates ``logdet_sum``
     and keeps the arm universe: the rows of ``grid`` (which fixes the input
     dimension), then each distinct off-grid point when first observed,
-    found by its bytes, with the arm of every history point and the visit
-    count and output sum of every arm.
+    found by its bytes, with the arm of every history point.
 
     A subclass grows its model in ``_absorb(a, y)``, called after every
     check with the observed point already an arm a.  It records the
@@ -231,8 +230,6 @@ class _Posterior:
         self._arms = np.zeros((0, 0))
         self._arm_of = {}  # point bytes -> arm index
         self._hist_arm = np.zeros(0, dtype=int)  # arm index of every history point
-        self._counts = np.zeros(0, dtype=int)
-        self._sums = np.zeros((0, kernel.n))
         self._grid = None
         if grid is not None:
             self._grid = _as_points(grid)
@@ -271,8 +268,6 @@ class _Posterior:
         for j, x in enumerate(X):
             self._arm_of.setdefault(x.tobytes(), A + j)
         self._arms = np.vstack([self._arms.reshape(A, X.shape[1]), X])
-        self._counts = np.concatenate([self._counts, np.zeros(X.shape[0], dtype=int)])
-        self._sums = np.vstack([self._sums, np.zeros((X.shape[0], self.kernel.n))])
 
     def _arm(self, x) -> int:
         """Arm index of the point x; an unseen point becomes a new arm."""
@@ -283,13 +278,11 @@ class _Posterior:
         return a
 
     def _record(self, a: int, y):
-        """Append the observation y at arm a to the history and the arm statistics."""
+        """Append the observation y at arm a to the history."""
         x = self._arms[a]
         self.X = np.vstack([self.X, x]) if self.t else np.array([x])
         self.Y = np.vstack([self.Y, y])
         self._hist_arm = np.append(self._hist_arm, a)
-        self._counts[a] += 1
-        self._sums[a] += y
 
     def mean(self, x) -> np.ndarray:
         """Posterior mean mu_t(x) as an (n,) vector; zero at t = 0."""

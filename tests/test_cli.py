@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_posterior_cov, dense_posterior_mean
-from mtbandit import cli, posterior
+from mtbandit import cli, nystrom, posterior
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -394,10 +394,18 @@ class TestValidateCommand:
             "full-dictionary-exactness",
             "full-dictionary-diagonal",
             "full-dictionary-grid",
+            "full-dictionary-rank-deficient",
         ):
             assert name in out
         assert "FAIL" not in out
         assert "max error" in out
+
+    def test_coarse_pivot_cut_fails_rank_deficient_suite(self, monkeypatch):
+        """A pivot cut a million times coarser moves the features of the
+        rank-deficient dictionary away from the dense solve."""
+        monkeypatch.setattr(nystrom, "PINV_RTOL", 1e-4)
+        reports = {r.name: r for r in cli._suite_full_dictionary()}
+        assert not reports["full-dictionary-rank-deficient"].passed
 
     def test_sign_mutation_fails_geometry_suite(self, capsys, monkeypatch):
         """Flipping the posterior covariance sign must trip the suites."""

@@ -7,14 +7,18 @@ variance-proportional resampling contract, against the rho-sandwich that
 the regret analysis relies on, against a dictionary listing each arm once
 (repeats and inclusion weights must change nothing), and, for grid reads
 served from the arm arrays, against a grid-less twin that embeds the grid
-afresh.
+afresh.  The incomplete Cholesky features are checked against the Nystrom
+kernel k(x, D) K_DD^{-1} k(D, x') and, on a rank-deficient dictionary,
+against the dense posterior; a support carried over from the previous
+round must equal one built afresh bitwise and evaluate kernel rows only
+for the arms it appends.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_icm
-from mtbandit import kernels, nystrom, posterior
+from conftest import dense_posterior_cov, dense_posterior_mean, random_icm
+from mtbandit import benchmarks, kernels, nystrom, posterior
 
 ETA = 0.1
 
@@ -83,15 +87,70 @@ class TestDictionary:
         assert counter.draws == T * (T + 1) // 2
 
 
-class TestTruncatedInverseSqrt:
-    def test_pseudo_inverse_identity(self):
-        """E^T E equals the pseudo-inverse of the PSD input."""
+class TestIncompleteCholeskyFeatures:
+    def test_reproduces_kernel_on_well_separated_arms(self):
+        """On well-separated arms the features reproduce k(D, D) on the
+        dictionary, and k(x, D) K_DD^{-1} k(D, x') at the other arms and at
+        points embedded by forward substitution."""
         rng = np.random.default_rng(2)
-        A = rng.normal(size=(6, 4))
-        M = A @ A.T  # rank 4
-        E = nystrom._truncated_inv_sqrt(M)
-        np.testing.assert_allclose(E.T @ E, np.linalg.pinv(M, hermitian=True), atol=1e-8)
-        assert E.shape[0] == 4
+        k = kernels.SquaredExponential(0.3)
+        arms = np.vstack([np.linspace(0.0, 3.0, 7)[:, None] * [1.0, 0.5], rng.random((5, 2))])
+        D = np.array([0, 3, 1, 5, 2])
+        f = nystrom._Features(k, arms, D, cut=nystrom.PINV_RTOL)
+        assert f.F.shape == (5, 12)
+        K_DD = k.pairwise(arms[D], arms[D])
+        np.testing.assert_allclose(f.F[:, D].T @ f.F[:, D], K_DD, atol=1e-12)
+        Xq = rng.random((6, 2)) * 3.0
+        for P, Q in ((arms, arms), (arms, Xq), (Xq, Xq)):
+            nys = k.pairwise(P, arms[D]) @ np.linalg.solve(K_DD, k.pairwise(arms[D], Q))
+            Fp = f.F if P is arms else f.embed(k, arms, P)
+            Fq = f.F if Q is arms else f.embed(k, arms, Q)
+            np.testing.assert_allclose(Fp.T @ Fq, nys, atol=1e-12)
+
+    def test_rank_deficient_dictionary(self):
+        """On 45 of the 101 rkhs grid arms at lengthscale 0.2 the dictionary
+        is numerically rank-deficient: every skipped arm's pivot is at most
+        the cut and every kept one above it, and a full-dictionary state
+        agrees with the dense exact posterior within 1e-5."""
+        rng = np.random.default_rng(15)
+        grid = np.linspace(0.0, 1.0, 101)[:, None]
+        kern = kernels.ICMKernel(kernels.SquaredExponential(0.2), kernels.gram_coupling(4, rng))
+        D = rng.choice(101, size=45, replace=False)
+        cut = nystrom.PINV_RTOL
+        f = nystrom._Features(kern.scalar, grid, D, cut)
+        starts = np.concatenate([[0], f.ends[:-1]])
+        pivots = np.array([1.0 - f.F[:n, a] @ f.F[:n, a] for a, n in zip(D, starts)])
+        skipped = f.ends == starts
+        assert 0 < f.F.shape[0] < 45 and np.all(pivots[skipped] <= cut)
+        assert np.all(pivots[~skipped] > cut)
+        state = nystrom.NystromState(kern, ETA, q=1e12, rng=np.random.default_rng(0), grid=grid)
+        X, Y = grid[np.concatenate([D, D[:20]])], rng.normal(size=(65, 4))
+        for x, y in zip(X, Y):
+            state.update(x, y)
+        np.testing.assert_allclose(
+            state.mean_batch(grid), dense_posterior_mean(kern, X, Y, ETA, grid), atol=1e-5
+        )
+        for j in range(0, 101, 10):
+            np.testing.assert_allclose(
+                state.cov(grid[j]), dense_posterior_cov(kern, X, Y, ETA, grid[j]), atol=1e-5
+            )
+
+    def test_no_subnormal_on_branin(self):
+        """After 30 rounds on the 625-arm branin grid at lengthscale 0.2 no
+        feature entry is nonzero below sqrt(tiny), and the means, residual
+        blocks and covariance norms at the arms hold no subnormal."""
+        env = benchmarks.make_shifted_branin()
+        kern = kernels.ICMKernel(kernels.SquaredExponential(0.2), kernels.omega_coupling(0.5, 9))
+        state = nystrom.NystromState(kern, ETA, q=1e12, rng=np.random.default_rng(1),
+                                     grid=env.grid)
+        rng = np.random.default_rng(2)
+        for idx in rng.choice(env.grid.shape[0], size=30):
+            state.update(env.grid[idx], env.observe(idx, rng))
+        s, tiny = state._support, np.finfo(float).tiny
+        F = s._feats[0].F
+        assert not np.any((F != 0) & (np.abs(F) < np.sqrt(tiny)))
+        for M in (s.means, *s.res, s.norms):
+            assert not np.any((M != 0) & (np.abs(M) < tiny))
 
 
 def _full_dictionary_kernel(name, rng):
@@ -262,6 +321,19 @@ class TestDistinctArmSupport:
         assert every.logdet_sum == once.logdet_sum
 
 
+class _Schedule:
+    """Uniform draws that keep, at round t, exactly the history positions
+    ``keeps[t - 1]`` (draw 0 for a kept position, 1 for any other)."""
+
+    def __init__(self, keeps):
+        self.keeps = iter(keeps)
+
+    def random(self, size):
+        draws = np.ones(size)
+        draws[next(self.keeps)] = 0.0
+        return draws
+
+
 class _Fresh(nystrom._Support):
     """A support built without the previous one."""
 
@@ -320,6 +392,31 @@ class TestSupportCarryOver:
         assert any((d - dicts[t - 1]) & set().union(*dicts[:t - 1]) for t, d in enumerate(dicts)
                    if t > 1)
         assert entries[0] < entries[1]
+
+    @pytest.mark.parametrize("name", ["icm", "icm-as-sum-separable", "diagonal"])
+    def test_kernel_rows_evaluated(self, name, monkeypatch):
+        """A rebuild whose dictionary appends one arm evaluates one kernel row
+        k(a, arms) per basis kernel, and one with the same arms none, also
+        when it samples other visits of them: the support lists its arms in
+        first-visit order, so the same arms give the same factor."""
+        rng = np.random.default_rng(22)
+        kern = _full_dictionary_kernel(name, rng)
+        G = rng.random((20, 2))
+        visits = [0, 1, 1, 2, 0, 2, 3]
+        # Kept history positions per round; the arm sets are [0], [0, 1],
+        # [0, 1], [0, 1, 2] three times (sampled in other orders) and [0, 1, 2, 3].
+        keeps = [[0], [0, 1], [0, 2], [0, 1, 3], [1, 3, 4], [2, 4, 5], [0, 1, 3, 6]]
+        state = nystrom.NystromState(kern, ETA, q=1.0, rng=_Schedule(keeps), grid=G)
+        calls = []
+        for k in state._basis.kernels:
+            cross = k._cross
+            monkeypatch.setattr(k, "_cross", lambda X, Z, f=cross: calls.append(
+                (X.shape[0], Z.shape[0])) or f(X, Z))
+        appends = [1, 1, 0, 1, 0, 0, 1]
+        for v, n in zip(visits, appends):
+            calls.clear()
+            state.update(G[v], rng.normal(size=kern.n))
+            assert calls == [(1, 20)] * n * len(state._basis.kernels)
 
 
 class TestPriorAndValidation:
