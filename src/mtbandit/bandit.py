@@ -266,7 +266,8 @@ def run(
         model = NystromState(kernel, config.eta, q, np.random.default_rng(dict_ss), grid=grid)
         radius = beta_tilde_t
 
-    lambdas = np.empty((T, n))
+    # The round weights are one stack: the stream serves nothing else.
+    lambdas = weight_dist.sample_stack(rng_lam, T)
     x_indices = np.empty(T, dtype=int)
     Y = np.empty((T, n))
     u_values = np.empty(T)
@@ -281,7 +282,7 @@ def run(
     means, norms = model.mean_batch(grid), model.cov_norm_batch(grid)
     for t in range(T):
         tic = time.perf_counter_ns() if timing else 0
-        lam = weight_dist.sample(rng_lam)
+        lam = lambdas[t]
         beta = float(radius(config, model.logdet_sum))
         scores = _scores(scalarization, lam, beta, means, norms)
         idx = int(np.argmax(scores))
@@ -290,7 +291,6 @@ def run(
         model.update(grid[idx], y)
         means, norms = model.mean_batch(grid), model.cov_norm_batch(grid)
 
-        lambdas[t] = lam
         x_indices[t] = idx
         Y[t] = y
         u_values[t] = scores[idx]

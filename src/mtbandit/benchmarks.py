@@ -4,6 +4,11 @@ Environments are immutable: a finite candidate grid, the noiseless
 objective values on it, and a noise scale.  Observation noise is drawn
 from the caller's rng stream, so environments can be shared across
 concurrent runs.
+
+Regret accounting works on weight stacks: the T round weights of a run,
+or the n_mc Monte-Carlo draws of the Bayes regret, score the grid in one
+``Scalarization.value_stack`` call, a (k, N) array, with the same bits
+as one call per weight.
 """
 
 from dataclasses import dataclass
@@ -208,14 +213,12 @@ def scalarized_optimum(env: Environment, scalarization: Scalarization, lam):
 
 # Regret metrics ==============================================================
 def instantaneous_regrets(result, env: Environment, scalarization: Scalarization) -> np.ndarray:
-    """Per-round gaps s_{lambda_t}(f(x*_{lambda_t})) - s_{lambda_t}(f(x_t))."""
-    T = result.horizon
-    out = np.empty(T)
-    for t in range(T):
-        lam = result.lambdas[t]
-        vals = scalarization.value_batch(lam, env.values)
-        out[t] = float(np.max(vals)) - float(vals[result.x_indices[t]])
-    return out
+    """Per-round gaps s_{lambda_t}(f(x*_{lambda_t})) - s_{lambda_t}(f(x_t)).
+
+    The T round weights score the grid as one (T, N) stack.
+    """
+    vals = scalarization.value_stack(result.lambdas, env.values)
+    return vals.max(axis=1) - vals[np.arange(result.horizon), result.x_indices]
 
 
 def cumulative_regret(result, env: Environment, scalarization: Scalarization) -> np.ndarray:
@@ -237,21 +240,21 @@ def bayes_regret(
     Draws one set of n_mc weights, and for each checkpoint T' reports the
     mean over draws of s_lambda(f(x*_lambda)) - max_{t <= T'}
     s_lambda(f(x_t)).  Evaluating a fixed weight set over growing
-    prefixes makes the series non-increasing in T'.
+    prefixes makes the series non-increasing in T'.  The weights are one
+    stack, scoring the grid (n_mc, N) and the queried points (n_mc, T)
+    in one call each.
     """
     if rng is None:
         rng = np.random.default_rng()
     checkpoints = [int(c) for c in checkpoints]
     if any(c < 1 or c > result.horizon for c in checkpoints):
         raise ValueError("checkpoints must lie in [1, horizon]")
-    lams = [weight_dist.sample(rng) for _ in range(n_mc)]
-    # Scalarized values of every queried point and the grid optimum per draw.
-    selected = env.values[result.x_indices]  # (T, n)
-    gaps = np.empty((n_mc, len(checkpoints)))
-    for i, lam in enumerate(lams):
-        opt = float(np.max(scalarization.value_batch(lam, env.values)))
-        svals = scalarization.value_batch(lam, selected)
-        best = np.maximum.accumulate(svals)
-        for j, c in enumerate(checkpoints):
-            gaps[i, j] = opt - best[c - 1]
+    lams = weight_dist.sample_stack(rng, n_mc)
+    opt = scalarization.value_stack(lams, env.values).max(axis=1)
+    best = np.maximum.accumulate(scalarization.value_stack(lams, env.values[result.x_indices]),
+                                 axis=1)
+    # np.take keeps the gaps C-ordered: mean(axis=0) then sums the draws one
+    # row after another, as over the rows of a per-draw loop; an F-ordered
+    # array would be summed pairwise, with other last bits.
+    gaps = opt[:, None] - np.take(best, np.array(checkpoints) - 1, axis=1)
     return gaps.mean(axis=0)

@@ -429,22 +429,24 @@ def _write_csv(path: str, header, rows):
 
 
 def write_trace(path: str, result: bandit.RunResult, inst_regret: np.ndarray):
-    cum = np.cumsum(inst_regret)
-    rows = []
-    for t in range(result.horizon):
-        rows.append(
-            (
-                t + 1,
-                _fmt_vector(result.lambdas[t]),
-                _fmt_vector(result.X[t]),
-                _fmt_vector(result.Y[t]),
-                _fmt_float(result.betas[t]),
-                int(result.m_sizes[t]),
-                _fmt_float(inst_regret[t]),
-                _fmt_float(cum[t]),
-                int(result.micros[t]),
-            )
-        )
+    """One row per round, formatted from Python floats (``tolist``); a float
+    and the numpy scalar of the same value print the same ``repr``."""
+
+    def vectors(M):
+        return [";".join(map(repr, row)) for row in np.asarray(M, dtype=float).tolist()]
+
+    inst = np.asarray(inst_regret, dtype=float)
+    rows = zip(
+        range(1, result.horizon + 1),
+        vectors(result.lambdas),
+        vectors(result.X),
+        vectors(result.Y),
+        map(repr, result.betas.tolist()),
+        result.m_sizes.tolist(),
+        map(repr, inst.tolist()),
+        map(repr, np.cumsum(inst).tolist()),
+        result.micros.tolist(),
+    )
     _write_csv(path, _TRACE_HEADER, rows)
 
 

@@ -245,11 +245,17 @@ class _Support:
     Built from the distinct dictionary arms (indices into the arms, each
     once and unweighted), the arms and their visit counts and output sums;
     the prior blocks k(a, a) are evaluated at every arm.  Per kernel it
-    keeps the features over the arms (``_Features``) and the rotation Q^T
-    of the history Gram, and per system the shrink factors
-    xi_g lambda / (xi_g lambda + eta) and the mean coordinates, for reads
-    away from the arms.  ``means``, ``res`` (per-system residual blocks)
-    and ``norms`` hold the model at every arm.
+    keeps the features over the arms (``_Features``), the rotation Q^T of
+    the history Gram, the shrink factors xi_g lambda / (xi_g lambda + eta)
+    of its G_i systems as one (G_i, r) array, and the mean coordinates of
+    all their right-hand sides side by side (``_TaskBasis.by_kernel``), for
+    reads away from the arms.  ``means``, ``res`` (residual blocks, one
+    (N, b, b) stack per system) and ``norms`` hold the model at every arm.
+
+    Each kernel takes one pass over all of its systems, whatever the block
+    size b: the right-hand sides of every system come from one product
+    with phi_U, and the residual blocks of every system from one product
+    of the shrink factors with the entry products of the b x b blocks.
 
     ``prev``, the previous round's support, lends the feature rows of the
     longest common prefix of the two dictionaries when the arms are the
@@ -267,23 +273,22 @@ class _Support:
         ucols = _block_cols(seen, b)
         c = np.repeat(counts[seen], b).astype(float)
         prior = [k.diag_blocks(arms) for k in basis.kernels]
-        self._feats, self._rot, phis, lams = [], [], [], []
-        for i, k in enumerate(basis.kernels):
+        self._feats, self._rot, self._shrink, self._z, phis = [], [], [], [], []
+        for i, (k, (g, pos, owner)) in enumerate(zip(basis.kernels, basis.by_kernel)):
             cut = PINV_RTOL * np.max(np.diagonal(prior[i], axis1=1, axis2=2))
             f = _Features(k, arms, dict_arms, cut, prev._feats[i] if keep else None, keep)
             FU = f.F[:, ucols]
             # The history Gram V = Phi_U diag(c) Phi_U^T.
             lam, Q = la.eigh((FU * c) @ FU.T, driver="evd", check_finite=False)
+            phi = Q.T @ f.F  # (r, A b), rotated
+            xi = basis._xi[g, None]
+            inv = 1.0 / (xi * lam + eta)
+            rhs = phi[:, ucols] @ Yp[:, pos.ravel()].reshape(ucols.size, -1)
             self._feats.append(f)
             self._rot.append(Q.T)
-            phis.append(Q.T @ f.F)  # (r, A b), rotated
-            lams.append(lam)
-        self._shrink, self._z = [], []
-        for i, xi, cols in basis.systems:
-            inv = 1.0 / (xi * lams[i] + eta)
-            rhs = phis[i][:, ucols] @ Yp[:, cols].reshape(ucols.size, -1)
-            self._shrink.append(xi * lams[i] * inv)
-            self._z.append(inv[:, None] * rhs)
+            self._shrink.append(xi * lam * inv)
+            self._z.append(inv[owner].T * rhs)
+            phis.append(phi)
         self.means = self.mean_at(phis, arms.shape[0])
         self.res = self.residuals_at(phis, prior)
         self.norms = basis.assemble_cov_norm(self.res, None)
@@ -294,25 +299,26 @@ class _Support:
                 for R, f, k in zip(self._rot, self._feats, self.basis.kernels)]
 
     def mean_at(self, phis, N) -> np.ndarray:
-        """Means (N, n) from rotated embeddings."""
-        parts = [phis[i].T @ z for (i, _, _), z in zip(self.basis.systems, self._z)]
-        return self.basis.assemble_mean(parts, N)
+        """Means (N, n) from rotated embeddings, one product per kernel."""
+        return self.basis.assemble_mean([phi.T @ z for phi, z in zip(phis, self._z)], N)
 
-    def residuals_at(self, phis, prior) -> list:
-        """Per-system blocks R~_g = k_i(x, x) - phi^T diag(shrink_g) phi, each (N, b, b).
+    def residuals_at(self, phis, prior) -> np.ndarray:
+        """Residual blocks R~_g = k_i(x, x) - phi^T diag(shrink_g) phi, (G, N, b, b).
 
         Per kernel the entry products of every row's b x b blocks are formed
-        once; each system weighs them by its shrink factors in one product.
+        once and weighed by the shrink factors of all its systems in one
+        product.
         """
-        b, outer = self.basis.b, []
-        for phi in phis:
-            p = phi.reshape(phi.shape[0], -1, b)
-            outer.append((p[..., :, None] * p[..., None, :]).reshape(phi.shape[0], -1))
-        return [prior[i] - (s @ outer[i]).reshape(prior[i].shape)
-                for (i, _, _), s in zip(self.basis.systems, self._shrink)]
+        b, N = self.basis.b, prior[0].shape[0]
+        res = np.empty((len(self.basis.systems), N, b, b))
+        for phi, s, P, (g, _, _) in zip(phis, self._shrink, prior, self.basis.by_kernel):
+            p = phi.reshape(phi.shape[0], N, b)
+            outer = (p[..., :, None] * p[..., None, :]).reshape(phi.shape[0], -1)
+            res[g] = P - (s @ outer).reshape(g.size, N, b, b)
+        return res
 
-    def residuals(self, Xq) -> list:
-        """Per-system residual blocks at a stack of queries, embedded afresh."""
+    def residuals(self, Xq) -> np.ndarray:
+        """Residual blocks (G, N, b, b) at a stack of queries, embedded afresh."""
         return self.residuals_at(self.embed(Xq), [k.diag_blocks(Xq) for k in self.basis.kernels])
 
 
@@ -401,21 +407,23 @@ class NystromState(_Posterior):
         self._record(a, y)
         basis = self._basis
         if self._support is None:
-            res = [basis.kernels[i].diag_blocks(self._arms) for i, _, _ in basis.systems]
+            res = np.stack([basis.kernels[i].diag_blocks(self._arms) for i, _, _ in basis.systems])
             norms = basis.assemble_cov_norm(res, None)
         else:
             res, norms = self._support.res, self._support.norms
             if a == norms.shape[0]:
                 new = self._support.residuals(self._arms[a:a + 1])
-                res = [np.concatenate(pair) for pair in zip(res, new)]
+                res = np.concatenate([res, new], axis=1)
                 norms = np.append(norms, basis.assemble_cov_norm(new, None))
-        increment = _logdet_ratio(basis.assemble_cov([R[a] for R in res], None), self.eta, None)
+        increment = _logdet_ratio(basis.assemble_cov(res[:, a], None), self.eta, None)
         self.dictionary = resample_dictionary(norms[self._hist_arm], self.q, self.rng)
         # Distinct sampled arms in first-visit order: repeats and weights
         # leave the span of the support features, hence Phi^T Phi, unchanged.
+        sampled = np.zeros(self._arms.shape[0], dtype=bool)
+        sampled[self._hist_arm[self.dictionary.indices]] = True
         visited = np.array(self._visited)
         self._support = _Support(
-            basis, self.eta, visited[np.isin(visited, self._hist_arm[self.dictionary.indices])],
+            basis, self.eta, visited[sampled[visited]],
             self._arms, self._counts, self._sums, prev=self._support,
         )
         return increment
@@ -433,8 +441,7 @@ class NystromState(_Posterior):
         """Approximate covariance Gamma~_t(x, x), symmetric PSD-clamped."""
         if self._support is None:
             return _clamp_spectrum(self.kernel.diag_block(x), None, matrix=True)
-        res = self._support.residuals(_as_points(x))
-        return self._basis.assemble_cov([R[0] for R in res], None)
+        return self._basis.assemble_cov(self._support.residuals(_as_points(x))[:, 0], None)
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
         Xq = _as_points(Xq)

@@ -246,9 +246,12 @@ class _Posterior:
         The logdet accumulator is incremented with the predictive
         covariance at x *before* the point is added.  Every check runs
         before the history grows, so an invalid observation leaves the
-        state unchanged.
+        state unchanged.  x is one point: a d-vector or a single row.
         """
-        x = _as_points(x)[0]
+        X = _as_points(x)
+        if X.shape[0] != 1:
+            raise ValueError(f"update takes one point, got an input of shape {np.shape(x)}")
+        x = X[0]
         d = self.X.shape[1]
         if (self.t or d) and x.shape[0] != d:
             raise ValueError(f"input has dimension {x.shape[0]}, the posterior expects {d}")
@@ -304,17 +307,27 @@ class _TaskBasis:
         self.b = self.kernels[0].n  # the block size, shared by every system
         self.r = [cols.size // self.b for _, _, cols in self.systems]  # right-hand sides
         self._xi = np.array([xi for _, xi, _ in self.systems])
+        # Per kernel: its systems, the basis columns (b, R) of all their
+        # right-hand sides side by side, and the system (0 .. G_i - 1) of each.
+        self.by_kernel = []
+        for i in range(len(self.kernels)):
+            g = np.array([j for j, (k, _, _) in enumerate(self.systems) if k == i])
+            pos = np.concatenate([self.systems[j][2].reshape(self.b, -1) for j in g], axis=1)
+            self.by_kernel.append((g, pos, np.repeat(np.arange(g.size), [self.r[j] for j in g])))
 
     def project(self, Y) -> np.ndarray:
         """Outputs in basis coordinates, Y U."""
         return np.asarray(Y, dtype=float) @ self.U
 
     def assemble_mean(self, parts, N) -> np.ndarray:
-        """sum_g xi_g parts_g U_g^T for per-system coordinates parts_g (N b_g, r_g)."""
-        out = np.zeros((N, self.U.shape[0]))
-        for (_, xi, cols), part in zip(self.systems, parts):
-            out += xi * part.reshape(N, cols.size) @ self.U[:, cols].T
-        return out
+        """sum_g xi_g parts_g U_g^T from per-kernel coordinates (N b, R_i), whose
+        columns are the right-hand sides of the kernel's systems side by side
+        (``by_kernel``), as one product (N, n) @ U^T of the weighted coordinates
+        in basis order."""
+        coords = np.zeros((N, self.U.shape[1]))
+        for part, (g, pos, owner) in zip(parts, self.by_kernel):
+            coords[:, pos] = self._xi[g][owner] * part.reshape(N, *pos.shape)
+        return coords @ self.U.T
 
     def assemble_cov(self, res, cap) -> np.ndarray:
         """sum_g U_g (xi_g R_g (x) I) U_g^T for one query's residual blocks R_g,
@@ -328,7 +341,7 @@ class _TaskBasis:
 
     def assemble_cov_norm(self, res, cap) -> np.ndarray:
         """max_g lambda_max(xi_g R_g(x)) per query, clamped to [0, cap]."""
-        tops = self._xi[:, None] * _clamp_spectrum(np.array(res), None)[..., -1]
+        tops = self._xi[:, None] * _clamp_spectrum(np.asarray(res), None)[..., -1]
         return _clamp_spectrum(np.max(tops, axis=0), cap)
 
 
@@ -471,7 +484,10 @@ class PosteriorState(_Posterior):
         if self.t == 0:
             return np.zeros((N, self.kernel.n))
         coords = self._coords if Xq is self._grid else self._at(Xq)[1]
-        return self._basis.assemble_mean([w[:N * b, :r] for w, r in zip(coords, self._basis.r)], N)
+        r = self._basis.r
+        return self._basis.assemble_mean(
+            [np.concatenate([coords[j, :N * b, :r[j]] for j in g], axis=1)
+             for g, _, _ in self._basis.by_kernel], N)
 
     def cov(self, x) -> np.ndarray:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues

@@ -7,6 +7,14 @@ Lambda = {lambda > 0 : ||lambda||_1 = 1}.  Both kinds here are monotone
 s_lambda(f(x)) over a candidate set returns a Pareto-optimal point, and
 Lipschitz in the l2 norm with a per-lambda constant used by the
 acquisition rule.
+
+Both work on stacks.  ``Scalarization.value_stack`` scores k weights
+against N objective rows in one pass over the n task columns, a running
+minimum (Chebyshev) or sum (linear) of (k, N) products, so no (k, N, n)
+array is formed; a single weight is a stack of one.
+``WeightDistribution.sample_stack`` draws k weights from one uniform
+block, bitwise the rows of k sequential ``sample`` calls from the same
+stream, rejected rows and the fallback included.
 """
 
 import abc
@@ -28,36 +36,56 @@ _MIN_COORD = 1e-12
 _MAX_RESAMPLE = 100
 
 
-def _check_weight(lam: np.ndarray, n: int) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    if lam.shape[0] != n:
-        raise ValueError(f"weight has {lam.shape[0]} coordinates, expected {n}")
-    return lam
+def _check_weights(lams, n: int) -> np.ndarray:
+    """A stack of weights as a (k, n) float array."""
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))
+    if lams.ndim != 2 or lams.shape[1] != n:
+        raise ValueError(f"weights have shape {lams.shape}, expected (k, {n})")
+    return lams
 
 
 # Scalarizations ==============================================================
 class Scalarization(abc.ABC):
     """Monotone Lipschitz map from R^n to R, parameterized by a weight."""
 
-    @abc.abstractmethod
+    def value_stack(self, lams, Y) -> np.ndarray:
+        """s_lambda of each row of Y (N, n) for each weight of lams (k, n); returns (k, N).
+
+        One pass over the task columns: the running combination of the
+        (k, N) products lambda_j y_j, so no (k, N, n) array is formed.
+        """
+        Y = self._shifted(np.atleast_2d(np.asarray(Y, dtype=float)))
+        lams = _check_weights(lams, Y.shape[1])
+        out = lams[:, :1] * Y[:, 0]
+        for j in range(1, Y.shape[1]):
+            self._combine(out, lams[:, j:j + 1] * Y[:, j])
+        return out
+
     def value_batch(self, lam, Y) -> np.ndarray:
         """s_lambda applied to each row of Y (N, n); returns (N,)."""
+        return self.value_stack(np.asarray(lam, dtype=float).reshape(1, -1), Y)[0]
+
+    def value(self, lam, y) -> float:
+        return float(self.value_batch(lam, np.asarray(y, dtype=float)[None, :])[0])
+
+    def _shifted(self, Y) -> np.ndarray:
+        """The objective rows the weights act on."""
+        return Y
+
+    @abc.abstractmethod
+    def _combine(self, out, term):
+        """Fold the weighted task column term (k, N) into out, in place."""
 
     @abc.abstractmethod
     def lipschitz(self, lam) -> float:
         """Constant L_lambda with |s(u) - s(v)| <= L_lambda ||u - v||_2."""
 
-    def value(self, lam, y) -> float:
-        return float(self.value_batch(lam, np.asarray(y, dtype=float)[None, :])[0])
-
 
 class LinearScalarization(Scalarization):
     """s_lambda(y) = lambda^T y with L_lambda = ||lambda||_2."""
 
-    def value_batch(self, lam, Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        lam = _check_weight(lam, Y.shape[1])
-        return Y @ lam
+    def _combine(self, out, term):
+        out += term
 
     def lipschitz(self, lam):
         return float(np.linalg.norm(np.asarray(lam, dtype=float)))
@@ -80,17 +108,18 @@ class ChebyshevScalarization(Scalarization):
             None if reference is None else np.asarray(reference, dtype=float).reshape(-1)
         )
 
-    def value_batch(self, lam, Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        lam = _check_weight(lam, Y.shape[1])
-        if self.reference is not None:
-            if self.reference.shape[0] != Y.shape[1]:
-                raise ValueError(
-                    f"reference has {self.reference.shape[0]} coordinates, "
-                    f"objectives have {Y.shape[1]}"
-                )
-            Y = Y - self.reference
-        return (Y * lam).min(axis=1)
+    def _shifted(self, Y):
+        if self.reference is None:
+            return Y
+        if self.reference.shape[0] != Y.shape[1]:
+            raise ValueError(
+                f"reference has {self.reference.shape[0]} coordinates, "
+                f"objectives have {Y.shape[1]}"
+            )
+        return Y - self.reference
+
+    def _combine(self, out, term):
+        np.minimum(out, term, out=out)
 
     def lipschitz(self, lam):
         return float(np.max(np.asarray(lam, dtype=float)))
@@ -101,7 +130,13 @@ class ChebyshevScalarization(Scalarization):
 
 # Weight distributions ========================================================
 class WeightDistribution(abc.ABC):
-    """Sampler over the open probability simplex."""
+    """Sampler over the open probability simplex.
+
+    A weight is a map of one uniform row u in [0, 1]^n (``_from_uniform``).
+    A row with a coordinate below _MIN_COORD is rejected and the next one
+    drawn; after _MAX_RESAMPLE rejected rows the weight is the map of the
+    row 1/n (probability ~0; keeps the sampler total).
+    """
 
     def __init__(self, n: int):
         if n < 1:
@@ -109,28 +144,41 @@ class WeightDistribution(abc.ABC):
         self.n = n
 
     @abc.abstractmethod
+    def _from_uniform(self, U) -> np.ndarray:
+        """Weights (k, n) from positive uniform rows U (k, n), row by row."""
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One weight lambda with lambda > 0 and ||lambda||_1 = 1."""
+        return self.sample_stack(rng, 1)[0]
 
-    def _positive_uniform(self, rng) -> np.ndarray:
-        """Uniform draw from [0, 1]^n with every coordinate >= _MIN_COORD.
+    def sample_stack(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k weights (k, n): bitwise the k sequential ``sample`` draws from the
+        same stream, consuming the same uniforms.
 
-        Falls back to the uniform weight after _MAX_RESAMPLE rejections
-        (probability ~0; keeps the sampler total).
+        The uniforms form a stream of rows, and a weight ends at its first
+        kept row or at the _MAX_RESAMPLE-th rejected row of its run.  Each
+        draw adds one row per weight still open; a row ends at most one
+        weight, so no row beyond the k-th weight's last is drawn.
         """
-        for _ in range(_MAX_RESAMPLE):
-            u = rng.random(self.n)
-            if np.all(u >= _MIN_COORD):
-                return u
-        return np.full(self.n, 1.0 / self.n)
+        n = self.n
+        U = rng.random(k * n).reshape(k, n)
+        while True:
+            ok = np.all(U >= _MIN_COORD, axis=1)
+            rejected = np.cumsum(~ok)
+            # Place of each rejected row in its run; 0 on a kept row.
+            run = rejected - np.maximum.accumulate(np.where(ok, rejected, 0))
+            ends = np.flatnonzero(ok | (run % _MAX_RESAMPLE == 0))
+            if ends.size == k:
+                break
+            U = np.vstack([U, rng.random((k - ends.size) * n).reshape(-1, n)])
+        return self._from_uniform(np.where(ok[ends, None], U[ends], 1.0 / n))
 
 
 class UniformSimplexWeights(WeightDistribution):
     """lambda = u / ||u||_1 with u drawn uniformly from [0, 1]^n."""
 
-    def sample(self, rng):
-        u = self._positive_uniform(rng)
-        return u / np.sum(u)
+    def _from_uniform(self, U):
+        return U / np.sum(U, axis=1, keepdims=True)
 
     def __repr__(self):
         return f"UniformSimplexWeights(n={self.n})"
@@ -143,10 +191,9 @@ class InverseWeightedWeights(WeightDistribution):
     objectives that a uniform draw would deprioritize.
     """
 
-    def sample(self, rng):
-        u = self._positive_uniform(rng)
-        alpha = np.sum(u) / u
-        return alpha / np.sum(alpha)
+    def _from_uniform(self, U):
+        alpha = np.sum(U, axis=1, keepdims=True) / U
+        return alpha / np.sum(alpha, axis=1, keepdims=True)
 
     def __repr__(self):
         return f"InverseWeightedWeights(n={self.n})"

@@ -5,6 +5,9 @@ sine, shifted Branin), the Pareto / scalarized-optimum oracles, and the
 regret series, each against closed forms or brute-force recomputation.
 """
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -228,3 +231,85 @@ class TestRegretSeries:
                 res, env, scal, scalarize.InverseWeightedWeights(2),
                 checkpoints=[0], rng=np.random.default_rng(0),
             )
+
+
+def _reference_instantaneous(result, env, scalarization):
+    """Per-weight loop: one value_batch call per round."""
+    out = np.empty(result.horizon)
+    for t in range(result.horizon):
+        vals = scalarization.value_batch(result.lambdas[t], env.values)
+        out[t] = float(np.max(vals)) - float(vals[result.x_indices[t]])
+    return out
+
+
+def _reference_bayes(result, env, scalarization, weight_dist, checkpoints, n_mc, rng):
+    """Per-weight loop: one sample and two value_batch calls per draw."""
+    lams = [weight_dist.sample(rng) for _ in range(n_mc)]
+    selected = env.values[result.x_indices]
+    gaps = np.empty((n_mc, len(checkpoints)))
+    for i, lam in enumerate(lams):
+        opt = float(np.max(scalarization.value_batch(lam, env.values)))
+        best = np.maximum.accumulate(scalarization.value_batch(lam, selected))
+        for j, c in enumerate(checkpoints):
+            gaps[i, j] = opt - best[c - 1]
+    return gaps.mean(axis=0)
+
+
+def _stacked_case(T, N, n, seed=0):
+    rng = np.random.default_rng(seed)
+    env = benchmarks.Environment("rand", rng.random((N, 1)), rng.normal(size=(N, n)), 0.0)
+    lams = scalarize.InverseWeightedWeights(n).sample_stack(rng, T)
+    result = SimpleNamespace(lambdas=lams, x_indices=rng.integers(0, N, T), horizon=T)
+    return env, result
+
+
+_SCALARIZATIONS = {
+    "chebyshev": lambda n: scalarize.ChebyshevScalarization(),
+    "chebyshev-reference": lambda n: scalarize.ChebyshevScalarization(-np.linspace(0.5, 1.5, n)),
+    "linear": lambda n: scalarize.LinearScalarization(),
+}
+
+
+class TestStackedAccounting:
+    """The weight stacks give bitwise the per-weight loops' regrets, without
+    a (T, N, n) temporary."""
+
+    @pytest.mark.parametrize("kind", sorted(_SCALARIZATIONS))
+    def test_instantaneous_regrets_match_loop(self, kind):
+        env, result = _stacked_case(40, 70, 4)
+        scal = _SCALARIZATIONS[kind](4)
+        np.testing.assert_array_equal(benchmarks.instantaneous_regrets(result, env, scal),
+                                      _reference_instantaneous(result, env, scal))
+
+    @pytest.mark.parametrize("kind", sorted(_SCALARIZATIONS))
+    @pytest.mark.parametrize("dist_cls", [scalarize.UniformSimplexWeights,
+                                          scalarize.InverseWeightedWeights])
+    def test_bayes_regret_matches_loop(self, kind, dist_cls):
+        env, result = _stacked_case(40, 70, 4, seed=1)
+        scal, dist, checkpoints = _SCALARIZATIONS[kind](4), dist_cls(4), [1, 7, 20, 40]
+        got = benchmarks.bayes_regret(result, env, scal, dist, checkpoints, n_mc=300,
+                                      rng=np.random.default_rng(2))
+        ref = _reference_bayes(result, env, scal, dist, checkpoints, 300,
+                               np.random.default_rng(2))
+        np.testing.assert_array_equal(got, ref)
+
+    def test_no_three_way_temporary_at_branin_size(self):
+        """At T = 120, N = 625, n = 9 a (T, N, n) float temporary takes 5.4 MB;
+        the (T, N) values and one (T, N) product take 1.2 MB."""
+        env = benchmarks.make_shifted_branin()
+        T, (N, n) = 120, env.values.shape
+        rng = np.random.default_rng(3)
+        result = SimpleNamespace(lambdas=scalarize.InverseWeightedWeights(n).sample_stack(rng, T),
+                                 x_indices=rng.integers(0, N, T), horizon=T)
+        scal, dist = scalarize.ChebyshevScalarization(), scalarize.InverseWeightedWeights(n)
+        bound = T * N * n * 8 // 2
+        for fn in (lambda: benchmarks.instantaneous_regrets(result, env, scal),
+                   lambda: benchmarks.bayes_regret(result, env, scal, dist, [30, 60, 120],
+                                                   n_mc=T, rng=np.random.default_rng(4))):
+            tracemalloc.start()
+            try:
+                fn()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound

@@ -429,6 +429,16 @@ class TestPriorAndValidation:
         np.testing.assert_allclose(state.cov(x), kern(x, x), atol=1e-12)
         assert state.logdet_sum == 0.0 and state.m == 0
 
+    def test_update_rejects_a_stack_of_points(self):
+        """A stack of several points is refused, naming its shape, before
+        anything is recorded or any uniform is drawn."""
+        rng = _CountingRNG(0)
+        state = nystrom.NystromState(random_icm(np.random.default_rng(9), n=2), ETA, q=10.0,
+                                     rng=rng)
+        with pytest.raises(ValueError, match=r"one point.*\(3, 1\)"):
+            state.update(np.array([[0.1], [0.5], [0.9]]), np.ones(2))
+        assert state.t == 0 and state.m == 0 and state.X.shape[0] == 0 and rng.draws == 0
+
     def test_q_validation(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="q"):

@@ -445,6 +445,14 @@ class TestValidation:
         state.update(np.ones(3), np.ones(2))
         assert state.t == t + 1 and state.mean_batch(np.ones((4, 3))).shape == (4, 2)
 
+    def test_update_rejects_a_stack_of_points(self):
+        """A stack of several points is refused, naming its shape, before
+        anything is recorded; it used to keep the first point and drop the rest."""
+        state = posterior.PosteriorState(random_icm(np.random.default_rng(24), n=2), ETA)
+        with pytest.raises(ValueError, match=r"one point.*\(3, 1\)"):
+            state.update(np.array([[0.1], [0.5], [0.9]]), np.ones(2))
+        assert state.t == 0 and state.logdet_sum == 0.0 and state.X.shape[0] == 0
+
     def test_eta_must_be_positive(self):
         rng = np.random.default_rng(19)
         with pytest.raises(ValueError, match="eta"):

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtbandit.scalarize import (
+    _MAX_RESAMPLE,
+    _MIN_COORD,
     ChebyshevScalarization,
     InverseWeightedWeights,
     LinearScalarization,
@@ -64,6 +66,34 @@ class TestChebyshevScalarization:
             s.value(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
 
 
+class TestValueStack:
+    @pytest.mark.parametrize("reference", [None, [0.3, -0.2, 0.1, 0.0]])
+    def test_chebyshev_rows_are_the_per_weight_minimum(self, reference):
+        """Each row is bitwise min_i lambda_i (y_i - z_i) of the weight alone."""
+        rng = np.random.default_rng(13)
+        lams, Y = rng.random((7, 4)), rng.normal(size=(20, 4))
+        z = np.zeros(4) if reference is None else np.asarray(reference)
+        stack = ChebyshevScalarization(reference).value_stack(lams, Y)
+        assert stack.shape == (7, 20)
+        np.testing.assert_array_equal(stack, [((Y - z) * lam).min(axis=1) for lam in lams])
+
+    def test_linear_rows_are_the_weighted_sums(self):
+        rng = np.random.default_rng(14)
+        lams, Y = rng.random((7, 4)), rng.normal(size=(20, 4))
+        np.testing.assert_allclose(LinearScalarization().value_stack(lams, Y), lams @ Y.T,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("s", [LinearScalarization(), ChebyshevScalarization()])
+    def test_batch_is_a_stack_of_one(self, s):
+        rng = np.random.default_rng(15)
+        lams, Y = rng.random((5, 3)), rng.normal(size=(9, 3))
+        np.testing.assert_array_equal(s.value_stack(lams, Y), [s.value_batch(l, Y) for l in lams])
+
+    def test_weight_length_checked(self):
+        with pytest.raises(ValueError, match="expected"):
+            LinearScalarization().value_stack(np.ones((2, 3)), np.ones((4, 2)))
+
+
 class TestScalarizationProperties:
     @settings(max_examples=60, deadline=None)
     @given(_vec(3), _vec(3), st.integers(0, 10_000))
@@ -93,25 +123,29 @@ class TestScalarizationProperties:
                 assert ChebyshevScalarization().lipschitz(lam) <= 1.0 + 1e-12
 
 
-class _FixedUniform:
-    """Generator stub returning a preset uniform vector once."""
+class _Stream:
+    """Generator stub serving preset uniform rows in order, counting the
+    doubles drawn."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
+    def __init__(self, rows):
+        self.flat = np.asarray(rows, dtype=float).ravel()
+        self.drawn = 0
 
-    def random(self, n):
-        assert n == self.u.shape[0]
-        return self.u.copy()
+    def random(self, size):
+        out = self.flat[self.drawn:self.drawn + size]
+        assert out.size == size, "stream exhausted"
+        self.drawn += size
+        return out.copy()
 
 
 class TestWeightDistributions:
     def test_inverse_weighted_frozen_example(self):
         """u = (0.2, 0.8) maps to lambda = (0.8, 0.2): small coordinates upweighted."""
-        lam = InverseWeightedWeights(2).sample(_FixedUniform([0.2, 0.8]))
+        lam = InverseWeightedWeights(2).sample(_Stream([0.2, 0.8]))
         np.testing.assert_allclose(lam, [0.8, 0.2], atol=1e-15)
 
     def test_uniform_simplex_from_uniform(self):
-        lam = UniformSimplexWeights(3).sample(_FixedUniform([0.2, 0.3, 0.5]))
+        lam = UniformSimplexWeights(3).sample(_Stream([0.2, 0.3, 0.5]))
         np.testing.assert_allclose(lam, [0.2, 0.3, 0.5], atol=1e-15)
 
     @pytest.mark.parametrize("dist_cls", [UniformSimplexWeights, InverseWeightedWeights])
@@ -134,3 +168,69 @@ class TestWeightDistributions:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             UniformSimplexWeights(0)
+
+
+def _reference_sample(dist, rng):
+    """One weight by the sequential rule: redraw a row with a coordinate below
+    _MIN_COORD, up to _MAX_RESAMPLE rows, then fall back to the row 1/n."""
+    for _ in range(_MAX_RESAMPLE):
+        u = rng.random(dist.n)
+        if np.all(u >= _MIN_COORD):
+            break
+    else:
+        u = np.full(dist.n, 1.0 / dist.n)
+    if isinstance(dist, UniformSimplexWeights):
+        return u / np.sum(u)
+    alpha = np.sum(u) / u
+    return alpha / np.sum(alpha)
+
+
+_DISTS = [UniformSimplexWeights, InverseWeightedWeights]
+
+
+class TestSampleStack:
+    """Rows of sample_stack are bitwise the sequential draws, from the same
+    doubles of the stream."""
+
+    @pytest.mark.parametrize("dist_cls", _DISTS)
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_generator(self, dist_cls, n):
+        dist = dist_cls(n)
+        a, b, c = (np.random.default_rng(11) for _ in range(3))
+        stack = dist.sample_stack(a, 50)
+        assert stack.shape == (50, n)
+        np.testing.assert_array_equal(stack, [dist.sample(b) for _ in range(50)])
+        np.testing.assert_array_equal(stack, [_reference_sample(dist, c) for _ in range(50)])
+        tail = a.random(4)
+        np.testing.assert_array_equal(tail, b.random(4))
+        np.testing.assert_array_equal(tail, c.random(4))
+
+    @pytest.mark.parametrize("dist_cls", _DISTS)
+    @pytest.mark.parametrize("rejected", [1, _MAX_RESAMPLE, _MAX_RESAMPLE + 30])
+    def test_rejected_rows(self, dist_cls, rejected):
+        """One row below _MIN_COORD is redrawn; a run of _MAX_RESAMPLE rejected
+        rows ends in the fallback, and a longer run goes on into the next draw."""
+        n, k = 3, 4
+        rng = np.random.default_rng(12)
+        good = rng.uniform(0.1, 1.0, (k + 3, n))
+        bad = rng.uniform(0.1, 1.0, (rejected, n))
+        bad[:, 1] = 0.5 * _MIN_COORD
+        rows = np.vstack([good[:1], bad, good[1:]])
+        dist = dist_cls(n)
+        stack_rng, seq_rng, ref_rng = _Stream(rows), _Stream(rows), _Stream(rows)
+        stack = dist.sample_stack(stack_rng, k)
+        np.testing.assert_array_equal(stack, [dist.sample(seq_rng) for _ in range(k)])
+        np.testing.assert_array_equal(stack, [_reference_sample(dist, ref_rng) for _ in range(k)])
+        assert stack_rng.drawn == seq_rng.drawn == ref_rng.drawn
+        # Every rejected row was consumed; a fallback weight takes no kept row.
+        fallbacks = rejected // _MAX_RESAMPLE
+        assert stack_rng.drawn == n * (rejected + k - fallbacks)
+        if fallbacks:
+            all_rejected = _Stream(np.full((_MAX_RESAMPLE, n), 0.5 * _MIN_COORD))
+            np.testing.assert_array_equal(stack[1], _reference_sample(dist, all_rejected))
+
+    @pytest.mark.parametrize("dist_cls", _DISTS)
+    def test_empty_stack(self, dist_cls):
+        stream = _Stream(np.zeros((0, 2)))
+        assert dist_cls(2).sample_stack(stream, 0).shape == (0, 2)
+        assert stream.drawn == 0
