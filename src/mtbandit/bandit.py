@@ -135,9 +135,10 @@ def dictionary_multiplier(epsilon: float, horizon: int, delta: float) -> float:
 
 
 # Confidence radii ============================================================
-def beta_t(config: AlgorithmConfig, logdet_sum: float) -> float:
-    """Exact-posterior radius from the accumulated per-round log-dets."""
-    if logdet_sum < 0:
+def beta_t(config: AlgorithmConfig, logdet_sum):
+    """Exact-posterior radius from the accumulated per-round log-dets; an
+    array of sums gives an array of radii."""
+    if np.any(logdet_sum < 0):
         raise ValueError(f"logdet_sum must be >= 0, got {logdet_sum}")
     return config.rkhs_bound + (config.noise_sigma / np.sqrt(config.eta)) * np.sqrt(
         2.0 * np.log(1.0 / config.delta) + logdet_sum
@@ -161,11 +162,7 @@ def acquisition(model, scalarization: Scalarization, lam, beta: float, x) -> flo
     """u(x) = s_lambda(mu(x)) + L_lambda * beta * ||cov(x, x)||^{1/2}."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    mu = model.mean(x)
-    width = np.sqrt(max(model.cov_norm(x), 0.0))
-    return float(
-        scalarization.value(lam, mu) + scalarization.lipschitz(lam) * beta * width
-    )
+    return float(_scores(scalarization, lam, beta, model.mean(x)[None], [model.cov_norm(x)])[0])
 
 
 def select_point(model, scalarization: Scalarization, lam, beta: float, candidates):

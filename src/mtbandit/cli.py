@@ -4,9 +4,8 @@ Drives the library from a structured config file: build a synthetic
 multi-objective environment, run each configured algorithm for a number
 of independent trials, and persist per-trial trace CSVs, a merged
 summary CSV, and a manifest with content hashes.  Further subcommands
-plot summaries as self-contained SVG, dump Pareto fronts and fitted
-posteriors, and run randomized validation suites for the core
-matrix identities.
+plot summaries as self-contained SVG and dump Pareto fronts and fitted
+posteriors; ``validate`` runs the self-checks of the validate module.
 
 Config file layout (TOML, read with the standard-library ``tomllib``)::
 
@@ -70,9 +69,8 @@ from dataclasses import dataclass, field
 from typing import get_args, get_origin
 
 import numpy as np
-import scipy.linalg as la
 
-from . import __version__, bandit, benchmarks, kernels, nystrom, posterior, theorybounds
+from . import __version__, bandit, benchmarks, kernels, theorybounds, validate
 from ._svg import render_line_plot
 from .scalarize import (
     ChebyshevScalarization,
@@ -87,7 +85,6 @@ __all__ = [
     "load_config",
     "cmd_run",
     "cmd_plot",
-    "cmd_validate",
     "cmd_pareto",
     "cmd_model_dump",
     "main",
@@ -414,8 +411,11 @@ def _fmt_float(v) -> str:
     return repr(float(v))
 
 
-def _fmt_vector(v) -> str:
-    return ";".join(repr(float(c)) for c in np.asarray(v, dtype=float).reshape(-1))
+def _fmt_rows(M) -> list:
+    """Each row of M as ';'-joined reprs, formatted from Python floats
+    (``tolist``); a float and the numpy scalar of the same value print the
+    same ``repr``."""
+    return [";".join(map(repr, row)) for row in np.asarray(M, dtype=float).tolist()]
 
 
 def _write_csv(path: str, header, rows):
@@ -429,18 +429,13 @@ def _write_csv(path: str, header, rows):
 
 
 def write_trace(path: str, result: bandit.RunResult, inst_regret: np.ndarray):
-    """One row per round, formatted from Python floats (``tolist``); a float
-    and the numpy scalar of the same value print the same ``repr``."""
-
-    def vectors(M):
-        return [";".join(map(repr, row)) for row in np.asarray(M, dtype=float).tolist()]
-
+    """One row per round, formatted from Python floats (``tolist``)."""
     inst = np.asarray(inst_regret, dtype=float)
     rows = zip(
         range(1, result.horizon + 1),
-        vectors(result.lambdas),
-        vectors(result.X),
-        vectors(result.Y),
+        _fmt_rows(result.lambdas),
+        _fmt_rows(result.X),
+        _fmt_rows(result.Y),
         map(repr, result.betas.tolist()),
         result.m_sizes.tolist(),
         map(repr, inst.tolist()),
@@ -484,26 +479,30 @@ def write_manifest(outdir: str, exp: ExperimentConfig, seeds: dict, filenames: l
 
 # run =========================================================================
 def _run_one_trial(exp, env, b_auto, label, trial, timing):
-    """Execute one (algorithm, trial) cell and return its records."""
+    """Execute one (algorithm, trial) cell.
+
+    Returns (result, instantaneous regrets, dictionary rows, seed, model):
+    the dictionary rows are MTBKB's (t, m_t, indices) per round, empty for
+    the other labels, and model is the run's posterior after its last round.
+    """
     n = env.n
     kern = exp.build_inference_kernel(label, n)
     seed = trial_seed(exp.master_seed, trial, label)
     config = exp.build_algorithm_config(label, kern, seed, b_auto)
     scal = exp.build_scalarization()
-    wdist = exp.build_weight_dist(n)
-    dict_rows = []
+    dict_rows, models = [], []
 
     def hook(t, model):
         if label == "MTBKB":
             idx = ";".join(map(str, model.dictionary.indices.tolist()))
             dict_rows.append((t, model.m, idx))
+        models[:] = [model]
 
     result = bandit.run(
-        config, env, kern, scal, wdist,
-        round_hook=hook if label == "MTBKB" else None, timing=timing,
+        config, env, kern, scal, exp.build_weight_dist(n), round_hook=hook, timing=timing,
     )
     inst = benchmarks.instantaneous_regrets(result, env, scal)
-    return result, inst, dict_rows, seed
+    return result, inst, dict_rows, seed, models[0]
 
 
 def cmd_run(args) -> int:
@@ -517,10 +516,15 @@ def cmd_run(args) -> int:
 
     # Per-trial runs and persistence ---------------------------------------
     filenames, seeds = [], {}
+
+    def save(name, header, rows):
+        _write_csv(os.path.join(exp.outdir, name), header, rows)
+        filenames.append(name)
+
     by_label = {label: [] for label in exp.algorithms}
     for label in exp.algorithms:
         for trial in range(exp.trials):
-            result, inst, dict_rows, seed = _run_one_trial(
+            result, inst, dict_rows, seed, _ = _run_one_trial(
                 exp, env, b_auto, label, trial, args.timing
             )
             seeds.setdefault(label, []).append(seed)
@@ -528,13 +532,7 @@ def cmd_run(args) -> int:
             write_trace(os.path.join(exp.outdir, name), result, inst)
             filenames.append(name)
             if dict_rows:
-                dname = f"dictionary_{label}_trial{trial:03d}.csv"
-                _write_csv(
-                    os.path.join(exp.outdir, dname),
-                    ("t", "m_t", "indices"),
-                    dict_rows,
-                )
-                filenames.append(dname)
+                save(f"dictionary_{label}_trial{trial:03d}.csv", ("t", "m_t", "indices"), dict_rows)
             by_label[label].append((result, inst))
 
     # Merged summary -------------------------------------------------------
@@ -547,12 +545,10 @@ def cmd_run(args) -> int:
         avg = cum / t_axis
         gains = np.vstack([0.5 * r.logdet_sums for r, _ in cells])
         varsums = np.vstack([np.cumsum(r.variance_norms) for r, _ in cells])
-        bounds = np.empty_like(gains)
-        for i, (result, _) in enumerate(cells):
-            for t in range(T):
-                bounds[i, t] = theorybounds.regret_bound_value(
-                    result.config, gains[i, t], varsums[i, t], t + 1
-                )
+        bounds = np.vstack([
+            theorybounds.regret_bound_value(r.config, gain, varsum, t_axis)
+            for (r, _), gain, varsum in zip(cells, gains, varsums)
+        ])
         for t in range(T):
             rows.append(
                 (
@@ -565,8 +561,7 @@ def cmd_run(args) -> int:
                     _fmt_float(varsums[:, t].mean()),
                 )
             )
-    _write_csv(os.path.join(exp.outdir, "summary.csv"), _SUMMARY_HEADER, rows)
-    filenames.append("summary.csv")
+    save("summary.csv", _SUMMARY_HEADER, rows)
 
     # Bayes-regret checkpoints ----------------------------------------------
     if exp.checkpoints:
@@ -584,12 +579,7 @@ def cmd_run(args) -> int:
             means = np.vstack(per_trial).mean(axis=0)
             for c, v in zip(exp.checkpoints, means):
                 brows.append((label, c, _fmt_float(v)))
-        _write_csv(
-            os.path.join(exp.outdir, "bayes_regret.csv"),
-            ("algorithm", "checkpoint", "bayes_regret"),
-            brows,
-        )
-        filenames.append("bayes_regret.csv")
+        save("bayes_regret.csv", ("algorithm", "checkpoint", "bayes_regret"), brows)
 
     write_manifest(exp.outdir, exp, seeds, filenames, time.monotonic() - started)
     print(f"wrote {len(filenames) + 1} files to {exp.outdir}")
@@ -649,9 +639,7 @@ def cmd_pareto(args) -> int:
     exp = load_config(args.config, args.set)
     env, _ = exp.build_environment()
     front = benchmarks.pareto_front(env)
-    rows = [
-        (int(i), _fmt_vector(env.grid[i]), _fmt_vector(env.values[i])) for i in front
-    ]
+    rows = list(zip(front.tolist(), _fmt_rows(env.grid[front]), _fmt_rows(env.values[front])))
     _write_csv(args.out, ("index", "x", "f"), rows)
     print(f"wrote {len(rows)} Pareto-optimal points to {args.out}")
     return 0
@@ -661,225 +649,16 @@ def cmd_model_dump(args) -> int:
     """Fit the exact posterior over one trial and dump it on the grid."""
     exp = load_config(args.config, args.set)
     env, b_auto = exp.build_environment()
-    n = env.n
-    kern = exp.build_inference_kernel("MTKB", n)
-    seed = trial_seed(exp.master_seed, 0, "MTKB")
-    config = exp.build_algorithm_config("MTKB", kern, seed, b_auto)
-    models = []  # the run's own posterior, the same object after every round
-    bandit.run(
-        config, env, kern, exp.build_scalarization(), exp.build_weight_dist(n),
-        round_hook=lambda t, model: models.append(model),
-    )
-    model = models[-1]
-    means = model.mean_batch(env.grid)
-    norms = model.cov_norm_batch(env.grid)
-    rows = [
-        (int(i), _fmt_vector(env.grid[i]), _fmt_vector(means[i]), _fmt_float(norms[i]))
-        for i in range(env.grid.shape[0])
-    ]
+    model = _run_one_trial(exp, env, b_auto, "MTKB", 0, False)[-1]  # the run's own posterior
+    rows = list(zip(
+        range(env.grid.shape[0]),
+        _fmt_rows(env.grid),
+        _fmt_rows(model.mean_batch(env.grid)),
+        map(repr, model.cov_norm_batch(env.grid).tolist()),
+    ))
     _write_csv(args.out, ("index", "x", "mu", "cov_norm"), rows)
     print(f"wrote posterior over {len(rows)} grid points to {args.out}")
     return 0
-
-
-# validate ====================================================================
-@dataclass
-class SuiteReport:
-    name: str
-    max_error: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error <= self.threshold
-
-
-def _battery_instances():
-    """Twenty small randomized regression instances with dense oracles."""
-    out = []
-    for seed in range(20):
-        rng = np.random.default_rng(1000 + seed)
-        n = 2 + seed % 3
-        scalar = kernels.SquaredExponential(0.4)
-        if seed % 2 == 0:
-            kern = kernels.ICMKernel(scalar, kernels.omega_coupling(0.3 + 0.1 * (seed % 5), n))
-        else:
-            kern = kernels.SumSeparableKernel(
-                [
-                    (scalar, kernels.omega_coupling(0.5, n)),
-                    (kernels.Matern52(0.6), kernels.gram_coupling(n, rng)),
-                ]
-            )
-        t = 8 + seed % 7
-        X = rng.random((t, 2))
-        Y = rng.normal(size=(t, n))
-        out.append((kern, X, Y))
-    return out
-
-
-def _suite_schur_and_trace():
-    """Log-det telescoping vs dense oracle; predictive-variance trace bound."""
-    eta = 0.1
-    schur_err = 0.0
-    trace_violation = 0.0
-    for kern, X, Y in _battery_instances():
-        state = posterior.PosteriorState(kern, eta)
-        trace_sum = 0.0
-        for x, y in zip(X, Y):
-            state.update(x, y)
-            trace_sum += float(np.trace(state.cov(x)))
-        G = kernels.block_kernel_matrix(kern, X)
-        dense = float(np.linalg.slogdet(np.eye(G.shape[0]) + G / eta)[1])
-        schur_err = max(schur_err, abs(state.logdet_sum - dense) / max(1.0, abs(dense)))
-        trace_violation = max(trace_violation, trace_sum / eta - dense)
-    return (
-        SuiteReport("schur-telescoping", schur_err, 1e-6),
-        SuiteReport("trace-inequality", trace_violation, 1e-8),
-    )
-
-
-def _suite_variance_geometry():
-    """Posterior covariance shrinks, and by at most the 1 + kappa/eta factor."""
-    eta = 0.1
-    rng = np.random.default_rng(77)
-    kern = kernels.ICMKernel(kernels.SquaredExponential(0.3), kernels.omega_coupling(0.6, 3))
-    state = posterior.PosteriorState(kern, eta)
-    queries = rng.random((15, 2))
-    factor = 1.0 + kern.kappa / eta
-    worst = 0.0
-    prev = [state.cov(xq) for xq in queries]
-    for _ in range(25):
-        state.update(rng.random(2), rng.normal(size=3))
-        for j, xq in enumerate(queries):
-            cur = state.cov(xq)
-            shrink = np.linalg.eigvalsh(prev[j] - cur)
-            inflate = np.linalg.eigvalsh(factor * cur - prev[j])
-            worst = max(worst, -float(shrink.min()), -float(inflate.min()))
-            prev[j] = cur
-    return (SuiteReport("variance-geometry", worst, 1e-9),)
-
-
-def _suite_fast_path_equivalence():
-    """The default systems, off the grid and grid-resident, agree with the
-    single general system (ICM, diagonal); on a sum-separable kernel, which
-    is one general system, grid-resident reads agree with off-grid ones.
-    In exact-grid-interleaved the history alternates repeated grid rows
-    with off-grid points, so the grid-resident state adds each new
-    off-grid arm by forward substitution through its history rows and
-    restarts a repeated arm's column from that arm's last row."""
-    eta = 0.1
-    rng = np.random.default_rng(123)
-    se = kernels.SquaredExponential(0.3)
-    icm = kernels.ICMKernel(se, kernels.gram_coupling(3, rng))
-    cases = (
-        ("icm-equivalence", icm, False),
-        ("diagonal-equivalence", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)]), False),
-        ("sum-separable-grid", kernels.SumSeparableKernel([
-            (se, kernels.omega_coupling(0.5, 3)),
-            (kernels.Matern52(0.5), kernels.gram_coupling(3, rng)),
-        ]), False),
-        ("exact-grid-interleaved", icm, True),
-    )
-    queries = rng.random((40, 2))
-    reports = []
-    for name, kern, interleaved in cases:
-        fast = posterior.PosteriorState(kern, eta)
-        on_grid = posterior.PosteriorState(kern, eta, grid=queries)
-        general = posterior.PosteriorState(kern, eta, fast_path=False)
-        for t in range(25):
-            x = queries[rng.integers(6)] if interleaved and t % 2 else rng.random(2)
-            y = rng.normal(size=3)
-            for state in (fast, on_grid, general):
-                state.update(x, y)
-        mean, norm = general.mean_batch(queries), general.cov_norm_batch(queries)
-        err = 0.0
-        for state in (fast, on_grid):
-            err = max(
-                err,
-                float(np.max(np.abs(state.mean_batch(queries) - mean))),
-                float(np.max(np.abs(state.cov_norm_batch(queries) - norm))),
-                abs(state.logdet_sum - general.logdet_sum),
-            )
-        reports.append(SuiteReport(name, err, 1e-8))
-    return tuple(reports)
-
-
-def _dense_posterior(kern, X, Y, eta, Xq):
-    """Means (N, n) and covariance norms (N,) at Xq by one dense solve."""
-    N, n = Xq.shape[0], kern.n
-    G = kernels.block_kernel_matrix(kern, X)
-    L = np.linalg.cholesky(G + eta * np.eye(G.shape[0]))
-    W = la.solve_triangular(L, kernels.cross_block(kern, X, Xq), lower=True)
-    mean = W.T @ la.solve_triangular(L, Y.reshape(-1), lower=True)
-    W3 = W.reshape(-1, N, n)
-    cov = kern.diag_blocks(Xq) - np.einsum("kja,kjb->jab", W3, W3)
-    return mean.reshape(N, n), np.linalg.eigvalsh(0.5 * (cov + cov.transpose(0, 2, 1)))[:, -1]
-
-
-def _suite_full_dictionary():
-    """Budgeted posterior with an all-points dictionary matches the exact one,
-    with one scalar factor (ICM), one per distinct scalar (diagonal), and
-    on grid reads served from the arm arrays of a grid-resident state whose
-    history repeats grid points and mixes in off-grid ones.  On 45 of 101
-    arms 0.01 apart at lengthscale 0.2 the dictionary is numerically
-    rank-deficient, so the features skip arms at the pivot cut; there the
-    grid reads are checked against the dense solve."""
-    eta = 0.1
-    rng = np.random.default_rng(321)
-    se = kernels.SquaredExponential(0.3)
-    icm = kernels.ICMKernel(se, kernels.omega_coupling(0.4, 2))
-    queries = rng.random((50, 2))
-    cases = (
-        ("full-dictionary-exactness", icm, None),
-        ("full-dictionary-diagonal", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)]),
-         None),
-        ("full-dictionary-grid", icm, queries),
-    )
-    reports = []
-    for name, kern, grid in cases:
-        exact = posterior.PosteriorState(kern, eta)
-        budget = nystrom.NystromState(kern, eta, q=1e12, rng=np.random.default_rng(9), grid=grid)
-        for t in range(25):
-            x = queries[rng.integers(5)] if grid is not None and t % 2 else rng.random(2)
-            y = rng.normal(size=kern.n)
-            exact.update(x, y)
-            budget.update(x, y)
-        err = max(
-            float(np.max(np.abs(exact.mean_batch(queries) - budget.mean_batch(queries)))),
-            float(np.max(np.abs(exact.cov_norm_batch(queries) - budget.cov_norm_batch(queries)))),
-        )
-        reports.append(SuiteReport(name, err, 1e-6))
-    grid = np.linspace(0.0, 1.0, 101)[:, None]
-    kern = kernels.ICMKernel(kernels.SquaredExponential(0.2), kernels.gram_coupling(4, rng))
-    arms = rng.choice(101, size=45, replace=False)
-    X = grid[np.concatenate([arms, arms[rng.integers(45, size=15)]])]
-    Y = rng.normal(size=(60, 4))
-    budget = nystrom.NystromState(kern, eta, q=1e12, rng=np.random.default_rng(9), grid=grid)
-    for x, y in zip(X, Y):
-        budget.update(x, y)
-    mean, norms = _dense_posterior(kern, X, Y, eta, grid)
-    err = max(float(np.max(np.abs(budget.mean_batch(grid) - mean))),
-              float(np.max(np.abs(budget.cov_norm_batch(grid) - np.clip(norms, 0.0, None)))))
-    reports.append(SuiteReport("full-dictionary-rank-deficient", err, 1e-5))
-    return tuple(reports)
-
-
-def cmd_validate(args) -> int:
-    reports = []
-    for suite in (
-        _suite_schur_and_trace,
-        _suite_variance_geometry,
-        _suite_fast_path_equivalence,
-        _suite_full_dictionary,
-    ):
-        reports.extend(suite())
-    width = max(len(r.name) for r in reports)
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  max error {r.max_error:.3e}  (tol {r.threshold:.0e})  {status}")
-    failed = [r for r in reports if not r.passed]
-    print(f"{len(reports) - len(failed)}/{len(reports)} suites passed")
-    return 0 if not failed else 1
 
 
 # entry point =================================================================
@@ -889,12 +668,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The config arguments of every subcommand that reads a config.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("config", help="path to the experiment config file")
+    config.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
+                        help="override a config value (repeatable)")
 
-    p_run = sub.add_parser("run", help="execute trials x algorithms from a config")
-    p_run.add_argument("config", help="path to the experiment config file")
+    p_run = sub.add_parser("run", parents=[config],
+                           help="execute trials x algorithms from a config")
     p_run.add_argument("--outdir", default=None, help="override run.outdir")
-    p_run.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
-                       help="override a config value (repeatable)")
     p_run.add_argument("--timing", action="store_true",
                        help="record per-round wall time (breaks byte reproducibility)")
     p_run.set_defaults(func=cmd_run)
@@ -905,20 +687,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.set_defaults(func=cmd_plot)
 
     p_val = sub.add_parser("validate", help="run the randomized identity suites")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=lambda args: validate.main())
 
-    p_par = sub.add_parser("pareto", help="dump an objective's Pareto front to CSV")
-    p_par.add_argument("config", help="path to the experiment config file")
+    p_par = sub.add_parser("pareto", parents=[config],
+                           help="dump an objective's Pareto front to CSV")
     p_par.add_argument("--out", default="pareto.csv", help="output CSV path")
-    p_par.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL")
     p_par.set_defaults(func=cmd_pareto)
 
-    p_dump = sub.add_parser(
-        "model-dump", help="fit one exact-posterior trial and dump it over the grid"
-    )
-    p_dump.add_argument("config", help="path to the experiment config file")
+    p_dump = sub.add_parser("model-dump", parents=[config],
+                            help="fit one exact-posterior trial and dump it over the grid")
     p_dump.add_argument("--out", default="model.csv", help="output CSV path")
-    p_dump.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL")
     p_dump.set_defaults(func=cmd_model_dump)
 
     return parser

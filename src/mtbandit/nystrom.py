@@ -342,7 +342,8 @@ class NystromState(_Posterior):
         rebuild computes the means and covariance norms over the grid
         and ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` is a copy.
         Only a query that *is* this array object is served from the arm
-        arrays; every other query (copies included) is embedded afresh.
+        arrays, without checking the grid again; every other query (copies
+        included) is checked and embedded afresh.
         The caller must not mutate the grid afterwards.  Inputs must have
         the grid's dimension.
 
@@ -430,7 +431,7 @@ class NystromState(_Posterior):
 
     # -- reads ----------------------------------------------------------
     def mean_batch(self, Xq) -> np.ndarray:
-        Xq = _as_points(Xq)
+        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
         if self._support is None:
             return np.zeros((Xq.shape[0], self.kernel.n))
         if Xq is self._grid:
@@ -444,7 +445,7 @@ class NystromState(_Posterior):
         return self._basis.assemble_cov(self._support.residuals(_as_points(x))[:, 0], None)
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
-        Xq = _as_points(Xq)
+        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
         if self._support is None:
             return _clamp_spectrum(self.kernel.diag_blocks(Xq), None)[:, -1]
         if Xq is self._grid:

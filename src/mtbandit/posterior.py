@@ -175,16 +175,16 @@ def _task_systems(kernel: MultiTaskKernel, structured: bool = True):
 def _put(buf, i: int, j: int, block) -> np.ndarray:
     """buf with block written at row i, column j of its last two axes.
 
-    A buffer too small is first replaced by a zero-padded copy; a side that
-    must grow grows by at least half, so a buffer filled a few rows or
-    columns at a time copies each entry O(1) times on average and holds at
-    most half as much again as it needs.
+    A buffer too small is first replaced by a zero-padded copy of the same
+    dtype; a side that must grow grows by at least half, so a buffer filled
+    a few rows or columns at a time copies each entry O(1) times on average
+    and holds at most half as much again as it needs.
     """
     *lead, r, c = buf.shape
     rows, cols = i + block.shape[-2], j + block.shape[-1]
     if rows > r or cols > c:
         out = np.zeros((*lead, r if rows <= r else max(rows, r + r // 2),
-                        c if cols <= c else max(cols, c + c // 2)))
+                        c if cols <= c else max(cols, c + c // 2)), dtype=buf.dtype)
         out[..., :r, :c] = buf
         buf = out
     buf[..., i:rows, j:cols] = block
@@ -207,7 +207,9 @@ class _Posterior:
     array ``X`` and a (t, n) output array ``Y``, accumulates ``logdet_sum``
     and keeps the arm universe: the rows of ``grid`` (which fixes the input
     dimension), then each distinct off-grid point when first observed,
-    found by its bytes, with the arm of every history point.
+    found by its bytes, with the arm of every history point.  The outputs
+    and the arm indices grow in ``_put`` buffers, and ``X`` is the arms of
+    the history, gathered on each read.
 
     A subclass grows its model in ``_absorb(a, y)``, called after every
     check with the observed point already an arm a.  It records the
@@ -224,21 +226,32 @@ class _Posterior:
             raise ValueError(f"eta must be positive, got {eta}")
         self.kernel = kernel
         self.eta = eta
-        self.X = np.zeros((0, 0))
-        self.Y = np.zeros((0, kernel.n))
+        self.t = 0
         self.logdet_sum = 0.0
         self._arms = np.zeros((0, 0))
         self._arm_of = {}  # point bytes -> arm index
-        self._hist_arm = np.zeros(0, dtype=int)  # arm index of every history point
+        # Outputs and arm indices of the history, valid in their first t rows.
+        self._Y = np.zeros((0, kernel.n))
+        self._hist = np.zeros((0, 1), dtype=int)
         self._grid = None
         if grid is not None:
             self._grid = _as_points(grid)
-            self.X = np.zeros((0, self._grid.shape[1]))
             self._add_arms(self._grid)
 
     @property
-    def t(self) -> int:
-        return self.Y.shape[0]
+    def X(self) -> np.ndarray:
+        """History inputs, (t, d): the arm of every history point."""
+        return self._arms[self._hist_arm]
+
+    @property
+    def Y(self) -> np.ndarray:
+        """History outputs, (t, n)."""
+        return self._Y[:self.t]
+
+    @property
+    def _hist_arm(self) -> np.ndarray:
+        """Arm index of every history point, (t,)."""
+        return self._hist[:self.t, 0]
 
     def update(self, x, y):
         """Incorporate one observation; returns self.
@@ -252,7 +265,7 @@ class _Posterior:
         if X.shape[0] != 1:
             raise ValueError(f"update takes one point, got an input of shape {np.shape(x)}")
         x = X[0]
-        d = self.X.shape[1]
+        d = self._arms.shape[1]
         if (self.t or d) and x.shape[0] != d:
             raise ValueError(f"input has dimension {x.shape[0]}, the posterior expects {d}")
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -282,10 +295,9 @@ class _Posterior:
 
     def _record(self, a: int, y):
         """Append the observation y at arm a to the history."""
-        x = self._arms[a]
-        self.X = np.vstack([self.X, x]) if self.t else np.array([x])
-        self.Y = np.vstack([self.Y, y])
-        self._hist_arm = np.append(self._hist_arm, a)
+        self._Y = _put(self._Y, self.t, 0, y[None])
+        self._hist = _put(self._hist, self.t, 0, np.array([[a]]))
+        self.t += 1
 
     def mean(self, x) -> np.ndarray:
         """Posterior mean mu_t(x) as an (n,) vector; zero at t = 0."""
@@ -364,10 +376,11 @@ class PosteriorState(_Posterior):
         Fixed candidate stack that will be queried every round.  Its rows
         are the first arms, so ``mean_batch(grid)`` and
         ``cov_norm_batch(grid)`` read the mean coordinates and residual
-        blocks kept at every arm, O(N b^2) per system.  Only a query that
-        *is* this array object is served from them; every other query
-        (copies included) costs one forward substitution through the
-        history, O((t b)^2 (1 + q b)) per system for q points.  The caller
+        blocks kept at every arm, O(N b^2) per system, without checking
+        the grid again.  Only a query that *is* this array object is
+        served from them; every other query (copies included) is checked
+        and costs one forward substitution through the history,
+        O((t b)^2 (1 + q b)) per system for q points.  The caller
         must not mutate the grid afterwards.  Inputs must have the grid's
         dimension.
 
@@ -479,7 +492,7 @@ class PosteriorState(_Posterior):
 
     def mean_batch(self, Xq) -> np.ndarray:
         """Posterior means over a stack of queries, shape (N, n)."""
-        Xq = _as_points(Xq)
+        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
         N, b = Xq.shape[0], self._basis.b
         if self.t == 0:
             return np.zeros((N, self.kernel.n))
@@ -497,6 +510,6 @@ class PosteriorState(_Posterior):
     def cov_norm_batch(self, Xq) -> np.ndarray:
         """Posterior covariance norms over a stack of queries, shape (N,),
         clamped to [0, kappa]."""
-        Xq = _as_points(Xq)
+        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
         res = self._res[:, :Xq.shape[0]] if Xq is self._grid else self._at(Xq)[2]
         return self._basis.assemble_cov_norm(res, self.kernel.kappa)

@@ -10,12 +10,16 @@ inter-task-structure checks rely on.
 * eigen-split          for a separable kernel the joint gain decomposes
                       exactly into per-eigendirection scalar gains
                       (1/2) log det(I_t + (xi_i / eta) K_t).
-* closed-form bound    2 L (b + (sigma/sqrt(eta)) sqrt(2 log(1/delta) + gain))
-                      * sqrt((1 + kappa/eta) T sum_t ||Gamma_t(x_t, x_t)||).
+* closed-form bound    2 L beta_T sqrt((1 + kappa/eta) T sum_t ||Gamma_t(x_t, x_t)||)
+                      with beta_T = b + (sigma/sqrt(eta)) sqrt(2 log(1/delta) + 2 gain),
+                      the run's own exact radius (bandit.beta_t) at the
+                      log-det sum 2 gain.  Budgeted runs are bounded by the
+                      same MTKB form.
 """
 
 import numpy as np
 
+from .bandit import beta_t
 from .kernels import CouplingSpectrum, ScalarKernel, coupling_spectrum
 
 __all__ = [
@@ -74,29 +78,33 @@ def icm_gain_split(points, scalar_kernel: ScalarKernel, coupling, eta: float) ->
     return gains
 
 
-def regret_bound_value(config, gain: float, variance_sum: float, t: int | None = None) -> float:
+def regret_bound_value(config, gain, variance_sum, t=None):
     """Closed-form cumulative-regret bound evaluated on realized quantities.
 
     Parameters
     ----------
     config : AlgorithmConfig
         Supplies L, b, sigma, eta, delta, kappa, and the default horizon.
-    gain : float
+    gain : float or array
         Realized information gain (1/2) log-det sum at round t.
-    variance_sum : float
+    variance_sum : float or array
         sum_{s <= t} ||Gamma_s(x_s, x_s)|| accumulated after each update.
-    t : int or None
+    t : int, int array or None
         Round count; defaults to the config horizon.
+
+    The radius is ``bandit.beta_t(config, 2 gain)``, the radius MTKB
+    selects with after t rounds.  The arguments broadcast against each
+    other; scalar arguments give a float, and an array gives an array
+    whose entries are bitwise the scalar calls.  Zero rounds give a zero
+    width, hence a zero bound.
     """
-    if gain < 0 or variance_sum < 0:
+    gain, variance_sum = np.asarray(gain, dtype=float), np.asarray(variance_sum, dtype=float)
+    t = np.asarray(config.horizon if t is None else t, dtype=int)
+    if np.any(gain < 0) or np.any(variance_sum < 0):
         raise ValueError("gain and variance_sum must be >= 0")
-    t = config.horizon if t is None else int(t)
-    if t < 0:
+    if np.any(t < 0):
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return 0.0
-    radius = config.rkhs_bound + (config.noise_sigma / np.sqrt(config.eta)) * np.sqrt(
-        2.0 * np.log(1.0 / config.delta) + gain
-    )
+    radius = beta_t(config, 2.0 * gain)
     width = np.sqrt((1.0 + config.kappa / config.eta) * t * variance_sum)
-    return float(2.0 * config.lipschitz_bound * radius * width)
+    value = 2.0 * config.lipschitz_bound * radius * width
+    return float(value) if value.ndim == 0 else value

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_posterior_cov, dense_posterior_mean
-from mtbandit import cli, nystrom, posterior
+from mtbandit import cli, nystrom, posterior, validate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -404,7 +404,7 @@ class TestValidateCommand:
         """A pivot cut a million times coarser moves the features of the
         rank-deficient dictionary away from the dense solve."""
         monkeypatch.setattr(nystrom, "PINV_RTOL", 1e-4)
-        reports = {r.name: r for r in cli._suite_full_dictionary()}
+        reports = {r.name: r for r in validate._suite_full_dictionary()}
         assert not reports["full-dictionary-rank-deficient"].passed
 
     def test_sign_mutation_fails_geometry_suite(self, capsys, monkeypatch):
@@ -422,7 +422,8 @@ class TestValidateCommand:
 
 class TestModuleEntryPoints:
     def test_python_m_runs_without_warnings_and_import_skips_cli(self):
-        """Both module entry points run under -W error; the package leaves cli unloaded."""
+        """Both module entry points run under -W error; the package leaves cli and
+        validate unloaded."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
@@ -434,7 +435,8 @@ class TestModuleEntryPoints:
             assert proc.returncode == 0, proc.stderr
             assert cli.__version__ in proc.stdout
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, mtbandit; print('mtbandit.cli' in sys.modules)"],
+            [sys.executable, "-c", "import sys, mtbandit; "
+             "print('mtbandit.cli' in sys.modules, 'mtbandit.validate' in sys.modules)"],
             env=env, capture_output=True, text=True,
         )
-        assert proc.stdout.strip() == "False", proc.stderr
+        assert proc.stdout.strip() == "False False", proc.stderr

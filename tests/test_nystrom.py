@@ -272,6 +272,24 @@ class TestGridResidentReads:
         )
 
 
+    def test_grid_reads_skip_the_finite_check(self, monkeypatch):
+        """Before and after the first update, reading the grid object calls
+        no input check; a copy of it is checked."""
+        rng = np.random.default_rng(13)
+        grid = rng.random((10, 2))
+        state = nystrom.NystromState(random_icm(rng, n=2), ETA, q=3.0,
+                                     rng=np.random.default_rng(4), grid=grid)
+        calls = []
+        monkeypatch.setattr(nystrom, "_as_points",
+                            lambda X: calls.append(1) or kernels._as_points(X))
+        for _ in range(2):
+            state.mean_batch(grid), state.cov_norm_batch(grid)
+            assert calls == []
+            state.update(grid[3], rng.normal(size=2))
+        state.mean_batch(grid.copy()), state.cov_norm_batch(grid.copy())
+        assert len(calls) == 2
+
+
 class _Keep:
     """Uniform draws that keep exactly the history positions flagged in ``keep``
     (draw 0 for a kept position, 1 for any other)."""

@@ -453,6 +453,40 @@ class TestValidation:
             state.update(np.array([[0.1], [0.5], [0.9]]), np.ones(2))
         assert state.t == 0 and state.logdet_sum == 0.0 and state.X.shape[0] == 0
 
+    def test_history_grows_in_buffers(self):
+        """X is the arm of every history point and Y the outputs, in order,
+        over grid rows, repeats and off-grid points; the arm indices stay
+        integers through the buffer's growth."""
+        rng = np.random.default_rng(25)
+        grid = rng.random((6, 2))
+        state = posterior.PosteriorState(random_icm(rng, n=2), ETA, grid=grid)
+        X = np.array([grid[1], rng.random(2), grid[1], grid[4]] * 5)
+        Y = rng.normal(size=(20, 2))
+        for t, (x, y) in enumerate(zip(X, Y)):
+            state.update(x, y)
+            assert state.t == t + 1
+            np.testing.assert_array_equal(state.X, X[:t + 1])
+            np.testing.assert_array_equal(state.Y, Y[:t + 1])
+        assert state._hist_arm.dtype.kind == "i"
+        buf = posterior._put(np.zeros((0, 1), dtype=int), 0, 0, np.array([[7]]))
+        assert buf.dtype.kind == "i" and buf[0, 0] == 7
+
+    def test_grid_reads_skip_the_finite_check(self, monkeypatch):
+        """The grid was checked when the state was built: reading it calls
+        no input check, while any other query, a copy included, is checked."""
+        rng = np.random.default_rng(26)
+        grid = rng.random((8, 2))
+        state = _fit(random_icm(rng, n=2), grid[:3], rng.normal(size=(3, 2)), grid=grid)
+        calls = []
+        monkeypatch.setattr(posterior, "_as_points",
+                            lambda X: calls.append(1) or kernels._as_points(X))
+        state.mean_batch(grid), state.cov_norm_batch(grid)
+        assert calls == []
+        state.mean_batch(grid.copy()), state.cov_norm_batch(grid.copy())
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="non-finite"):
+            state.mean_batch(np.full((1, 2), np.nan))
+
     def test_eta_must_be_positive(self):
         rng = np.random.default_rng(19)
         with pytest.raises(ValueError, match="eta"):

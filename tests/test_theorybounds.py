@@ -168,7 +168,7 @@ class TestRegretBoundValue:
             * (
                 cfg.rkhs_bound
                 + cfg.noise_sigma / np.sqrt(cfg.eta)
-                * np.sqrt(2.0 * np.log(1.0 / cfg.delta) + gain)
+                * np.sqrt(2.0 * np.log(1.0 / cfg.delta) + 2.0 * gain)
             )
             * np.sqrt((1.0 + cfg.kappa / cfg.eta) * t * varsum)
         )
@@ -191,3 +191,26 @@ class TestRegretBoundValue:
         assert theorybounds.regret_bound_value(cfg, 1.0, 1.0) == pytest.approx(
             theorybounds.regret_bound_value(cfg, 1.0, 1.0, t=cfg.horizon), rel=1e-15
         )
+
+    def test_arrays_equal_scalar_calls_bitwise(self):
+        cfg = self._config()
+        rng = np.random.default_rng(5)
+        t = np.arange(0, 60)
+        gain = np.cumsum(rng.random(60))
+        varsum = np.cumsum(rng.random(60))
+        bounds = theorybounds.regret_bound_value(cfg, gain, varsum, t)
+        assert isinstance(bounds, np.ndarray) and bounds.shape == (60,)
+        expected = [
+            theorybounds.regret_bound_value(cfg, float(g), float(v), int(s))
+            for g, v, s in zip(gain, varsum, t)
+        ]
+        assert all(isinstance(e, float) for e in expected)
+        np.testing.assert_array_equal(bounds, expected)
+        assert bounds[0] == 0.0
+
+    def test_any_negative_entry_is_rejected(self):
+        cfg = self._config()
+        with pytest.raises(ValueError):
+            theorybounds.regret_bound_value(cfg, np.array([1.0, -1e-9]), np.ones(2), [1, 2])
+        with pytest.raises(ValueError):
+            theorybounds.regret_bound_value(cfg, np.ones(2), np.ones(2), [1, -1])
