@@ -1,7 +1,7 @@
 """Budgeted posteriors over a resampled Nystrom dictionary.
 
-Every round the dictionary is rebuilt from scratch: each past point x_i
-enters independently with probability
+Every round the dictionary is resampled: each past point x_i enters
+independently with probability
 
     p_{t,i} = min{ q * ||approx_cov_{t-1}(x_i, x_i)||, 1 }
 
@@ -53,50 +53,65 @@ features and thus means are exactly 0.0.  A point that is not an arm is
 embedded by forward substitution through the pivot triangle, the same
 recurrence restricted to the pivot arms.
 
-A rebuild keeps the rows of the longest common prefix of the previous
-and the new dictionary and appends the rest.  The dictionary lists its
-arms in the order of their first visit in the history, so the same arm
-set always gives the same factor and an arm visited for the first time
-comes last: a rebuild evaluates no kernel row for an unchanged arm set
-and one row k(a, arms) for a newly visited arm.  When every point is
-kept, this is also the order in which the arms were first sampled.  A
-new arm in the universe voids the prefix, and with no common prefix the
-factor is appended from scratch through the same code; the carried
-factor is bitwise the one built afresh.
+The dictionary lists its arms in the order of their first visit in the
+history, so the same arm set always gives the same factor and an arm
+visited for the first time comes last.  When every point is kept, this
+is also the order in which the arms were first sampled.  Between two
+dictionaries the rows of their longest common prefix carry over, so on a
+fixed arm universe the factor is bitwise the one built afresh.  The
+kernel rows k(a, arms) of every arm ever held are kept, so a kernel row
+is evaluated once per arm.  A new arm in the universe gets its feature
+columns by the embedding recurrence and a column of every kept kernel
+row; those columns agree with a fresh factor to rounding.
 
-One eigh of the history Gram, V = Q diag(lambda) Q^T, rotates each
-kernel's features, so every system's ridge solve is the diagonal scaling
-1 / (xi_g lambda + eta) and the residual blocks are
+Between dictionary losses the model is a ridge regression in a fixed
+feature space, as in BKB, so it is updated rather than rebuilt.  Per
+task-basis system g it keeps the inverse X_g of A_g = xi_g V + eta I
+and, at every arm, the residual blocks
 
-    R~_g(x) = k(x, x) - Phi(x)^T diag(xi_g lambda / (xi_g lambda + eta)) Phi(x)
+    R~_g(a) = k(a, a) - F_a^T F_a + eta F_a^T X_g F_a,
 
-in rotated coordinates.  Means, residual blocks and covariance norms at
-every arm are computed once per rebuild, from the prior blocks k(a, a)
-evaluated at every arm.  Grid reads (the grid matched by identity, as in
-the exact engine), the resample's history norms and the round's log-det
-increment are gathers from these arm arrays; only other queries and a
-never-seen off-grid point are embedded afresh.  A rebuild thus holds at
-most |D_t| A b^2 feature entries for A arms, whatever t (the exact
-engine's rows take t A b^2 floats).  The eigendecomposition of V uses
-LAPACK's divide-and-conquer driver (evd).  On the near-identity matrices
-of arms many lengthscales apart, whose eigenvalues cluster near 1, it ran
-2-3 times as fast as scipy's default MRRR driver (evr) at 30-120 arms,
-and no slower on dense ones.
+the covariance above restricted to system g.  A round does one of three
+things to them:
+
+* an observation at arm a adds xi_g F_a F_a^T to A_g: a rank-b Woodbury
+  update of X_g and of the residual blocks, O(r^2 b + r A b^2) per
+  system for r feature rows and A arms;
+* dictionary arms appended after the previous ones append feature rows,
+  so A_g gains a border: X_g becomes its block inverse through the Schur
+  complement, and the residual blocks gain the Schur-complement term,
+  O(r A b k) per system for k new rows;
+* a dictionary that loses an arm keeps the feature rows of the common
+  prefix, appends the rest and solves the model from scratch: one
+  Cholesky factor of A_g and its inverse per system, O(r^3 + r^2 A b).
+  ``NystromState.rebuilds`` counts these rounds.
+
+The means are recomputed every round from X_g and the compressed
+history, O(r^2 + r A) per right-hand side, so they carry only the error
+of X_g; the ``budgeted-update-vs-rebuild`` suite of ``mtbandit
+validate`` checks the updated model against one solved from scratch.  Grid reads (the grid matched by
+identity, as in the exact engine), the resample's history norms and the
+round's log-det increment are gathers from these arm arrays; only other
+queries are embedded afresh.  The model holds at most |D_t| A b^2
+feature entries for A arms, whatever t (the exact engine's rows take
+t A b^2 floats).
 
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one factor per
-kernel of the basis and one diagonal solve per system.  An ICM kernel
-factors its scalar kernel once and a diagonal kernel each distinct scalar
-once; any other kernel factors its n x n blocks as a single system.  The
+kernel of the basis and one inverse per system.  An ICM kernel factors
+its scalar kernel once and a diagonal kernel each distinct scalar once;
+any other kernel factors its n x n blocks as a single system.  The
 observation checks, the history, the arm universe, the log-det
 accumulator and the covariance clamp are the exact posterior's.
 """
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.blas import dsymm, dsyrk
+from scipy.linalg.lapack import dpotri
 
 from .kernels import MultiTaskKernel, _as_points
-from .posterior import _clamp_spectrum, _logdet_ratio, _Posterior, _TaskBasis
+from .posterior import _block_gram, _clamp_spectrum, _logdet_ratio, _Posterior, _put, _TaskBasis
 
 __all__ = [
     "Dictionary",
@@ -196,26 +211,60 @@ def _common_prefix(u, v) -> int:
     return int(diff[0]) if diff.size else n
 
 
+def _sym(X, B) -> np.ndarray:
+    """X B for a symmetric X held in its lower triangle."""
+    return dsymm(1.0, X, B, lower=1)
+
+
+def _chol(S) -> np.ndarray:
+    """Lower Cholesky factor of S; a 1 x 1 S is its square root."""
+    return np.sqrt(S) if S.shape[0] == 1 else np.linalg.cholesky(S)
+
+
+def _lsolve(L, X, trans="N") -> np.ndarray:
+    """L^{-1} X, or L^{-T} X with trans "T", for a lower-triangular L; a 1 x 1 L divides."""
+    if L.shape[0] == 1:
+        return X / L
+    return la.solve_triangular(L, X, lower=True, trans=trans, check_finite=False)
+
+
+def _inverse(L) -> np.ndarray:
+    """(L L^T)^{-1} in its lower triangle, Fortran-ordered, from the lower factor L."""
+    return 1.0 / (L * L) if L.shape[0] == 1 else dpotri(L, lower=1)[0]
+
+
+def _observed(counts, b):
+    """The observed arms, their block columns and the visit count of each column."""
+    seen = np.flatnonzero(counts)
+    return seen, _block_cols(seen, b), np.repeat(counts[seen], b).astype(float)
+
+
 class _Features:
     """Incomplete Cholesky features of one basis kernel k over the arms.
 
-    Appends the dictionary arms from position ``keep`` on to the rows that
-    ``prev`` holds for the first ``keep`` (module docstring).  ``F`` (r, A b)
-    holds the feature rows; ``C`` (r, b) the pivot direction and ``piv``
-    (r,) the arm that made each row; ``ends[j]`` the row count after
-    dictionary arm j.
+    Built by appending the dictionary arms ``dict_arms`` (module
+    docstring); ``append`` adds further arms, ``truncate`` keeps the rows
+    of a prefix of them.  ``F`` (r, A b) holds the feature rows; ``C``
+    (r, b) the pivot direction and ``piv`` (r,) the arm that made each
+    row; ``ends[j]`` the row count after dictionary arm j.
     """
 
-    def __init__(self, k, arms, dict_arms, cut, prev=None, keep=0):
-        b, m = k.n, dict_arms.size
-        F, C = np.empty((m * b, arms.shape[0] * b)), np.empty((m * b, b))
-        piv, ends = np.empty(m * b, dtype=int), np.empty(m, dtype=int)
-        n = prev.ends[keep - 1] if keep else 0
-        if keep:
-            F[:n], C[:n], piv[:n] = prev.F[:n], prev.C[:n], prev.piv[:n]
-            ends[:keep] = prev.ends[:keep]
-        new = dict_arms[keep:]
-        rows = k._cross(arms[new], arms) if new.size else None
+    def __init__(self, k, arms, dict_arms, cut):
+        b = k.n
+        self.F, self.C = np.zeros((0, arms.shape[0] * b)), np.zeros((0, b))
+        self.piv, self.ends = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        self._buf = self.F  # F is its leading rows; appends fill the rest
+        if dict_arms.size:
+            self.append(k._cross(arms[dict_arms], arms), dict_arms, cut)
+
+    def append(self, rows, new, cut):
+        """Append the arms ``new``, whose kernel rows k(new, arms) are ``rows``."""
+        b, n, m = self.C.shape[1], self.piv.size, new.size
+        F = self._buf
+        if n + m * b > F.shape[0]:
+            F = self._buf = np.empty((max(n + m * b, n + n // 2), F.shape[1]))
+            F[:n] = self.F
+        C, piv, ends = [self.C], [self.piv], np.empty(m, dtype=int)
         for j, a in enumerate(new):
             krow, cols = rows[j * b:(j + 1) * b], slice(a * b, (a + 1) * b)
             l = F[:n, cols]
@@ -223,16 +272,28 @@ class _Features:
             if Cj.size:
                 e = n + Cj.shape[0]
                 F[n:e] = _flush(Cj @ (krow - l.T @ F[:n]))
-                C[n:e], piv[n:e], n = Cj, a, e
-            ends[keep + j] = n
-        self.F, self.C, self.piv, self.ends = F[:n], C[:n], piv[:n], ends
+                C.append(Cj), piv.append(np.full(e - n, a))
+                n = e
+            ends[j] = n
+        self.F, self.C, self.piv = F[:n], np.concatenate(C), np.concatenate(piv)
+        self.ends = np.concatenate([self.ends, ends])
 
-    def embed(self, k, arms, Xq) -> np.ndarray:
-        """Features (r, q b) of the points Xq, by forward substitution through
-        the pivot triangle: row i of the pivot arm a_i solves
+    def add_columns(self, phi):
+        """Append the feature columns phi (r, q b) of q new arms."""
+        self.F = self._buf = np.hstack([self.F, phi])
+
+    def truncate(self, keep: int):
+        """Keep the rows of the first ``keep`` dictionary arms."""
+        n = self.ends[keep - 1] if keep else 0
+        self.F, self.C, self.piv, self.ends = self.F[:n], self.C[:n], self.piv[:n], self.ends[:keep]
+
+    def embed(self, K) -> np.ndarray:
+        """Features (r, q b) of the points whose kernel blocks with the pivot
+        arms are K = k(arms[piv], Xq), (r b, q b), by forward substitution
+        through the pivot triangle: row i of the pivot arm a_i solves
         C_i (k(a_i, x) - F[:i, a_i]^T phi[:i](x)) = phi_i(x)."""
-        b, r, piv = k.n, self.piv.size, self.piv
-        rhs = np.einsum("ic,icq->iq", self.C, k._cross(arms[piv], Xq).reshape(r, b, len(Xq) * b))
+        b, r, piv = self.C.shape[1], self.piv.size, self.piv
+        rhs = np.einsum("ic,icq->iq", self.C, K.reshape(r, b, -1))
         T = np.einsum("ic,sic->is", self.C, self.F[:, _block_cols(piv, b)].reshape(r, r, b))
         T *= piv[:, None] != piv[None, :]  # the rows of one pivot are independent
         return _flush(la.solve_triangular(T, rhs, lower=True, unit_diagonal=True,
@@ -240,81 +301,199 @@ class _Features:
 
 
 class _Support:
-    """Nystrom statistics over the task-basis systems, resident on the arms.
+    """Nystrom model over the task-basis systems, resident on the arms and
+    updated in place (module docstring).
 
-    Built from the distinct dictionary arms (indices into the arms, each
-    once and unweighted), the arms and their visit counts and output sums;
-    the prior blocks k(a, a) are evaluated at every arm.  Per kernel it
-    keeps the features over the arms (``_Features``), the rotation Q^T of
-    the history Gram, the shrink factors xi_g lambda / (xi_g lambda + eta)
-    of its G_i systems as one (G_i, r) array, and the mean coordinates of
-    all their right-hand sides side by side (``_TaskBasis.by_kernel``), for
-    reads away from the arms.  ``means``, ``res`` (residual blocks, one
-    (N, b, b) stack per system) and ``norms`` hold the model at every arm.
-
-    Each kernel takes one pass over all of its systems, whatever the block
-    size b: the right-hand sides of every system come from one product
-    with phi_U, and the residual blocks of every system from one product
-    of the shrink factors with the entry products of the b x b blocks.
-
-    ``prev``, the previous round's support, lends the feature rows of the
-    longest common prefix of the two dictionaries when the arms are the
-    same; the support is bitwise the one built without it.
+    Per kernel of the basis it keeps the features over the arms
+    (``_Features``), the kernel rows k(a, arms) of every arm it has held,
+    the prior blocks k(a, a) at every arm, and the mean coordinates of all
+    its systems' right-hand sides side by side (``_TaskBasis.by_kernel``),
+    for reads away from the arms; per system the inverse of
+    xi_g V + eta I in its lower triangle.  ``means``, ``res`` (residual
+    blocks, one (A, b, b) stack per system) and ``norms`` hold the model
+    at every arm, and ``rebuilds`` counts the updates that solved it from
+    scratch.
     """
 
-    def __init__(self, basis: _TaskBasis, eta, dict_arms, arms, counts, sums, prev=None):
-        self.basis, self._dict, self._arms = basis, dict_arms, arms
-        b = basis.b
-        keep = 0
-        if prev is not None and prev._arms.shape[0] == arms.shape[0]:
-            keep = _common_prefix(prev._dict, dict_arms)
-        seen = np.flatnonzero(counts)
-        Yp = basis.project(sums[seen])  # per-arm output sums in basis coordinates
-        ucols = _block_cols(seen, b)
-        c = np.repeat(counts[seen], b).astype(float)
-        prior = [k.diag_blocks(arms) for k in basis.kernels]
-        self._feats, self._rot, self._shrink, self._z, phis = [], [], [], [], []
-        for i, (k, (g, pos, owner)) in enumerate(zip(basis.kernels, basis.by_kernel)):
-            cut = PINV_RTOL * np.max(np.diagonal(prior[i], axis1=1, axis2=2))
-            f = _Features(k, arms, dict_arms, cut, prev._feats[i] if keep else None, keep)
-            FU = f.F[:, ucols]
-            # The history Gram V = Phi_U diag(c) Phi_U^T.
-            lam, Q = la.eigh((FU * c) @ FU.T, driver="evd", check_finite=False)
-            phi = Q.T @ f.F  # (r, A b), rotated
-            xi = basis._xi[g, None]
-            inv = 1.0 / (xi * lam + eta)
-            rhs = phi[:, ucols] @ Yp[:, pos.ravel()].reshape(ucols.size, -1)
-            self._feats.append(f)
-            self._rot.append(Q.T)
-            self._shrink.append(xi * lam * inv)
-            self._z.append(inv[owner].T * rhs)
-            phis.append(phi)
-        self.means = self.mean_at(phis, arms.shape[0])
-        self.res = self.residuals_at(phis, prior)
+    def __init__(self, basis: _TaskBasis, eta, arms):
+        b, A, none = basis.b, arms.shape[0], np.zeros(0, dtype=int)
+        self.basis, self.eta, self._arms = basis, eta, arms
+        self._prior = [k.diag_blocks(arms) for k in basis.kernels]
+        self._feats = [_Features(k, arms, none, 0.0) for k in basis.kernels]
+        self._rows = [np.zeros((0, A * b)) for _ in basis.kernels]
+        self._held, self._slot = [], np.full(A, -1)  # arms with kernel rows, and their slots
+        self._inv = [np.zeros((0, 0), order="F") for _ in basis.systems]
+        self._z = [np.zeros((0, pos.shape[1])) for _, pos, _ in basis.by_kernel]
+        self._dict = none
+        self.res = np.stack([self._prior[i] for i, _, _ in basis.systems])
         self.norms = basis.assemble_cov_norm(self.res, None)
+        self.means = np.zeros((A, basis.U.shape[0]))
+        self.rebuilds = 0
+
+    @classmethod
+    def solved(cls, basis, eta, dict_arms, arms, counts, sums):
+        """The model of the dictionary arms ``dict_arms`` built and solved from scratch."""
+        support = cls(basis, eta, arms)
+        support._rebuild(0, dict_arms, counts, sums)
+        return support
+
+    def add_arm(self, arms):
+        """Take in the newest of the arms: its kernel blocks with the held
+        arms, its feature columns by embedding, and the model's residual
+        blocks there."""
+        b, x, A = self.basis.b, arms[-1:], self._slot.size
+        self._arms, self._slot = arms, np.append(self._slot, -1)
+        phis = []
+        for i, (k, f) in enumerate(zip(self.basis.kernels, self._feats)):
+            K = k._cross(arms[self._held], x) if self._held else np.zeros((0, b))
+            self._rows[i] = _put(self._rows[i], 0, A * b, K)
+            self._prior[i] = np.concatenate([self._prior[i], k.diag_blocks(x)])
+            phi = f.embed(K.reshape(-1, b, b)[self._slot[f.piv]]) if f.piv.size else np.zeros((0, b))
+            f.add_columns(phi)
+            phis.append(phi)
+        new = self.residuals_at(phis, [P[-1:] for P in self._prior])
+        self.res = np.concatenate([self.res, new], axis=1)
+        self.norms = np.append(self.norms, self.basis.assemble_cov_norm(new, None))
+
+    def update(self, a, dict_arms, counts, sums):
+        """Fold in the observation at arm a, already counted in ``counts`` and
+        ``sums``, and move the model to the dictionary arms ``dict_arms``.
+
+        While the dictionary only gains arms the model is updated in place;
+        when it loses one, the features keep the rows of the common prefix
+        and the model is solved from scratch.
+        """
+        keep = _common_prefix(self._dict, dict_arms)
+        if keep < self._dict.size:
+            self.rebuilds += 1
+            self._rebuild(keep, dict_arms, counts, sums)
+            return
+        self._observe(a)
+        seen, ucols, c = _observed(counts, self.basis.b)
+        new = dict_arms[keep:]
+        for i, rows in enumerate(self._kernel_rows(new)):
+            n0 = self._feats[i].piv.size
+            self._feats[i].append(rows, new, self._cut(i))
+            if self._feats[i].piv.size > n0:
+                self._border(i, n0, ucols, c)
+        self._dict = dict_arms
+        self._solve_means(seen, ucols, sums)
+
+    def _rebuild(self, keep, dict_arms, counts, sums):
+        """Truncate the features to the first ``keep`` dictionary arms, append
+        the rest and solve the model from scratch."""
+        new = dict_arms[keep:]
+        for i, rows in enumerate(self._kernel_rows(new)):
+            self._feats[i].truncate(keep)
+            self._feats[i].append(rows, new, self._cut(i))
+        seen, ucols, c = _observed(counts, self.basis.b)
+        for f, (gs, _, _) in zip(self._feats, self.basis.by_kernel):
+            FU = f.F[:, ucols]
+            V = (FU * c) @ FU.T  # the history Gram
+            for g in gs:
+                L = np.linalg.cholesky(self.basis._xi[g] * V + self.eta * np.eye(V.shape[0]))
+                self._inv[g] = _inverse(L)
+        self.res = self.residuals_at([f.F for f in self._feats], self._prior)
+        self._dict = dict_arms
+        self._solve_means(seen, ucols, sums)
+
+    def _cut(self, i) -> float:
+        """Pivot cut of kernel i: PINV_RTOL times its largest prior diagonal."""
+        return PINV_RTOL * np.max(np.diagonal(self._prior[i], axis1=1, axis2=2))
+
+    def _kernel_rows(self, new) -> list:
+        """Kernel rows k(new, arms), one (|new| b, A b) array per kernel,
+        evaluated only for the arms never held before."""
+        b, A = self.basis.b, self._slot.size
+        fresh = new[self._slot[new] < 0]
+        if fresh.size:
+            self._slot[fresh] = len(self._held) + np.arange(fresh.size)
+            self._rows = [_put(R, len(self._held) * b, 0, k._cross(self._arms[fresh], self._arms))
+                          for R, k in zip(self._rows, self.basis.kernels)]
+            self._held.extend(fresh.tolist())
+        idx = _block_cols(self._slot[new], b)
+        return [R[idx, :A * b] for R in self._rows]
+
+    def _observe(self, a):
+        """Rank-b update of every system by one visit of arm a: A_g gains
+        xi_g F_a F_a^T, so with u = X_g v, v = sqrt(xi_g) F_a and
+        M = I + v^T u = L_M L_M^T, the inverse X_g loses (L_M^{-1} u^T)^T
+        (L_M^{-1} u^T) and the residual blocks eta times the blocks of
+        (L_M^{-1} u^T F)^T (L_M^{-1} u^T F)."""
+        b = self.basis.b
+        for f, (gs, _, _) in zip(self._feats, self.basis.by_kernel):
+            if not f.piv.size:
+                continue
+            Fa = f.F[:, a * b:(a + 1) * b]
+            for g in gs:
+                v = np.sqrt(self.basis._xi[g]) * Fa
+                u = _sym(self._inv[g], v)
+                W = _lsolve(_chol(np.eye(b) + v.T @ u), u.T)
+                H = W @ f.F
+                self.res[g] -= self.eta * _block_gram(H, H, b)
+                self._inv[g] = dsyrk(-1.0, W, 1.0, self._inv[g], trans=1, lower=1, overwrite_c=1)
+
+    def _border(self, i, n0, ucols, c):
+        """Grow the systems of kernel i by its feature rows from n0 on.
+
+        With f the new rows, B = xi_g f_U diag(c) F_U^T their border with
+        the old rows, P = X_g B^T and S = xi_g f_U diag(c) f_U^T + eta I
+        - B P = L_S L_S^T, the inverse becomes the block inverse
+        [[X_g + P S^{-1} P^T, -P S^{-1}], [-S^{-1} P^T, S^{-1}]] and the
+        residual blocks gain -f^T f + eta h^T h, h = L_S^{-1} (f - P^T F).
+        """
+        b, f = self.basis.b, self._feats[i]
+        Fo, Fn = f.F[:n0], f.F[n0:]
+        Nc = Fn[:, ucols] * c
+        Vno, Vnn = Nc @ Fo[:, ucols].T, Nc @ Fn[:, ucols].T
+        k = Fn.shape[0]
+        D = _block_gram(Fn, Fn, b)
+        for g in self.basis.by_kernel[i][0]:
+            xi, X = self.basis._xi[g], self._inv[g]
+            P = _sym(X, xi * Vno.T) if n0 else np.zeros((0, k))
+            LS = _chol(xi * (Vnn - Vno @ P) + self.eta * np.eye(k))
+            h = _lsolve(LS, Fn - P.T @ Fo)
+            self.res[g] += self.eta * _block_gram(h, h, b) - D
+            Pl = _lsolve(LS, P.T)
+            grown = np.zeros((n0 + k, n0 + k), order="F")
+            if n0:
+                grown[:n0, :n0] = dsyrk(1.0, Pl, 1.0, X, trans=1, lower=1, overwrite_c=1)
+                grown[n0:, :n0] = -_lsolve(LS, Pl, "T")
+            grown[n0:, n0:] = _inverse(LS)
+            self._inv[g] = grown
+
+    def _solve_means(self, seen, ucols, sums):
+        """Mean coordinates X_g F_U S_U of every system, from the output sums
+        of the observed arms ``seen``, and the model at every arm; the
+        covariance norms from the residual blocks."""
+        Yp = self.basis.project(sums[seen])  # per-arm output sums in basis coordinates
+        for i, (f, (gs, pos, owner)) in enumerate(zip(self._feats, self.basis.by_kernel)):
+            rhs = f.F[:, ucols] @ Yp[:, pos.ravel()].reshape(ucols.size, -1)
+            z = np.empty_like(rhs)
+            for j, g in enumerate(gs):
+                z[:, owner == j] = _sym(self._inv[g], rhs[:, owner == j])
+            self._z[i] = z
+        self.means = self.mean_at([f.F for f in self._feats], self._arms.shape[0])
+        self.norms = self.basis.assemble_cov_norm(self.res, None)
 
     def embed(self, Xq) -> list:
-        """Rotated embeddings of a stack of queries, one (r_i, N b) array per kernel."""
-        return [R @ f.embed(k, self._arms, Xq)
-                for R, f, k in zip(self._rot, self._feats, self.basis.kernels)]
+        """Embeddings of a stack of queries, one (r_i, N b) array per kernel."""
+        return [f.embed(k._cross(self._arms[f.piv], Xq))
+                for f, k in zip(self._feats, self.basis.kernels)]
 
     def mean_at(self, phis, N) -> np.ndarray:
-        """Means (N, n) from rotated embeddings, one product per kernel."""
+        """Means (N, n) from embeddings, one product per kernel."""
         return self.basis.assemble_mean([phi.T @ z for phi, z in zip(phis, self._z)], N)
 
     def residuals_at(self, phis, prior) -> np.ndarray:
-        """Residual blocks R~_g = k_i(x, x) - phi^T diag(shrink_g) phi, (G, N, b, b).
-
-        Per kernel the entry products of every row's b x b blocks are formed
-        once and weighed by the shrink factors of all its systems in one
-        product.
-        """
+        """Residual blocks R~_g = k_i(x, x) - phi^T phi + eta phi^T X_g phi, (G, N, b, b)."""
         b, N = self.basis.b, prior[0].shape[0]
         res = np.empty((len(self.basis.systems), N, b, b))
-        for phi, s, P, (g, _, _) in zip(phis, self._shrink, prior, self.basis.by_kernel):
-            p = phi.reshape(phi.shape[0], N, b)
-            outer = (p[..., :, None] * p[..., None, :]).reshape(phi.shape[0], -1)
-            res[g] = P - (s @ outer).reshape(g.size, N, b, b)
+        for phi, P, (gs, _, _) in zip(phis, prior, self.basis.by_kernel):
+            D = P - _block_gram(phi, phi, b)
+            for g in gs:
+                res[g] = D + self.eta * _block_gram(phi, _sym(self._inv[g], phi), b) \
+                    if phi.shape[0] else D
         return res
 
     def residuals(self, Xq) -> np.ndarray:
@@ -339,8 +518,8 @@ class NystromState(_Posterior):
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round, as for
         ``PosteriorState``.  Its rows are the first N arms, so every
-        rebuild computes the means and covariance norms over the grid
-        and ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` is a copy.
+        update keeps the means and covariance norms over the grid and
+        ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` is a copy.
         Only a query that *is* this array object is served from the arm
         arrays, without checking the grid again; every other query (copies
         included) is checked and embedded afresh.
@@ -352,13 +531,13 @@ class NystromState(_Posterior):
     ``dictionary`` lists the sampled history points with their inclusion
     probabilities, and ``m`` counts them; the support is built from the
     distinct arms among them, each once and unweighted (module docstring).
-    Every rebuild appends the dictionary arms after the common prefix with
-    the previous dictionary to each kernel's features, compresses the
-    history per arm with the visit counts and output sums kept here,
-    rotates the features so that the ridge solves are diagonal, and
-    evaluates the model at every arm once.  The support is built over the
-    kernel's task-basis systems (posterior._task_systems); no option selects
-    another path.
+    The history enters compressed per arm, with the visit counts and output
+    sums kept here.  While the dictionary only gains arms, every update
+    folds the observation into the model and appends the new dictionary
+    arms in place; ``rebuilds`` counts the updates whose dictionary lost an
+    arm, which keep the features of the common prefix and solve the model
+    from scratch.  The support is built over the kernel's task-basis
+    systems (posterior._task_systems); no option selects another path.
 
     Updates mutate in place (single-writer); reads are pure.
     """
@@ -397,36 +576,35 @@ class NystromState(_Posterior):
         self._counts[a] += 1
         self._sums[a] += y
 
+    @property
+    def rebuilds(self) -> int:
+        """Updates that solved the model from scratch: the rounds whose
+        dictionary lost an arm."""
+        return self._support.rebuilds if self._support is not None else 0
+
     def _absorb(self, a, y) -> float:
-        """Record the observation, resample the dictionary and rebuild the support.
+        """Record the observation, resample the dictionary and update the support.
 
         Inclusion probabilities for all points (the new one included) come
         from the previous round's covariance, and so does the log-det
-        increment.  Both are gathered from the previous support's arm
-        arrays; only a point that was not an arm then is embedded afresh.
+        increment.  Both are gathered from the support's arm arrays; a
+        point new to the arm universe first joins them by its embedding.
         """
-        self._record(a, y)
         basis = self._basis
         if self._support is None:
-            res = np.stack([basis.kernels[i].diag_blocks(self._arms) for i, _, _ in basis.systems])
-            norms = basis.assemble_cov_norm(res, None)
-        else:
-            res, norms = self._support.res, self._support.norms
-            if a == norms.shape[0]:
-                new = self._support.residuals(self._arms[a:a + 1])
-                res = np.concatenate([res, new], axis=1)
-                norms = np.append(norms, basis.assemble_cov_norm(new, None))
-        increment = _logdet_ratio(basis.assemble_cov(res[:, a], None), self.eta, None)
-        self.dictionary = resample_dictionary(norms[self._hist_arm], self.q, self.rng)
+            self._support = _Support(basis, self.eta, self._arms)
+        support = self._support
+        if a == support.norms.shape[0]:
+            support.add_arm(self._arms)
+        increment = _logdet_ratio(basis.assemble_cov(support.res[:, a], None), self.eta, None)
+        self._record(a, y)
+        self.dictionary = resample_dictionary(support.norms[self._hist_arm], self.q, self.rng)
         # Distinct sampled arms in first-visit order: repeats and weights
         # leave the span of the support features, hence Phi^T Phi, unchanged.
         sampled = np.zeros(self._arms.shape[0], dtype=bool)
         sampled[self._hist_arm[self.dictionary.indices]] = True
         visited = np.array(self._visited)
-        self._support = _Support(
-            basis, self.eta, visited[sampled[visited]],
-            self._arms, self._counts, self._sums, prev=self._support,
-        )
+        support.update(a, visited[sampled[visited]], self._counts, self._sums)
         return increment
 
     # -- reads ----------------------------------------------------------

@@ -4,8 +4,9 @@ Each suite builds small seeded instances and reports its worst error
 against a fixed tolerance: the log-det telescoping and the trace bound
 against dense oracles, the geometry of the posterior covariance, the
 agreement of the engine's task-basis systems, grid-resident and off-grid
-reads with the single general system, and the budgeted posterior with an
-all-points dictionary against the exact one.  ``main`` prints one line
+reads with the single general system, the budgeted posterior with an
+all-points dictionary against the exact one, and the budgeted model
+updated in place against the same model solved from scratch.  ``main`` prints one line
 per suite and a tally, and returns 0 when every suite passed, else 1.
 """
 
@@ -200,6 +201,33 @@ def _suite_full_dictionary():
     return tuple(reports)
 
 
+def _suite_budgeted_update():
+    """The budgeted model updated in place against the same dictionary's
+    model solved from scratch, on an ICM kernel (one b = 1 factor per
+    coupling eigenvalue) and on the same kernel as one general system.
+    300 rounds at q = 30, where the budget binds (about 40 sampled points),
+    revisit an ever wider pool of 12 grid arms and, from round 150, one
+    off-grid arm, so that the dictionary keeps its arms, gains arms and
+    loses arms; after every round the means, covariance norms and residual
+    blocks at every arm are compared."""
+    eta = 0.1
+    rng = np.random.default_rng(404)
+    icm = kernels.ICMKernel(kernels.SquaredExponential(0.3), kernels.gram_coupling(2, rng))
+    grid, off = rng.random((12, 2)), rng.random(2)
+    worst = 0.0
+    for kern in (icm, kernels.SumSeparableKernel([(icm.scalar, icm.coupling)])):
+        state = nystrom.NystromState(kern, eta, q=30.0, rng=np.random.default_rng(11), grid=grid)
+        for t in range(300):
+            x = off if t >= 150 and t % 7 == 0 else grid[rng.integers(min(12, 2 + t // 10))]
+            state.update(x, rng.normal(size=2))
+            s = state._support
+            fresh = nystrom._Support.solved(state._basis, eta, s._dict, state._arms,
+                                            state._counts, state._sums)
+            worst = max([worst] + [float(np.max(np.abs(u - v))) for u, v in (
+                (s.means, fresh.means), (s.norms, fresh.norms), (s.res, fresh.res))])
+    return (SuiteReport("budgeted-update-vs-rebuild", worst, 1e-9),)
+
+
 def main() -> int:
     """Run every suite, print one line per suite and a tally; 0 if all passed."""
     reports = []
@@ -208,6 +236,7 @@ def main() -> int:
         _suite_variance_geometry,
         _suite_fast_path_equivalence,
         _suite_full_dictionary,
+        _suite_budgeted_update,
     ):
         reports.extend(suite())
     width = max(len(r.name) for r in reports)

@@ -395,6 +395,7 @@ class TestValidateCommand:
             "full-dictionary-diagonal",
             "full-dictionary-grid",
             "full-dictionary-rank-deficient",
+            "budgeted-update-vs-rebuild",
         ):
             assert name in out
         assert "FAIL" not in out
@@ -406,6 +407,20 @@ class TestValidateCommand:
         monkeypatch.setattr(nystrom, "PINV_RTOL", 1e-4)
         reports = {r.name: r for r in validate._suite_full_dictionary()}
         assert not reports["full-dictionary-rank-deficient"].passed
+
+    def test_stale_residuals_fail_update_suite(self, monkeypatch):
+        """Budgeted residual blocks left stale by an observation move the
+        updated model away from the one solved from scratch."""
+        original = nystrom._Support._observe
+
+        def stale(self, a):
+            res = self.res.copy()
+            original(self, a)
+            self.res = res
+
+        monkeypatch.setattr(nystrom._Support, "_observe", stale)
+        (report,) = validate._suite_budgeted_update()
+        assert not report.passed
 
     def test_sign_mutation_fails_geometry_suite(self, capsys, monkeypatch):
         """Flipping the posterior covariance sign must trip the suites."""
