@@ -107,11 +107,10 @@ accumulator and the covariance clamp are the exact posterior's.
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.blas import dsymm, dsyrk
-from scipy.linalg.lapack import dpotri
 
 from .kernels import MultiTaskKernel, _as_points
-from .posterior import _block_gram, _clamp_spectrum, _logdet_ratio, _Posterior, _put, _TaskBasis
+from .posterior import (_block_gram, _clamp_spectrum, _logdet_ratio, _Posterior, _put,
+                        _solve_pivot, _TaskBasis)
 
 __all__ = [
     "Dictionary",
@@ -211,26 +210,14 @@ def _common_prefix(u, v) -> int:
     return int(diff[0]) if diff.size else n
 
 
-def _sym(X, B) -> np.ndarray:
-    """X B for a symmetric X held in its lower triangle."""
-    return dsymm(1.0, X, B, lower=1)
-
-
 def _chol(S) -> np.ndarray:
-    """Lower Cholesky factor of S; a 1 x 1 S is its square root."""
-    return np.sqrt(S) if S.shape[0] == 1 else np.linalg.cholesky(S)
+    """Lower Cholesky factors of a stack of matrices; 1 x 1 ones are square roots."""
+    return np.sqrt(S) if S.shape[-1] == 1 else np.linalg.cholesky(S)
 
 
-def _lsolve(L, X, trans="N") -> np.ndarray:
-    """L^{-1} X, or L^{-T} X with trans "T", for a lower-triangular L; a 1 x 1 L divides."""
-    if L.shape[0] == 1:
-        return X / L
-    return la.solve_triangular(L, X, lower=True, trans=trans, check_finite=False)
-
-
-def _inverse(L) -> np.ndarray:
-    """(L L^T)^{-1} in its lower triangle, Fortran-ordered, from the lower factor L."""
-    return 1.0 / (L * L) if L.shape[0] == 1 else dpotri(L, lower=1)[0]
+def _inv_lower(L) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices."""
+    return _solve_pivot(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
 
 
 def _observed(counts, b):
@@ -322,7 +309,9 @@ class _Support:
         self._feats = [_Features(k, arms, none, 0.0) for k in basis.kernels]
         self._rows = [np.zeros((0, A * b)) for _ in basis.kernels]
         self._held, self._slot = [], np.full(A, -1)  # arms with kernel rows, and their slots
-        self._inv = [np.zeros((0, 0), order="F") for _ in basis.systems]
+        # Per kernel, stacked over its systems: xi_g and the inverse of xi_g V + eta I.
+        self._xi = [basis._xi[gs][:, None, None] for gs, _, _ in basis.by_kernel]
+        self._inv = [np.zeros((gs.size, 0, 0)) for gs, _, _ in basis.by_kernel]
         self._z = [np.zeros((0, pos.shape[1])) for _, pos, _ in basis.by_kernel]
         self._dict = none
         self.res = np.stack([self._prior[i] for i, _, _ in basis.systems])
@@ -371,7 +360,7 @@ class _Support:
         self._observe(a)
         seen, ucols, c = _observed(counts, self.basis.b)
         new = dict_arms[keep:]
-        for i, rows in enumerate(self._kernel_rows(new)):
+        for i, rows in enumerate(self._kernel_rows(new) if new.size else ()):
             n0 = self._feats[i].piv.size
             self._feats[i].append(rows, new, self._cut(i))
             if self._feats[i].piv.size > n0:
@@ -387,12 +376,11 @@ class _Support:
             self._feats[i].truncate(keep)
             self._feats[i].append(rows, new, self._cut(i))
         seen, ucols, c = _observed(counts, self.basis.b)
-        for f, (gs, _, _) in zip(self._feats, self.basis.by_kernel):
+        for i, (f, xi) in enumerate(zip(self._feats, self._xi)):
             FU = f.F[:, ucols]
             V = (FU * c) @ FU.T  # the history Gram
-            for g in gs:
-                L = np.linalg.cholesky(self.basis._xi[g] * V + self.eta * np.eye(V.shape[0]))
-                self._inv[g] = _inverse(L)
+            Li = _inv_lower(_chol(xi * V + self.eta * np.eye(V.shape[0])))
+            self._inv[i] = Li.transpose(0, 2, 1) @ Li
         self.res = self.residuals_at([f.F for f in self._feats], self._prior)
         self._dict = dict_arms
         self._solve_means(seen, ucols, sums)
@@ -415,64 +403,59 @@ class _Support:
         return [R[idx, :A * b] for R in self._rows]
 
     def _observe(self, a):
-        """Rank-b update of every system by one visit of arm a: A_g gains
-        xi_g F_a F_a^T, so with u = X_g v, v = sqrt(xi_g) F_a and
-        M = I + v^T u = L_M L_M^T, the inverse X_g loses (L_M^{-1} u^T)^T
-        (L_M^{-1} u^T) and the residual blocks eta times the blocks of
-        (L_M^{-1} u^T F)^T (L_M^{-1} u^T F)."""
+        """Rank-b update of every system by one visit of arm a (Woodbury).
+
+        A_g gains v v^T, v = sqrt(xi_g) F_a.  With u = X_g v and
+        M = I + v^T u = L_M L_M^T, the inverse X_g loses W^T W and the
+        residual blocks lose eta times the blocks of (W F)^T (W F), where
+        W = L_M^{-1} u^T.  Each kernel updates all of its systems at once.
+        """
         b = self.basis.b
-        for f, (gs, _, _) in zip(self._feats, self.basis.by_kernel):
-            if not f.piv.size:
-                continue
-            Fa = f.F[:, a * b:(a + 1) * b]
-            for g in gs:
-                v = np.sqrt(self.basis._xi[g]) * Fa
-                u = _sym(self._inv[g], v)
-                W = _lsolve(_chol(np.eye(b) + v.T @ u), u.T)
-                H = W @ f.F
-                self.res[g] -= self.eta * _block_gram(H, H, b)
-                self._inv[g] = dsyrk(-1.0, W, 1.0, self._inv[g], trans=1, lower=1, overwrite_c=1)
+        for f, X, xi, (gs, _, _) in zip(self._feats, self._inv, self._xi, self.basis.by_kernel):
+            v = np.sqrt(xi) * f.F[:, a * b:(a + 1) * b]
+            u = X @ v
+            W = _solve_pivot(_chol(np.eye(b) + v.transpose(0, 2, 1) @ u), u.transpose(0, 2, 1))
+            H = W @ f.F
+            self.res[gs] -= self.eta * _block_gram(H, H, b)
+            X -= W.transpose(0, 2, 1) @ W
 
     def _border(self, i, n0, ucols, c):
         """Grow the systems of kernel i by its feature rows from n0 on.
 
-        With f the new rows, B = xi_g f_U diag(c) F_U^T their border with
+        With f the k new rows, B = xi_g f_U diag(c) F_U^T their border with
         the old rows, P = X_g B^T and S = xi_g f_U diag(c) f_U^T + eta I
         - B P = L_S L_S^T, the inverse becomes the block inverse
         [[X_g + P S^{-1} P^T, -P S^{-1}], [-S^{-1} P^T, S^{-1}]] and the
-        residual blocks gain -f^T f + eta h^T h, h = L_S^{-1} (f - P^T F).
+        residual blocks gain -f^T f + eta h^T h, h = L_S^{-1} (f - P^T F)
+        (the Schur-complement term).
         """
-        b, f = self.basis.b, self._feats[i]
+        b, f, X, xi = self.basis.b, self._feats[i], self._inv[i], self._xi[i]
         Fo, Fn = f.F[:n0], f.F[n0:]
         Nc = Fn[:, ucols] * c
         Vno, Vnn = Nc @ Fo[:, ucols].T, Nc @ Fn[:, ucols].T
-        k = Fn.shape[0]
-        D = _block_gram(Fn, Fn, b)
-        for g in self.basis.by_kernel[i][0]:
-            xi, X = self.basis._xi[g], self._inv[g]
-            P = _sym(X, xi * Vno.T) if n0 else np.zeros((0, k))
-            LS = _chol(xi * (Vnn - Vno @ P) + self.eta * np.eye(k))
-            h = _lsolve(LS, Fn - P.T @ Fo)
-            self.res[g] += self.eta * _block_gram(h, h, b) - D
-            Pl = _lsolve(LS, P.T)
-            grown = np.zeros((n0 + k, n0 + k), order="F")
-            if n0:
-                grown[:n0, :n0] = dsyrk(1.0, Pl, 1.0, X, trans=1, lower=1, overwrite_c=1)
-                grown[n0:, :n0] = -_lsolve(LS, Pl, "T")
-            grown[n0:, n0:] = _inverse(LS)
-            self._inv[g] = grown
+        P = X @ (xi * Vno.T)
+        Li = _inv_lower(_chol(xi * (Vnn - Vno @ P) + self.eta * np.eye(Vnn.shape[0])))
+        Pt = P.transpose(0, 2, 1)
+        Pl, h = Li @ Pt, Li @ (Fn - Pt @ Fo)
+        gs = self.basis.by_kernel[i][0]
+        self.res[gs] += self.eta * _block_gram(h, h, b) - _block_gram(Fn, Fn, b)
+        Lt = Li.transpose(0, 2, 1)
+        grown = np.empty((gs.size, f.F.shape[0], f.F.shape[0]))
+        grown[:, :n0, :n0] = X + Pl.transpose(0, 2, 1) @ Pl
+        grown[:, n0:, :n0] = -(Lt @ Pl)  # -S^{-1} P^T
+        grown[:, :n0, n0:] = grown[:, n0:, :n0].transpose(0, 2, 1)
+        grown[:, n0:, n0:] = Lt @ Li
+        self._inv[i] = grown
 
     def _solve_means(self, seen, ucols, sums):
         """Mean coordinates X_g F_U S_U of every system, from the output sums
         of the observed arms ``seen``, and the model at every arm; the
         covariance norms from the residual blocks."""
         Yp = self.basis.project(sums[seen])  # per-arm output sums in basis coordinates
-        for i, (f, (gs, pos, owner)) in enumerate(zip(self._feats, self.basis.by_kernel)):
+        for i, (f, X, (_, pos, owner)) in enumerate(zip(self._feats, self._inv,
+                                                          self.basis.by_kernel)):
             rhs = f.F[:, ucols] @ Yp[:, pos.ravel()].reshape(ucols.size, -1)
-            z = np.empty_like(rhs)
-            for j, g in enumerate(gs):
-                z[:, owner == j] = _sym(self._inv[g], rhs[:, owner == j])
-            self._z[i] = z
+            self._z[i] = (X @ rhs)[owner, :, np.arange(owner.size)].T
         self.means = self.mean_at([f.F for f in self._feats], self._arms.shape[0])
         self.norms = self.basis.assemble_cov_norm(self.res, None)
 
@@ -489,11 +472,8 @@ class _Support:
         """Residual blocks R~_g = k_i(x, x) - phi^T phi + eta phi^T X_g phi, (G, N, b, b)."""
         b, N = self.basis.b, prior[0].shape[0]
         res = np.empty((len(self.basis.systems), N, b, b))
-        for phi, P, (gs, _, _) in zip(phis, prior, self.basis.by_kernel):
-            D = P - _block_gram(phi, phi, b)
-            for g in gs:
-                res[g] = D + self.eta * _block_gram(phi, _sym(self._inv[g], phi), b) \
-                    if phi.shape[0] else D
+        for phi, P, X, (gs, _, _) in zip(phis, prior, self._inv, self.basis.by_kernel):
+            res[gs] = P - _block_gram(phi, phi, b) + self.eta * _block_gram(phi, X @ phi, b)
         return res
 
     def residuals(self, Xq) -> np.ndarray:
