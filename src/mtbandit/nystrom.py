@@ -216,8 +216,8 @@ def _chol(S) -> np.ndarray:
 
 
 def _inv_lower(L) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices."""
-    return _solve_pivot(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
+    """Inverses of a stack of lower-triangular matrices; 1 x 1 ones are reciprocals."""
+    return 1.0 / L if L.shape[-1] == 1 else np.linalg.inv(L)
 
 
 def _observed(counts, b):
