@@ -88,13 +88,13 @@ things to them:
 
 The means are recomputed every round from X_g and the compressed
 history, O(r^2 + r A) per right-hand side, so they carry only the error
-of X_g; the ``budgeted-update-vs-rebuild`` suite of ``mtbandit
-validate`` checks the updated model against one solved from scratch.  Grid reads (the grid matched by
-identity, as in the exact engine), the resample's history norms and the
-round's log-det increment are gathers from these arm arrays; only other
-queries are embedded afresh.  The model holds at most |D_t| A b^2
-feature entries for A arms, whatever t (the exact engine's rows take
-t A b^2 floats).
+of X_g; the ``budgeted-update-vs-rebuild`` suite of ``mtbandit validate``
+checks the updated model against one solved from scratch.  Grid reads
+(the grid matched by identity, as in the exact engine), the resample's
+history norms and the round's log-det increment are gathers from these
+arm arrays; only other queries are embedded afresh.  The model holds at
+most |D_t| A b^2 feature entries for A arms, whatever t (the exact
+engine's rows take t A b^2 floats).
 
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one factor per
@@ -295,11 +295,11 @@ class _Support:
     (``_Features``), the kernel rows k(a, arms) of every arm it has held,
     the prior blocks k(a, a) at every arm, and the mean coordinates of all
     its systems' right-hand sides side by side (``_TaskBasis.by_kernel``),
-    for reads away from the arms; per system the inverse of
-    xi_g V + eta I in its lower triangle.  ``means``, ``res`` (residual
-    blocks, one (A, b, b) stack per system) and ``norms`` hold the model
-    at every arm, and ``rebuilds`` counts the updates that solved it from
-    scratch.
+    for reads away from the arms; and the inverses X_g of xi_g V + eta I
+    of its systems as one (G_i, r, r) stack, so that every step updates
+    all of them at once.  ``means``, ``res`` (residual blocks, one
+    (A, b, b) stack per system) and ``norms`` hold the model at every arm,
+    and ``rebuilds`` counts the updates that solved it from scratch.
     """
 
     def __init__(self, basis: _TaskBasis, eta, arms):
@@ -309,7 +309,7 @@ class _Support:
         self._feats = [_Features(k, arms, none, 0.0) for k in basis.kernels]
         self._rows = [np.zeros((0, A * b)) for _ in basis.kernels]
         self._held, self._slot = [], np.full(A, -1)  # arms with kernel rows, and their slots
-        # Per kernel, stacked over its systems: xi_g and the inverse of xi_g V + eta I.
+        # Per kernel, stacked over its systems: xi_g and X_g.
         self._xi = [basis._xi[gs][:, None, None] for gs, _, _ in basis.by_kernel]
         self._inv = [np.zeros((gs.size, 0, 0)) for gs, _, _ in basis.by_kernel]
         self._z = [np.zeros((0, pos.shape[1])) for _, pos, _ in basis.by_kernel]

@@ -9,9 +9,10 @@ the regret analysis relies on, against a dictionary listing each arm once
 served from the arm arrays, against a grid-less twin that embeds the grid
 afresh.  The incomplete Cholesky features are checked against the Nystrom
 kernel k(x, D) K_DD^{-1} k(D, x') and, on a rank-deficient dictionary,
-against the dense posterior; a support carried over from the previous
-round must equal one built afresh bitwise and evaluate kernel rows only
-for the arms it appends.
+against the dense posterior.  The support updated in place must agree
+with one solved from scratch (its feature factor bitwise on a fixed arm
+universe), solve nothing from scratch while the dictionary loses no arm,
+and evaluate a kernel row once per arm.
 """
 
 import numpy as np
