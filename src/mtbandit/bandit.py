@@ -99,9 +99,9 @@ class AlgorithmConfig:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.rkhs_bound < 0:
+        if not self.rkhs_bound >= 0:
             raise ValueError(f"rkhs_bound must be >= 0, got {self.rkhs_bound}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")

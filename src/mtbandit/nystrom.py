@@ -59,10 +59,10 @@ visited for the first time comes last.  When every point is kept, this
 is also the order in which the arms were first sampled.  Between two
 dictionaries the rows of their longest common prefix carry over, so on a
 fixed arm universe the factor is bitwise the one built afresh.  The
-kernel rows k(a, arms) of every arm ever held are kept, so a kernel row
-is evaluated once per arm.  A new arm in the universe gets its feature
-columns by the embedding recurrence and a column of every kept kernel
-row; those columns agree with a fresh factor to rounding.
+kernel rows k(a, arms) are evaluated when the arms are appended, one per
+appended arm.  A new arm in the universe gets its feature columns by the
+embedding recurrence from its kernel blocks with the pivot arms; those
+columns agree with a fresh factor to rounding.
 
 Between dictionary losses the model is a ridge regression in a fixed
 feature space, as in BKB, so it is updated rather than rebuilt.  Per
@@ -102,15 +102,17 @@ kernel of the basis and one inverse per system.  An ICM kernel factors
 its scalar kernel once and a diagonal kernel each distinct scalar once;
 any other kernel factors its n x n blocks as a single system.  The
 observation checks, the history, the arm universe, the log-det
-accumulator and the covariance clamp are the exact posterior's.
+accumulator and increment, the Cholesky helpers and the covariance clamp
+to [0, kappa] are the exact posterior's.  Before the first observation
+the support holds no feature row, and every read is the prior.
 """
 
 import numpy as np
 import scipy.linalg as la
 
 from .kernels import MultiTaskKernel, _as_points
-from .posterior import (_block_gram, _clamp_spectrum, _logdet_ratio, _Posterior, _put,
-                        _solve_pivot, _TaskBasis)
+from .posterior import (_block_gram, _chol, _inv_lower, _Posterior, _solve_pivot,
+                        _TaskBasis)
 
 __all__ = [
     "Dictionary",
@@ -170,7 +172,7 @@ def resample_dictionary(variance_norms, q: float, rng: np.random.Generator) -> D
         raise ValueError("variance_norms must be a 1-D sequence")
     if np.any(norms < 0) or not np.all(np.isfinite(norms)):
         raise ValueError("variance_norms must be finite and nonnegative")
-    if q < 1:
+    if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
     t = norms.shape[0]
     probs = np.minimum(q * norms, 1.0)
@@ -210,16 +212,6 @@ def _common_prefix(u, v) -> int:
     return int(diff[0]) if diff.size else n
 
 
-def _chol(S) -> np.ndarray:
-    """Lower Cholesky factors of a stack of matrices; 1 x 1 ones are square roots."""
-    return np.sqrt(S) if S.shape[-1] == 1 else np.linalg.cholesky(S)
-
-
-def _inv_lower(L) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices; 1 x 1 ones are reciprocals."""
-    return 1.0 / L if L.shape[-1] == 1 else np.linalg.inv(L)
-
-
 def _observed(counts, b):
     """The observed arms, their block columns and the visit count of each column."""
     seen = np.flatnonzero(counts)
@@ -230,10 +222,11 @@ class _Features:
     """Incomplete Cholesky features of one basis kernel k over the arms.
 
     Built by appending the dictionary arms ``dict_arms`` (module
-    docstring); ``append`` adds further arms, ``truncate`` keeps the rows
-    of a prefix of them.  ``F`` (r, A b) holds the feature rows; ``C``
-    (r, b) the pivot direction and ``piv`` (r,) the arm that made each
-    row; ``ends[j]`` the row count after dictionary arm j.
+    docstring); ``append`` adds further arms, evaluating their kernel rows,
+    and ``truncate`` keeps the rows of a prefix of them.  ``F`` (r, A b)
+    holds the feature rows; ``C`` (r, b) the pivot direction and ``piv``
+    (r,) the arm that made each row; ``ends[j]`` the row count after
+    dictionary arm j.
     """
 
     def __init__(self, k, arms, dict_arms, cut):
@@ -241,11 +234,13 @@ class _Features:
         self.F, self.C = np.zeros((0, arms.shape[0] * b)), np.zeros((0, b))
         self.piv, self.ends = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
         self._buf = self.F  # F is its leading rows; appends fill the rest
-        if dict_arms.size:
-            self.append(k._cross(arms[dict_arms], arms), dict_arms, cut)
+        self.append(k, arms, dict_arms, cut)
 
-    def append(self, rows, new, cut):
-        """Append the arms ``new``, whose kernel rows k(new, arms) are ``rows``."""
+    def append(self, k, arms, new, cut):
+        """Append the arms ``new``, evaluating their kernel rows k(new, arms)."""
+        if not new.size:
+            return
+        rows = k._cross(arms[new], arms)
         b, n, m = self.C.shape[1], self.piv.size, new.size
         F = self._buf
         if n + m * b > F.shape[0]:
@@ -292,7 +287,7 @@ class _Support:
     updated in place (module docstring).
 
     Per kernel of the basis it keeps the features over the arms
-    (``_Features``), the kernel rows k(a, arms) of every arm it has held,
+    (``_Features``, which evaluate the kernel rows of the arms they append),
     the prior blocks k(a, a) at every arm, and the mean coordinates of all
     its systems' right-hand sides side by side (``_TaskBasis.by_kernel``),
     for reads away from the arms; and the inverses X_g of xi_g V + eta I
@@ -300,23 +295,22 @@ class _Support:
     all of them at once.  ``means``, ``res`` (residual blocks, one
     (A, b, b) stack per system) and ``norms`` hold the model at every arm,
     and ``rebuilds`` counts the updates that solved it from scratch.
+    Built empty, it holds no feature row and reads the prior everywhere.
     """
 
     def __init__(self, basis: _TaskBasis, eta, arms):
-        b, A, none = basis.b, arms.shape[0], np.zeros(0, dtype=int)
+        none = np.zeros(0, dtype=int)
         self.basis, self.eta, self._arms = basis, eta, arms
         self._prior = [k.diag_blocks(arms) for k in basis.kernels]
         self._feats = [_Features(k, arms, none, 0.0) for k in basis.kernels]
-        self._rows = [np.zeros((0, A * b)) for _ in basis.kernels]
-        self._held, self._slot = [], np.full(A, -1)  # arms with kernel rows, and their slots
         # Per kernel, stacked over its systems: xi_g and X_g.
         self._xi = [basis._xi[gs][:, None, None] for gs, _, _ in basis.by_kernel]
         self._inv = [np.zeros((gs.size, 0, 0)) for gs, _, _ in basis.by_kernel]
         self._z = [np.zeros((0, pos.shape[1])) for _, pos, _ in basis.by_kernel]
         self._dict = none
         self.res = np.stack([self._prior[i] for i, _, _ in basis.systems])
-        self.norms = basis.assemble_cov_norm(self.res, None)
-        self.means = np.zeros((A, basis.U.shape[0]))
+        self.norms = basis.assemble_cov_norm(self.res)
+        self.means = np.zeros((arms.shape[0], basis.U.shape[0]))
         self.rebuilds = 0
 
     @classmethod
@@ -327,22 +321,18 @@ class _Support:
         return support
 
     def add_arm(self, arms):
-        """Take in the newest of the arms: its kernel blocks with the held
-        arms, its feature columns by embedding, and the model's residual
+        """Take in the newest of the arms: its feature columns, embedded from
+        its kernel blocks with the pivot arms, and the model's residual
         blocks there."""
-        b, x, A = self.basis.b, arms[-1:], self._slot.size
-        self._arms, self._slot = arms, np.append(self._slot, -1)
-        phis = []
-        for i, (k, f) in enumerate(zip(self.basis.kernels, self._feats)):
-            K = k._cross(arms[self._held], x) if self._held else np.zeros((0, b))
-            self._rows[i] = _put(self._rows[i], 0, A * b, K)
-            self._prior[i] = np.concatenate([self._prior[i], k.diag_blocks(x)])
-            phi = f.embed(K.reshape(-1, b, b)[self._slot[f.piv]]) if f.piv.size else np.zeros((0, b))
+        self._arms, x = arms, arms[-1:]
+        phis = self.embed(x)
+        for f, phi in zip(self._feats, phis):
             f.add_columns(phi)
-            phis.append(phi)
+        self._prior = [np.concatenate([P, k.diag_blocks(x)])
+                       for P, k in zip(self._prior, self.basis.kernels)]
         new = self.residuals_at(phis, [P[-1:] for P in self._prior])
         self.res = np.concatenate([self.res, new], axis=1)
-        self.norms = np.append(self.norms, self.basis.assemble_cov_norm(new, None))
+        self.norms = np.append(self.norms, self.basis.assemble_cov_norm(new))
 
     def update(self, a, dict_arms, counts, sums):
         """Fold in the observation at arm a, already counted in ``counts`` and
@@ -360,10 +350,10 @@ class _Support:
         self._observe(a)
         seen, ucols, c = _observed(counts, self.basis.b)
         new = dict_arms[keep:]
-        for i, rows in enumerate(self._kernel_rows(new) if new.size else ()):
-            n0 = self._feats[i].piv.size
-            self._feats[i].append(rows, new, self._cut(i))
-            if self._feats[i].piv.size > n0:
+        for i, (k, f) in enumerate(zip(self.basis.kernels, self._feats)):
+            n0 = f.piv.size
+            f.append(k, self._arms, new, self._cut(i))
+            if f.piv.size > n0:
                 self._border(i, n0, ucols, c)
         self._dict = dict_arms
         self._solve_means(seen, ucols, sums)
@@ -372,9 +362,9 @@ class _Support:
         """Truncate the features to the first ``keep`` dictionary arms, append
         the rest and solve the model from scratch."""
         new = dict_arms[keep:]
-        for i, rows in enumerate(self._kernel_rows(new)):
-            self._feats[i].truncate(keep)
-            self._feats[i].append(rows, new, self._cut(i))
+        for i, (k, f) in enumerate(zip(self.basis.kernels, self._feats)):
+            f.truncate(keep)
+            f.append(k, self._arms, new, self._cut(i))
         seen, ucols, c = _observed(counts, self.basis.b)
         for i, (f, xi) in enumerate(zip(self._feats, self._xi)):
             FU = f.F[:, ucols]
@@ -388,19 +378,6 @@ class _Support:
     def _cut(self, i) -> float:
         """Pivot cut of kernel i: PINV_RTOL times its largest prior diagonal."""
         return PINV_RTOL * np.max(np.diagonal(self._prior[i], axis1=1, axis2=2))
-
-    def _kernel_rows(self, new) -> list:
-        """Kernel rows k(new, arms), one (|new| b, A b) array per kernel,
-        evaluated only for the arms never held before."""
-        b, A = self.basis.b, self._slot.size
-        fresh = new[self._slot[new] < 0]
-        if fresh.size:
-            self._slot[fresh] = len(self._held) + np.arange(fresh.size)
-            self._rows = [_put(R, len(self._held) * b, 0, k._cross(self._arms[fresh], self._arms))
-                          for R, k in zip(self._rows, self.basis.kernels)]
-            self._held.extend(fresh.tolist())
-        idx = _block_cols(self._slot[new], b)
-        return [R[idx, :A * b] for R in self._rows]
 
     def _observe(self, a):
         """Rank-b update of every system by one visit of arm a (Woodbury).
@@ -457,11 +434,13 @@ class _Support:
             rhs = f.F[:, ucols] @ Yp[:, pos.ravel()].reshape(ucols.size, -1)
             self._z[i] = (X @ rhs)[owner, :, np.arange(owner.size)].T
         self.means = self.mean_at([f.F for f in self._feats], self._arms.shape[0])
-        self.norms = self.basis.assemble_cov_norm(self.res, None)
+        self.norms = self.basis.assemble_cov_norm(self.res)
 
     def embed(self, Xq) -> list:
-        """Embeddings of a stack of queries, one (r_i, N b) array per kernel."""
-        return [f.embed(k._cross(self._arms[f.piv], Xq))
+        """Embeddings of a stack of queries, one (r_i, N b) array per kernel;
+        a kernel without feature rows embeds every query as no row."""
+        return [f.embed(k._cross(self._arms[f.piv], Xq)) if f.piv.size
+                else np.zeros((0, Xq.shape[0] * self.basis.b))
                 for f, k in zip(self._feats, self.basis.kernels)]
 
     def mean_at(self, phis, N) -> np.ndarray:
@@ -531,13 +510,13 @@ class NystromState(_Posterior):
         self._sums = np.zeros((0, kernel.n))
         self._visited = []
         super().__init__(kernel, eta, grid)
-        if q < 1:
+        if not q >= 1:
             raise ValueError(f"q must be >= 1, got {q}")
         self.q = float(q)
         self.rng = rng
         self._basis = _TaskBasis(kernel)
         self.dictionary = Dictionary([], [])
-        self._support = None
+        self._support = _Support(self._basis, self.eta, self._arms)
 
     @property
     def m(self) -> int:
@@ -560,7 +539,7 @@ class NystromState(_Posterior):
     def rebuilds(self) -> int:
         """Updates that solved the model from scratch: the rounds whose
         dictionary lost an arm."""
-        return self._support.rebuilds if self._support is not None else 0
+        return self._support.rebuilds
 
     def _absorb(self, a, y) -> float:
         """Record the observation, resample the dictionary and update the support.
@@ -570,13 +549,10 @@ class NystromState(_Posterior):
         increment.  Both are gathered from the support's arm arrays; a
         point new to the arm universe first joins them by its embedding.
         """
-        basis = self._basis
-        if self._support is None:
-            self._support = _Support(basis, self.eta, self._arms)
         support = self._support
         if a == support.norms.shape[0]:
             support.add_arm(self._arms)
-        increment = _logdet_ratio(basis.assemble_cov(support.res[:, a], None), self.eta, None)
+        increment = self._basis.logdet(support.res[:, a], self.eta)
         self._record(a, y)
         self.dictionary = resample_dictionary(support.norms[self._hist_arm], self.q, self.rng)
         # Distinct sampled arms in first-visit order: repeats and weights
@@ -590,22 +566,19 @@ class NystromState(_Posterior):
     # -- reads ----------------------------------------------------------
     def mean_batch(self, Xq) -> np.ndarray:
         Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
-        if self._support is None:
-            return np.zeros((Xq.shape[0], self.kernel.n))
         if Xq is self._grid:
             return self._support.means[: Xq.shape[0]].copy()
         return self._support.mean_at(self._support.embed(Xq), Xq.shape[0])
 
     def cov(self, x) -> np.ndarray:
-        """Approximate covariance Gamma~_t(x, x), symmetric PSD-clamped."""
-        if self._support is None:
-            return _clamp_spectrum(self.kernel.diag_block(x), None, matrix=True)
-        return self._basis.assemble_cov(self._support.residuals(_as_points(x))[:, 0], None)
+        """Approximate covariance Gamma~_t(x, x), symmetric with eigenvalues
+        clamped to [0, kappa]."""
+        return self._basis.assemble_cov(self._support.residuals(_as_points(x))[:, 0])
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
+        """Approximate covariance norms over a stack of queries, shape (N,),
+        clamped to [0, kappa]."""
         Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
-        if self._support is None:
-            return _clamp_spectrum(self.kernel.diag_blocks(Xq), None)[:, -1]
         if Xq is self._grid:
             return self._support.norms[: Xq.shape[0]].copy()
-        return self._basis.assemble_cov_norm(self._support.residuals(Xq), None)
+        return self._basis.assemble_cov_norm(self._support.residuals(Xq))

@@ -77,9 +77,10 @@ systems share b, t and the arms, so their arrays are stacked and updated
 together.  No weight is divided by, so a zero coupling keeps a
 zero-weight system.
 
-The budgeted posterior in the nystrom module shares the front-end and
-the covariance clamp, builds its supports over the same systems and
-assembles them with the same ``assemble_*`` methods.
+The budgeted posterior in the nystrom module shares the front-end, the
+factor helpers and the covariance clamp, builds its supports over the
+same systems and assembles them, and its log-det increments, with the
+same ``_TaskBasis`` methods.
 """
 
 import numpy as np
@@ -112,11 +113,6 @@ def _clamp_spectrum(M, cap, matrix=False) -> np.ndarray:
     vals, vecs = np.linalg.eigh(M)
     vals = np.clip(vals, 0.0, cap)
     return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-
-
-def _logdet_ratio(M, eta: float, cap) -> float:
-    """log det(I + M / eta) for a covariance M (or its spectrum), clamped to [0, cap]."""
-    return float(np.sum(np.log1p(_clamp_spectrum(M, cap) / eta)))
 
 
 def _block_gram(A, B, b: int) -> np.ndarray:
@@ -191,12 +187,19 @@ def _put(buf, i: int, j: int, block) -> np.ndarray:
     return buf
 
 
+def _chol(S) -> np.ndarray:
+    """Lower Cholesky factors of a stack of matrices; 1 x 1 ones are square roots."""
+    return np.sqrt(S) if S.shape[-1] == 1 else np.linalg.cholesky(S)
+
+
+def _inv_lower(L) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices; 1 x 1 ones are reciprocals."""
+    return 1.0 / L if L.shape[-1] == 1 else np.linalg.inv(L)
+
+
 def _solve_pivot(L, X) -> np.ndarray:
     """L_g^{-1} X_g for a stack of lower-triangular b x b pivot factors."""
-    if L.shape[-1] == 1:
-        return X / L
-    return np.stack([la.solve_triangular(l, x, lower=True, check_finite=False)
-                     for l, x in zip(L, X)])
+    return X / L if L.shape[-1] == 1 else _inv_lower(L) @ X
 
 
 # Observation front-end =======================================================
@@ -311,11 +314,14 @@ class _Posterior:
 # Engine ======================================================================
 class _TaskBasis:
     """The task-basis systems of a kernel (``_task_systems``) and the
-    assembly of per-system coordinates and residual blocks into means and
-    covariances, shared by the exact and the budgeted posterior."""
+    assembly of per-system coordinates and residual blocks into means,
+    covariances and log-det increments, shared by the exact and the
+    budgeted posterior.  Every covariance it assembles has its eigenvalues
+    clamped to [0, kappa], the kernel's bound on ||Gamma(x, x)||."""
 
     def __init__(self, kernel, structured=True):
         self.U, self.kernels, self.systems = _task_systems(kernel, structured)
+        self.kappa = kernel.kappa
         self.b = self.kernels[0].n  # the block size, shared by every system
         self.r = [cols.size // self.b for _, _, cols in self.systems]  # right-hand sides
         self._xi = np.array([xi for _, xi, _ in self.systems])
@@ -341,20 +347,27 @@ class _TaskBasis:
             coords[:, pos] = self._xi[g][owner] * part.reshape(N, *pos.shape)
         return coords @ self.U.T
 
-    def assemble_cov(self, res, cap) -> np.ndarray:
+    def assemble_cov(self, res) -> np.ndarray:
         """sum_g U_g (xi_g R_g (x) I) U_g^T for one query's residual blocks R_g,
-        eigenvalues clamped to [0, cap]."""
-        C = _clamp_spectrum(self._xi[:, None, None] * np.array(res), cap, matrix=True)
+        eigenvalues clamped to [0, kappa]."""
+        C = _clamp_spectrum(self._xi[:, None, None] * np.array(res), self.kappa, matrix=True)
         M = np.zeros((self.U.shape[1],) * 2)
         for (_, _, cols), Cg in zip(self.systems, C):
             pos = cols.reshape(self.b, -1)  # basis column of (block row, right-hand side)
             M[pos[:, None, :], pos[None, :, :]] = Cg[:, :, None]
         return self.U @ M @ self.U.T
 
-    def assemble_cov_norm(self, res, cap) -> np.ndarray:
-        """max_g lambda_max(xi_g R_g(x)) per query, clamped to [0, cap]."""
+    def assemble_cov_norm(self, res) -> np.ndarray:
+        """max_g lambda_max(xi_g R_g(x)) per query, clamped to [0, kappa]."""
         tops = self._xi[:, None] * _clamp_spectrum(np.asarray(res), None)[..., -1]
-        return _clamp_spectrum(np.max(tops, axis=0), cap)
+        return _clamp_spectrum(np.max(tops, axis=0), self.kappa)
+
+    def logdet(self, res, eta) -> float:
+        """log det(I_n + Gamma(x, x) / eta) for one point's residual blocks R_g,
+        (G, b, b): system g contributes r_g copies of the eigenvalues of
+        xi_g R_g, clamped to [0, kappa]."""
+        vals = _clamp_spectrum(self._xi[:, None, None] * res, self.kappa)
+        return float(np.sum(np.log1p(np.repeat(vals, self.r, axis=0).ravel() / eta)))
 
 
 # Public posterior state ======================================================
@@ -474,8 +487,7 @@ class PosteriorState(_Posterior):
             c[:, :b] += self._pivots[:, s0 * b:(s0 + 1) * b].transpose(0, 2, 1)
             col = M @ c
         B = col[:, lo:lo + b]
-        S = xi * B + self.eta * np.eye(b)
-        L = np.sqrt(S) if b == 1 else np.linalg.cholesky(S)
+        L = _chol(xi * B + self.eta * np.eye(b))
         u = _solve_pivot(L, col.transpose(0, 2, 1))
         z = _solve_pivot(L, np.append(basis.project(y), 0.0)[self._ypos]
                          - xi * self._coords[:, lo:lo + b])
@@ -486,9 +498,7 @@ class PosteriorState(_Posterior):
         self._innov = _put(self._innov, t * b, 0, z)
         self._last[a] = t
         self._record(a, y)
-        # System g contributes r_g copies of the eigenvalues of xi_g P_g(x, x).
-        vals = _clamp_spectrum(xi * B, None)
-        return _logdet_ratio(np.repeat(vals, basis.r, axis=0).ravel(), self.eta, self.kernel.kappa)
+        return basis.logdet(B, self.eta)
 
     def mean_batch(self, Xq) -> np.ndarray:
         """Posterior means over a stack of queries, shape (N, n)."""
@@ -505,11 +515,11 @@ class PosteriorState(_Posterior):
     def cov(self, x) -> np.ndarray:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
         clamped to [0, kappa]."""
-        return self._basis.assemble_cov(self._at(_as_points(x))[2][:, 0], self.kernel.kappa)
+        return self._basis.assemble_cov(self._at(_as_points(x))[2][:, 0])
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
         """Posterior covariance norms over a stack of queries, shape (N,),
         clamped to [0, kappa]."""
         Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
         res = self._res[:, :Xq.shape[0]] if Xq is self._grid else self._at(Xq)[2]
-        return self._basis.assemble_cov_norm(res, self.kernel.kappa)
+        return self._basis.assemble_cov_norm(res)

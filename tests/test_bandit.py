@@ -74,7 +74,9 @@ class TestConfigValidation:
             ("delta", 1.5, "delta"),
             ("horizon", 0, "horizon"),
             ("rkhs_bound", -1.0, "rkhs_bound"),
+            ("rkhs_bound", float("nan"), "rkhs_bound"),
             ("noise_sigma", -0.1, "noise_sigma"),
+            ("noise_sigma", float("nan"), "noise_sigma"),
             ("kappa", 0.0, "kappa"),
             ("lipschitz_bound", 0.0, "lipschitz"),
         ],

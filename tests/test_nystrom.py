@@ -12,7 +12,7 @@ kernel k(x, D) K_DD^{-1} k(D, x') and, on a rank-deficient dictionary,
 against the dense posterior.  The support updated in place must agree
 with one solved from scratch (its feature factor bitwise on a fixed arm
 universe), solve nothing from scratch while the dictionary loses no arm,
-and evaluate a kernel row once per arm.
+and evaluate one kernel row per appended arm.
 """
 
 import numpy as np
@@ -46,6 +46,8 @@ class TestDictionary:
             nystrom.Dictionary([0], [0.0])  # probability must be positive
         with pytest.raises(ValueError):
             nystrom.Dictionary([0], [1.5])  # probability above one
+        with pytest.raises(ValueError, match="q"):
+            nystrom.resample_dictionary([0.5, 0.2], q=np.nan, rng=np.random.default_rng(0))
 
     def test_resample_inclusion_rule(self):
         """Point i is kept iff draw_i < min(q * norm_i, 1)."""
@@ -545,6 +547,50 @@ class TestPriorAndValidation:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="q"):
             nystrom.NystromState(random_icm(rng), ETA, q=0.5, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="q"):
+            nystrom.NystromState(random_icm(rng), ETA, q=np.nan, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["icm", "icm-as-sum-separable", "diagonal"])
+    def test_prior_reads_on_grid(self, name):
+        """Before any update a grid state reads zero means and the prior
+        covariance norms ||Gamma(x, x)|| from its empty support, for the
+        grid object and for a copy of it."""
+        rng = np.random.default_rng(24)
+        kern = _full_dictionary_kernel(name, rng)
+        G = rng.random((7, 2))
+        state = nystrom.NystromState(kern, ETA, q=10.0, rng=np.random.default_rng(0), grid=G)
+        prior = np.clip(np.linalg.eigvalsh(kern.diag_blocks(G))[:, -1], 0.0, kern.kappa)
+        for Xq in (G, G.copy()):
+            np.testing.assert_array_equal(state.mean_batch(Xq), np.zeros((7, kern.n)))
+            np.testing.assert_allclose(state.cov_norm_batch(Xq), prior, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.cov(G[3]), kern(G[3], G[3]), rtol=0, atol=1e-12)
+        assert state.rebuilds == 0 and state.m == 0
+
+    @pytest.mark.parametrize("name", ["icm", "icm-as-sum-separable", "sum-separable-3-tasks",
+                                      "diagonal"])
+    def test_reads_clamped_to_kappa(self, name):
+        """As for the exact posterior, every covariance norm lies in [0, kappa]
+        and every covariance has its eigenvalues there (to rounding), on grid
+        and off-grid reads, before the first update and after each of 15.
+        On the 3-task sum-separable kernel some unclamped norms exceed kappa
+        in their last bits."""
+        rng = np.random.default_rng(25)
+        if name == "sum-separable-3-tasks":
+            kern = kernels.SumSeparableKernel(
+                [(kernels.SquaredExponential(0.3), kernels.gram_coupling(3, rng))]
+            )
+        else:
+            kern = _full_dictionary_kernel(name, rng)
+        G, off = 3.0 * rng.random((8, 2)), 3.0 * rng.random((5, 2))
+        state = nystrom.NystromState(kern, ETA, q=10.0, rng=np.random.default_rng(1), grid=G)
+        for t in range(16):
+            for Xq in (G, off):
+                norms = state.cov_norm_batch(Xq)
+                assert np.all(norms >= 0.0) and np.all(norms <= kern.kappa)
+                vals = np.linalg.eigvalsh(state.cov(Xq[t % Xq.shape[0]]))
+                assert vals[0] >= -1e-12 and vals[-1] <= kern.kappa + 1e-12
+            x = off[t % 5] if t % 4 == 3 else G[rng.integers(8)]
+            state.update(x, rng.normal(size=kern.n))
 
     @pytest.mark.parametrize("budgeted", [False, True])
     @pytest.mark.parametrize("structured", [True, False])
