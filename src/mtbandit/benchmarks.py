@@ -59,7 +59,7 @@ class Environment:
             raise ValueError("grid and values disagree on the candidate count")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("objective values contain non-finite entries")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     @property
@@ -249,6 +249,8 @@ def bayes_regret(
     checkpoints = [int(c) for c in checkpoints]
     if any(c < 1 or c > result.horizon for c in checkpoints):
         raise ValueError("checkpoints must lie in [1, horizon]")
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     lams = weight_dist.sample_stack(rng, n_mc)
     opt = scalarization.value_stack(lams, env.values).max(axis=1)
     best = np.maximum.accumulate(scalarization.value_stack(lams, env.values[result.x_indices]),

@@ -11,8 +11,10 @@ The other classes only build its terms:
   every task independently.
 * ``SumSeparableKernel``    -- any list of terms.
 
-The posteriors solve ICM and diagonal kernels through their scalar kernels
-and any other kernel as one general system.
+The posteriors solve an ICM kernel, and a diagonal kernel whose tasks
+share one scalar-kernel object, through that one scalar kernel, and any
+other kernel as one general system; a diagonal kernel with distinct
+scalars is such a general system.
 
 Block matrices over a point history use point-major layout: rows
 ``i*n .. (i+1)*n - 1`` belong to the i-th point, matching the

@@ -37,13 +37,18 @@ of every arm, and the history enters compressed per arm,
 
 with c the visit counts and S_U the output sums of the observed arms U.
 
-The features are an incomplete Cholesky factor F over the arms, one per
-kernel of the basis, built by appending the dictionary arms in dictionary
-order.  For arm a, with l = F[:, a] the features it already has, the
-pivot is the residual k(a, a) - l^T l.  An arm whose pivot is at most
-PINV_RTOL times the largest prior diagonal adds nothing; otherwise it
-appends the row (k(a, arms) - l^T F) / sqrt(pivot).  A b x b pivot of the
-general system keeps its eigen-directions above that cut, one row each.
+The features are an incomplete Cholesky factor F over the arms of the
+basis kernel, which every task-basis system shares, built by appending
+the dictionary arms in dictionary order.  For arm a, with l = F[:, a]
+the features it already has, the pivot is the residual
+k(a, a) - l^T l.  An arm whose pivot is at most PINV_RTOL times the
+largest prior diagonal adds nothing; otherwise it appends the row
+(k(a, arms) - l^T F) / sqrt(pivot).  A b x b pivot of the general system
+is orthonormalised coordinate by coordinate, in order (Gram-Schmidt in
+its inner product), and a coordinate whose residual given the earlier
+ones is above the cut adds one row.  (Rows along eigenvectors would not
+be reproducible: those of tied eigenvalues are fixed only up to a
+rotation that rounding picks.)
 A dictionary spanning K_DD exactly gives F^T F = k(arms, D) K_DD^+
 k(D, arms); a pivot at the cut leaves a residual of at most the cut at
 its arm.  Every feature entry below sqrt(tiny) = 1.5e-154 in magnitude
@@ -97,10 +102,11 @@ most |D_t| A b^2 feature entries for A arms, whatever t (the exact
 engine's rows take t A b^2 floats).
 
 The computation splits over the same task-basis systems as the exact
-engine (posterior._task_systems, one rule for both): one factor per
-kernel of the basis and one inverse per system.  An ICM kernel factors
-its scalar kernel once and a diagonal kernel each distinct scalar once;
-any other kernel factors its n x n blocks as a single system.  The
+engine (posterior._task_systems, one rule for both): one factor of the
+basis kernel and one inverse per system.  An ICM kernel, and a diagonal
+kernel whose tasks share one scalar-kernel object, factor that scalar
+once; any other kernel, a diagonal kernel with distinct scalars
+included, factors its n x n blocks as a single system.  The
 observation checks, the history, the arm universe, the log-det
 accumulator and increment, the Cholesky helpers and the covariance clamp
 to [0, kappa] are the exact posterior's.  Before the first observation
@@ -196,13 +202,23 @@ def _flush(M) -> np.ndarray:
 
 
 def _pivot_rows(P, cut) -> np.ndarray:
-    """Rows C, (k, b), with C P C^T = I over the k eigen-directions of the
-    b x b pivot P above cut."""
+    """Rows C, (k, b), with C P C^T = I for the b x b pivot P: Gram-Schmidt
+    in the inner product of P over the coordinates in order, where a
+    coordinate whose residual given the earlier ones is at most cut adds
+    no row.  So the rows, unlike eigenvectors, depend continuously on P."""
     if P.shape[0] == 1:
         return 1.0 / np.sqrt(P) if P[0, 0] > cut else np.zeros((0, 1))
-    w, W = np.linalg.eigh(0.5 * (P + P.T))
-    keep = w > cut
-    return (W[:, keep] / np.sqrt(w[keep])).T
+    P, k = 0.5 * (P + P.T), 0
+    C = np.zeros_like(P)
+    for j in range(P.shape[0]):
+        w = C[:k] @ P[:, j]  # the P inner products of e_j with the rows so far
+        d = P[j, j] - w @ w
+        if d > cut:
+            C[k] = -(w @ C[:k])
+            C[k, j] += 1.0
+            C[k] /= np.sqrt(d)
+            k += 1
+    return C[:k]
 
 
 def _common_prefix(u, v) -> int:
@@ -286,29 +302,30 @@ class _Support:
     """Nystrom model over the task-basis systems, resident on the arms and
     updated in place (module docstring).
 
-    Per kernel of the basis it keeps the features over the arms
-    (``_Features``, which evaluate the kernel rows of the arms they append),
-    the prior blocks k(a, a) at every arm, and the mean coordinates of all
-    its systems' right-hand sides side by side (``_TaskBasis.by_kernel``),
-    for reads away from the arms; and the inverses X_g of xi_g V + eta I
-    of its systems as one (G_i, r, r) stack, so that every step updates
-    all of them at once.  ``means``, ``res`` (residual blocks, one
-    (A, b, b) stack per system) and ``norms`` hold the model at every arm,
-    and ``rebuilds`` counts the updates that solved it from scratch.
-    Built empty, it holds no feature row and reads the prior everywhere.
+    Every system shares the basis kernel, so the model keeps one set of
+    features over the arms (``_Features``, which evaluate the kernel rows
+    of the arms they append) and the prior blocks k(a, a) at every arm;
+    and, stacked over the systems so that every step updates all of them
+    at once, the inverses X_g of xi_g V + eta I as one (G, r, r) stack and
+    the mean coordinates, for reads away from the arms, as one
+    (G, r, r_max) stack in ``_TaskBasis``'s per-system layout.  ``means``,
+    ``res`` (residual blocks, (G, A, b, b)) and ``norms`` hold the model at
+    every arm, and ``rebuilds`` counts the updates that solved it from
+    scratch.  Built empty, it holds no feature row and reads the prior
+    everywhere.
     """
 
     def __init__(self, basis: _TaskBasis, eta, arms):
         none = np.zeros(0, dtype=int)
+        G, _, r = basis.ypos.shape
         self.basis, self.eta, self._arms = basis, eta, arms
-        self._prior = [k.diag_blocks(arms) for k in basis.kernels]
-        self._feats = [_Features(k, arms, none, 0.0) for k in basis.kernels]
-        # Per kernel, stacked over its systems: xi_g and X_g.
-        self._xi = [basis._xi[gs][:, None, None] for gs, _, _ in basis.by_kernel]
-        self._inv = [np.zeros((gs.size, 0, 0)) for gs, _, _ in basis.by_kernel]
-        self._z = [np.zeros((0, pos.shape[1])) for _, pos, _ in basis.by_kernel]
+        self._prior = basis.kernel.diag_blocks(arms)
+        self._features = _Features(basis.kernel, arms, none, 0.0)
+        self._xi = basis._xi[:, None, None]
+        self._inv = np.zeros((G, 0, 0))
+        self._z = np.zeros((G, 0, r))
         self._dict = none
-        self.res = np.stack([self._prior[i] for i, _, _ in basis.systems])
+        self.res = np.repeat(self._prior[None], G, axis=0)
         self.norms = basis.assemble_cov_norm(self.res)
         self.means = np.zeros((arms.shape[0], basis.U.shape[0]))
         self.rebuilds = 0
@@ -325,12 +342,10 @@ class _Support:
         its kernel blocks with the pivot arms, and the model's residual
         blocks there."""
         self._arms, x = arms, arms[-1:]
-        phis = self.embed(x)
-        for f, phi in zip(self._feats, phis):
-            f.add_columns(phi)
-        self._prior = [np.concatenate([P, k.diag_blocks(x)])
-                       for P, k in zip(self._prior, self.basis.kernels)]
-        new = self.residuals_at(phis, [P[-1:] for P in self._prior])
+        phi = self.embed(x)
+        self._features.add_columns(phi)
+        self._prior = np.concatenate([self._prior, self.basis.kernel.diag_blocks(x)])
+        new = self.residuals_at(phi, self._prior[-1:])
         self.res = np.concatenate([self.res, new], axis=1)
         self.norms = np.append(self.norms, self.basis.assemble_cov_norm(new))
 
@@ -349,35 +364,31 @@ class _Support:
             return
         self._observe(a)
         seen, ucols, c = _observed(counts, self.basis.b)
-        new = dict_arms[keep:]
-        for i, (k, f) in enumerate(zip(self.basis.kernels, self._feats)):
-            n0 = f.piv.size
-            f.append(k, self._arms, new, self._cut(i))
-            if f.piv.size > n0:
-                self._border(i, n0, ucols, c)
+        f, n0 = self._features, self._features.piv.size
+        f.append(self.basis.kernel, self._arms, dict_arms[keep:], self._cut())
+        if f.piv.size > n0:
+            self._border(n0, ucols, c)
         self._dict = dict_arms
         self._solve_means(seen, ucols, sums)
 
     def _rebuild(self, keep, dict_arms, counts, sums):
         """Truncate the features to the first ``keep`` dictionary arms, append
         the rest and solve the model from scratch."""
-        new = dict_arms[keep:]
-        for i, (k, f) in enumerate(zip(self.basis.kernels, self._feats)):
-            f.truncate(keep)
-            f.append(k, self._arms, new, self._cut(i))
+        f = self._features
+        f.truncate(keep)
+        f.append(self.basis.kernel, self._arms, dict_arms[keep:], self._cut())
         seen, ucols, c = _observed(counts, self.basis.b)
-        for i, (f, xi) in enumerate(zip(self._feats, self._xi)):
-            FU = f.F[:, ucols]
-            V = (FU * c) @ FU.T  # the history Gram
-            Li = _inv_lower(_chol(xi * V + self.eta * np.eye(V.shape[0])))
-            self._inv[i] = Li.transpose(0, 2, 1) @ Li
-        self.res = self.residuals_at([f.F for f in self._feats], self._prior)
+        FU = f.F[:, ucols]
+        V = (FU * c) @ FU.T  # the history Gram
+        Li = _inv_lower(_chol(self._xi * V + self.eta * np.eye(V.shape[0])))
+        self._inv = Li.transpose(0, 2, 1) @ Li
+        self.res = self.residuals_at(f.F, self._prior)
         self._dict = dict_arms
         self._solve_means(seen, ucols, sums)
 
-    def _cut(self, i) -> float:
-        """Pivot cut of kernel i: PINV_RTOL times its largest prior diagonal."""
-        return PINV_RTOL * np.max(np.diagonal(self._prior[i], axis1=1, axis2=2))
+    def _cut(self) -> float:
+        """Pivot cut: PINV_RTOL times the largest prior diagonal."""
+        return PINV_RTOL * np.max(np.diagonal(self._prior, axis1=1, axis2=2))
 
     def _observe(self, a):
         """Rank-b update of every system by one visit of arm a (Woodbury).
@@ -385,19 +396,18 @@ class _Support:
         A_g gains v v^T, v = sqrt(xi_g) F_a.  With u = X_g v and
         M = I + v^T u = L_M L_M^T, the inverse X_g loses W^T W and the
         residual blocks lose eta times the blocks of (W F)^T (W F), where
-        W = L_M^{-1} u^T.  Each kernel updates all of its systems at once.
+        W = L_M^{-1} u^T.
         """
-        b = self.basis.b
-        for f, X, xi, (gs, _, _) in zip(self._feats, self._inv, self._xi, self.basis.by_kernel):
-            v = np.sqrt(xi) * f.F[:, a * b:(a + 1) * b]
-            u = X @ v
-            W = _solve_pivot(_chol(np.eye(b) + v.transpose(0, 2, 1) @ u), u.transpose(0, 2, 1))
-            H = W @ f.F
-            self.res[gs] -= self.eta * _block_gram(H, H, b)
-            X -= W.transpose(0, 2, 1) @ W
+        b, F, X = self.basis.b, self._features.F, self._inv
+        v = np.sqrt(self._xi) * F[:, a * b:(a + 1) * b]
+        u = X @ v
+        W = _solve_pivot(_chol(np.eye(b) + v.transpose(0, 2, 1) @ u), u.transpose(0, 2, 1))
+        H = W @ F
+        self.res -= self.eta * _block_gram(H, H, b)
+        X -= W.transpose(0, 2, 1) @ W
 
-    def _border(self, i, n0, ucols, c):
-        """Grow the systems of kernel i by its feature rows from n0 on.
+    def _border(self, n0, ucols, c):
+        """Grow every system by the feature rows from n0 on.
 
         With f the k new rows, B = xi_g f_U diag(c) F_U^T their border with
         the old rows, P = X_g B^T and S = xi_g f_U diag(c) f_U^T + eta I
@@ -406,58 +416,52 @@ class _Support:
         residual blocks gain -f^T f + eta h^T h, h = L_S^{-1} (f - P^T F)
         (the Schur-complement term).
         """
-        b, f, X, xi = self.basis.b, self._feats[i], self._inv[i], self._xi[i]
-        Fo, Fn = f.F[:n0], f.F[n0:]
+        b, F, X, xi = self.basis.b, self._features.F, self._inv, self._xi
+        Fo, Fn = F[:n0], F[n0:]
         Nc = Fn[:, ucols] * c
         Vno, Vnn = Nc @ Fo[:, ucols].T, Nc @ Fn[:, ucols].T
         P = X @ (xi * Vno.T)
         Li = _inv_lower(_chol(xi * (Vnn - Vno @ P) + self.eta * np.eye(Vnn.shape[0])))
         Pt = P.transpose(0, 2, 1)
         Pl, h = Li @ Pt, Li @ (Fn - Pt @ Fo)
-        gs = self.basis.by_kernel[i][0]
-        self.res[gs] += self.eta * _block_gram(h, h, b) - _block_gram(Fn, Fn, b)
+        self.res += self.eta * _block_gram(h, h, b) - _block_gram(Fn, Fn, b)
         Lt = Li.transpose(0, 2, 1)
-        grown = np.empty((gs.size, f.F.shape[0], f.F.shape[0]))
+        grown = np.empty((X.shape[0], F.shape[0], F.shape[0]))
         grown[:, :n0, :n0] = X + Pl.transpose(0, 2, 1) @ Pl
         grown[:, n0:, :n0] = -(Lt @ Pl)  # -S^{-1} P^T
         grown[:, :n0, n0:] = grown[:, n0:, :n0].transpose(0, 2, 1)
         grown[:, n0:, n0:] = Lt @ Li
-        self._inv[i] = grown
+        self._inv = grown
 
     def _solve_means(self, seen, ucols, sums):
         """Mean coordinates X_g F_U S_U of every system, from the output sums
         of the observed arms ``seen``, and the model at every arm; the
         covariance norms from the residual blocks."""
-        Yp = self.basis.project(sums[seen])  # per-arm output sums in basis coordinates
-        for i, (f, X, (_, pos, owner)) in enumerate(zip(self._feats, self._inv,
-                                                          self.basis.by_kernel)):
-            rhs = f.F[:, ucols] @ Yp[:, pos.ravel()].reshape(ucols.size, -1)
-            self._z[i] = (X @ rhs)[owner, :, np.arange(owner.size)].T
-        self.means = self.mean_at([f.F for f in self._feats], self._arms.shape[0])
+        F = self._features.F
+        self._z = self._inv @ (F[:, ucols] @ self.basis.outputs(sums[seen]))
+        self.means = self.mean_at(F, self._arms.shape[0])
         self.norms = self.basis.assemble_cov_norm(self.res)
 
-    def embed(self, Xq) -> list:
-        """Embeddings of a stack of queries, one (r_i, N b) array per kernel;
-        a kernel without feature rows embeds every query as no row."""
-        return [f.embed(k._cross(self._arms[f.piv], Xq)) if f.piv.size
-                else np.zeros((0, Xq.shape[0] * self.basis.b))
-                for f, k in zip(self._feats, self.basis.kernels)]
+    def embed(self, Xq) -> np.ndarray:
+        """Embeddings (r, N b) of a stack of queries; without feature rows
+        every query embeds as no row."""
+        f = self._features
+        if not f.piv.size:
+            return np.zeros((0, Xq.shape[0] * self.basis.b))
+        return f.embed(self.basis.kernel._cross(self._arms[f.piv], Xq))
 
-    def mean_at(self, phis, N) -> np.ndarray:
-        """Means (N, n) from embeddings, one product per kernel."""
-        return self.basis.assemble_mean([phi.T @ z for phi, z in zip(phis, self._z)], N)
+    def mean_at(self, phi, N) -> np.ndarray:
+        """Means (N, n) from embeddings (r, N b)."""
+        return self.basis.assemble_mean(phi.T @ self._z, N)
 
-    def residuals_at(self, phis, prior) -> np.ndarray:
-        """Residual blocks R~_g = k_i(x, x) - phi^T phi + eta phi^T X_g phi, (G, N, b, b)."""
-        b, N = self.basis.b, prior[0].shape[0]
-        res = np.empty((len(self.basis.systems), N, b, b))
-        for phi, P, X, (gs, _, _) in zip(phis, prior, self._inv, self.basis.by_kernel):
-            res[gs] = P - _block_gram(phi, phi, b) + self.eta * _block_gram(phi, X @ phi, b)
-        return res
+    def residuals_at(self, phi, prior) -> np.ndarray:
+        """Residual blocks R~_g = k(x, x) - phi^T phi + eta phi^T X_g phi, (G, N, b, b)."""
+        b = self.basis.b
+        return prior - _block_gram(phi, phi, b) + self.eta * _block_gram(phi, self._inv @ phi, b)
 
     def residuals(self, Xq) -> np.ndarray:
         """Residual blocks (G, N, b, b) at a stack of queries, embedded afresh."""
-        return self.residuals_at(self.embed(Xq), [k.diag_blocks(Xq) for k in self.basis.kernels])
+        return self.residuals_at(self.embed(Xq), self.basis.kernel.diag_blocks(Xq))
 
 
 # Public state ================================================================

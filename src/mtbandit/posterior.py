@@ -16,21 +16,22 @@ log det(I_nt + eta^{-1} G_t) and feeds the confidence radii.
 
 One engine solves every kernel.  It writes the kernel in a task basis as
 
-    Gamma(x, x') = sum_g xi_g U_g (k_g(x, x') (x) I_{r_g}) U_g^T
+    Gamma(x, x') = sum_g xi_g U_g (k(x, x') (x) I_{r_g}) U_g^T
 
-with kernels k_g of b_g x b_g blocks, weights xi_g >= 0 and orthonormal
-column blocks U_g of width b_g r_g.  The nt x nt solve then splits into
-one ridge system (xi_g K_g + eta I) of size t b_g per term, acting on r_g
-right-hand sides: the projected outputs Y_t U_g, stacked point-major.
-The systems are chosen by one rule (``_task_systems``):
+with one kernel k of b x b blocks shared by every term, weights xi_g >= 0
+and orthonormal column blocks U_g of width b r_g.  The nt x nt solve then
+splits into one ridge system (xi_g K + eta I) of size t b per term,
+acting on r_g right-hand sides: the projected outputs Y_t U_g, stacked
+point-major.  The systems are chosen by one rule (``_task_systems``):
 
 * an ICM kernel k * B gives its scalar kernel (b = 1) once per cluster
   of equal positive eigenvalues of B, with the cluster's eigenvectors;
-* a diagonal kernel gives one b = 1 system per distinct scalar-kernel
-  object (xi = 1, unit vectors), so the independent-task baseline with
-  one shared scalar kernel needs a single system;
+* a diagonal kernel whose tasks all share one scalar-kernel object gives
+  that scalar as one b = 1 system (xi = 1, U = I): the independent-task
+  baseline;
 * any other kernel is a single system: the kernel itself, with b = n,
-  xi = 1 and U = I.  This is the general block solve.
+  xi = 1 and U = I.  This is the general block solve, and it also takes a
+  diagonal kernel with distinct scalars.
 
 The observation front-end ``_Posterior`` keeps a universe of arms: the
 rows of the candidate grid, when one is given, then each distinct
@@ -38,13 +39,13 @@ off-grid history point from its first visit, and the arm of every
 history point.
 
 The engine keeps each system as one row per observation over the arms.
-Write P_g for its posterior covariance (prior k_g; Gamma_t restricted to
+Write P_g for its posterior covariance (prior k; Gamma_t restricted to
 system g is xi_g P_g) and w_g for its mean coordinates.  Observation s at
 arm a_s has the pivot S_s = xi_g P_{s-1}(a_s, a_s) + eta I_b = L_s L_s^T,
 the row u_s = L_s^{-1} P_{s-1}(a_s, arms) and the innovation
 z_s = L_s^{-1} (y_s U_g - xi_g w_{s-1}(a_s)), so that
 
-    P_t = k_g(arms, arms) - xi_g sum_{s<=t} u_s^T u_s,   w_t = sum_{s<=t} u_s^T z_s.
+    P_t = k(arms, arms) - xi_g sum_{s<=t} u_s^T u_s,   w_t = sum_{s<=t} u_s^T z_s.
 
 P_t is never formed.  The system keeps the rows, L_s and z_s, and at every
 arm w_t and the residual diagonal blocks P_t(a, a); each observation
@@ -56,16 +57,16 @@ was last observed at step s0, the column restarts from that row,
 
 which carries the precision: over 400 noiseless updates at eta = 1e-6 the
 log-det stays within 2.3e-12 relative, against 1.6e-11 for columns summed
-from the prior.  A first visit starts from the prior column k_g(arms, a)
+from the prior.  A first visit starts from the prior column k(arms, a)
 and sums every row.  A point x that is not an arm gets its block in every
 row by one forward substitution,
 
-    u_s[x] = L_s^{-1} (k_g(a_s, x) - xi_g sum_{s'<s} u_{s'}[a_s]^T u_{s'}[x]),
+    u_s[x] = L_s^{-1} (k(a_s, x) - xi_g sum_{s'<s} u_{s'}[a_s]^T u_{s'}[x]),
 
 through the block lower-triangular history matrix with L_s on its
 diagonal.  A new off-grid arm enters this way before its update, and every
 read that is not the grid reads its mean sum_s u_s[x]^T z_s and residual
-k_g(x, x) - xi_g sum_s u_s[x]^T u_s[x] this way.  Grid reads match the grid
+k(x, x) - xi_g sum_s u_s[x]^T u_s[x] this way.  Grid reads match the grid
 by identity (the same array object); the caller must not mutate it.
 
 Per system an update at an arm last seen at step s0 costs O((t - s0) A b^2)
@@ -73,14 +74,14 @@ for A arms, a first visit O(t A b^2), a grid read O(N b^2), and a new arm
 or a read of q other points O((t b)^2 (1 + q b)).  The rows take t A b^2
 floats: on the 6,400-arm branin grid 5 MB per system after 100
 observations, where an arm-space covariance would take 328 MB.  The
-systems share b, t and the arms, so their arrays are stacked and updated
-together.  No weight is divided by, so a zero coupling keeps a
-zero-weight system.
+systems share the kernel, b, t and the arms, so their arrays are stacked
+and updated together, and each kernel value serves all of them.  No
+weight is divided by, so a zero coupling keeps a zero-weight system.
 
 The budgeted posterior in the nystrom module shares the front-end, the
-factor helpers and the covariance clamp, builds its supports over the
-same systems and assembles them, and its log-det increments, with the
-same ``_TaskBasis`` methods.
+factor helpers and the covariance clamp, builds its support over the
+same systems and assembles it, and its log-det increments, with the same
+``_TaskBasis`` methods and the same per-system coordinate layout.
 """
 
 import numpy as np
@@ -145,27 +146,26 @@ def _group_eigenvalues(xis: np.ndarray):
 def _task_systems(kernel: MultiTaskKernel, structured: bool = True):
     """The ridge systems of a multi-task kernel, by the module's one rule.
 
-    Returns (U, kernels, systems): an orthonormal (n, n) basis U, the
-    distinct kernels k_i of the systems (a ``ScalarKernel`` is the b = 1
-    case), and one (i, xi, cols) per system, so that
+    Returns (U, k, systems): an orthonormal (n, n) basis U, the one kernel
+    k of every system (a ``ScalarKernel`` is the b = 1 case), and one
+    (xi, cols) per system, so that
 
-        Gamma = sum over (i, xi, cols) of xi U[:, cols] (k_i (x) I_r) U[:, cols]^T
+        Gamma = sum over (xi, cols) of xi U[:, cols] (k (x) I_r) U[:, cols]^T
 
-    with r = |cols| / b_i.  ``structured=False`` gives the single general
-    system for every kernel.
+    with r = |cols| / b.  A diagonal kernel splits only when all its tasks
+    share one scalar-kernel object; with distinct scalars it is the general
+    system.  ``structured=False`` gives the single general system for every
+    kernel.
     """
     n = kernel.n
     if structured and isinstance(kernel, ICMKernel):
         # A zero coupling keeps one zero-weight system, so no basis is empty.
         groups = _group_eigenvalues(kernel.spectrum.eigenvalues) or [(0.0, np.arange(n))]
-        return kernel.spectrum.eigenvectors, [kernel.scalar], [(0, xi, c) for xi, c in groups]
-    if structured and isinstance(kernel, DiagonalKernel):
-        by_id = {}
-        for j, k in enumerate(kernel.scalars):
-            by_id.setdefault(id(k), (k, []))[1].append(j)
-        systems = [(i, 1.0, np.asarray(c, dtype=int)) for i, (_, c) in enumerate(by_id.values())]
-        return np.eye(n), [k for k, _ in by_id.values()], systems
-    return np.eye(n), [kernel], [(0, 1.0, np.arange(n))]
+        return kernel.spectrum.eigenvectors, kernel.scalar, groups
+    if structured and isinstance(kernel, DiagonalKernel) and all(
+            k is kernel.scalars[0] for k in kernel.scalars):
+        return np.eye(n), kernel.scalars[0], [(1.0, np.arange(n))]
+    return np.eye(n), kernel, [(1.0, np.arange(n))]
 
 
 def _put(buf, i: int, j: int, block) -> np.ndarray:
@@ -316,46 +316,48 @@ class _TaskBasis:
     """The task-basis systems of a kernel (``_task_systems``) and the
     assembly of per-system coordinates and residual blocks into means,
     covariances and log-det increments, shared by the exact and the
-    budgeted posterior.  Every covariance it assembles has its eigenvalues
-    clamped to [0, kappa], the kernel's bound on ||Gamma(x, x)||."""
+    budgeted posterior.  Every system solves the one ``kernel``.  Both
+    posteriors hold their mean coordinates as one (G, N b, r) stack, r the
+    largest r_g.  Its columns are system g's right-hand sides, the basis
+    columns ``ypos[g]`` (b, r), one row per block row; columns past r_g
+    are index n, a zero output.  Every covariance it assembles has its
+    eigenvalues clamped to [0, kappa], the kernel's bound on
+    ||Gamma(x, x)||."""
 
     def __init__(self, kernel, structured=True):
-        self.U, self.kernels, self.systems = _task_systems(kernel, structured)
+        self.U, self.kernel, self.systems = _task_systems(kernel, structured)
         self.kappa = kernel.kappa
-        self.b = self.kernels[0].n  # the block size, shared by every system
-        self.r = [cols.size // self.b for _, _, cols in self.systems]  # right-hand sides
-        self._xi = np.array([xi for _, xi, _ in self.systems])
-        # Per kernel: its systems, the basis columns (b, R) of all their
-        # right-hand sides side by side, and the system (0 .. G_i - 1) of each.
-        self.by_kernel = []
-        for i in range(len(self.kernels)):
-            g = np.array([j for j, (k, _, _) in enumerate(self.systems) if k == i])
-            pos = np.concatenate([self.systems[j][2].reshape(self.b, -1) for j in g], axis=1)
-            self.by_kernel.append((g, pos, np.repeat(np.arange(g.size), [self.r[j] for j in g])))
+        self.b = b = self.kernel.n  # the block size
+        self.r = [cols.size // b for _, cols in self.systems]  # right-hand sides
+        self._xi = np.array([xi for xi, _ in self.systems])
+        self.ypos = np.full((len(self.systems), b, max(self.r)), kernel.n)
+        for g, (_, cols) in enumerate(self.systems):
+            self.ypos[g, :, :self.r[g]] = cols.reshape(b, -1)
 
-    def project(self, Y) -> np.ndarray:
-        """Outputs in basis coordinates, Y U."""
-        return np.asarray(Y, dtype=float) @ self.U
+    def outputs(self, Y) -> np.ndarray:
+        """Outputs Y (q, n) in basis coordinates, Y U, as the right-hand sides
+        of every system, (G, q b, r); the columns past r_g are 0."""
+        P = np.asarray(Y, dtype=float) @ self.U
+        P = np.concatenate([P, np.zeros((P.shape[0], 1))], axis=1)[:, self.ypos]
+        return P.transpose(1, 0, 2, 3).reshape(len(self.systems), -1, P.shape[-1])
 
-    def assemble_mean(self, parts, N) -> np.ndarray:
-        """sum_g xi_g parts_g U_g^T from per-kernel coordinates (N b, R_i), whose
-        columns are the right-hand sides of the kernel's systems side by side
-        (``by_kernel``), as one product (N, n) @ U^T of the weighted coordinates
-        in basis order."""
-        coords = np.zeros((N, self.U.shape[1]))
-        for part, (g, pos, owner) in zip(parts, self.by_kernel):
-            coords[:, pos] = self._xi[g][owner] * part.reshape(N, *pos.shape)
-        return coords @ self.U.T
+    def assemble_mean(self, coords, N) -> np.ndarray:
+        """sum_g xi_g coords_g U_g^T from the coordinate stack (G, N b, r) of
+        the first N points, as one product (N, n) @ U^T of the weighted
+        coordinates in basis order."""
+        G, _, r = coords.shape
+        weighted = self._xi[:, None, None, None] * coords[:, :N * self.b].reshape(G, N, self.b, r)
+        basis = np.zeros((N, self.U.shape[1] + 1))  # the last column takes the padding
+        basis[:, self.ypos] = weighted.transpose(1, 0, 2, 3)
+        return basis[:, :-1] @ self.U.T
 
     def assemble_cov(self, res) -> np.ndarray:
         """sum_g U_g (xi_g R_g (x) I) U_g^T for one query's residual blocks R_g,
         eigenvalues clamped to [0, kappa]."""
         C = _clamp_spectrum(self._xi[:, None, None] * np.array(res), self.kappa, matrix=True)
-        M = np.zeros((self.U.shape[1],) * 2)
-        for (_, _, cols), Cg in zip(self.systems, C):
-            pos = cols.reshape(self.b, -1)  # basis column of (block row, right-hand side)
-            M[pos[:, None, :], pos[None, :, :]] = Cg[:, :, None]
-        return self.U @ M @ self.U.T
+        M = np.zeros((self.U.shape[1] + 1,) * 2)  # the last row and column take the padding
+        M[self.ypos[:, :, None], self.ypos[:, None]] = C[..., None]
+        return self.U @ M[:-1, :-1] @ self.U.T
 
     def assemble_cov_norm(self, res) -> np.ndarray:
         """max_g lambda_max(xi_g R_g(x)) per query, clamped to [0, kappa]."""
@@ -380,11 +382,13 @@ class PosteriorState(_Posterior):
     eta : float
         Positive regularizer.
     fast_path : {"auto", True, False}
-        Chooses the systems of the one engine.  "auto" splits ICM and
-        diagonal kernels into their task-basis systems (``_task_systems``)
-        and solves any other kernel as one general system; False solves
-        every kernel as one general system; True insists on the split and
-        raises TypeError for a kernel that has none.
+        Chooses the systems of the one engine.  "auto" splits an ICM kernel,
+        and a diagonal kernel whose tasks share one scalar-kernel object,
+        into task-basis systems over that one scalar (``_task_systems``),
+        and solves any other kernel as one general system; a diagonal
+        kernel with distinct scalars is such a general system.  False
+        solves every kernel as one general system; True raises TypeError
+        for a kernel that is neither ICM nor diagonal.
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round.  Its rows
         are the first arms, so ``mean_batch(grid)`` and
@@ -412,13 +416,8 @@ class PosteriorState(_Posterior):
             raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
         structured = structured and (fast_path is True or fast_path == "auto")
         self._basis = basis = _TaskBasis(kernel, structured)
-        G, b, r = len(basis.systems), basis.b, max(basis.r)
+        G, b, r = basis.ypos.shape
         self._xi = basis._xi[:, None, None]
-        # System g reads its outputs y U_g as a (b, r_g) block of the
-        # projected outputs, padded to (b, r) by index n, a zero.
-        self._ypos = np.full((G, b, r), kernel.n)
-        for g, (_, _, cols) in enumerate(basis.systems):
-            self._ypos[g, :, :cols.size // b] = cols.reshape(b, -1)
         self._last = {}  # arm -> step of its last observation
         # Stacked over the systems, in buffers grown by _put: the rows u_s,
         # stored arm-major (u_s^T fills columns s b .. s b + b - 1), and the
@@ -442,21 +441,19 @@ class PosteriorState(_Posterior):
         written over its diagonal blocks.  Its strict upper triangle is
         never read.
         """
-        t, b, q, systems = self.t, self._basis.b, Xq.shape[0], self._basis.systems
-        prior = [k.diag_blocks(Xq) for k in self._basis.kernels]
-        V = np.zeros((len(systems), t * b, q * b))
+        t, b, q, basis = self.t, self._basis.b, Xq.shape[0], self._basis
+        V = np.zeros((len(basis.systems), t * b, q * b))
         if t:
-            K = [k._cross(self.X, Xq) for k in self._basis.kernels]
+            K = basis.kernel._cross(self.X, Xq)
             hist = (self._hist_arm[:, None] * b + np.arange(b)).ravel()
             rows = np.arange(t * b)[:, None]
             diag = (rows, rows // b * b + np.arange(b))  # the pivot blocks
-            for g, (i, xi, _) in enumerate(systems):
+            for g, xi in enumerate(basis._xi):
                 T = self._rows[g][hist, :t * b]  # a copy
                 T *= xi
                 T[diag] = self._pivots[g, :t * b]
-                V[g] = la.solve_triangular(T, K[i], lower=True, check_finite=False)
-        res = np.stack([prior[i] for i, _, _ in systems])
-        res -= self._xi[..., None] * _block_gram(V, V, b)
+                V[g] = la.solve_triangular(T, K, lower=True, check_finite=False)
+        res = basis.kernel.diag_blocks(Xq) - self._xi[..., None] * _block_gram(V, V, b)
         blocks = V.transpose(0, 2, 1)
         return blocks, blocks @ self._innov[:, :t * b], res
 
@@ -481,16 +478,14 @@ class PosteriorState(_Posterior):
         M = self._rows[:, :A * b, (s0 or 0) * b:t * b]
         c = -xi * M[:, lo:lo + b].transpose(0, 2, 1)
         if s0 is None:
-            prior = [k._cross(self._arms, self._arms[a:a + 1]) for k in basis.kernels]
-            col = np.stack([prior[i] for i, _, _ in basis.systems]) + M @ c
+            col = basis.kernel._cross(self._arms, self._arms[a:a + 1]) + M @ c
         else:
             c[:, :b] += self._pivots[:, s0 * b:(s0 + 1) * b].transpose(0, 2, 1)
             col = M @ c
         B = col[:, lo:lo + b]
         L = _chol(xi * B + self.eta * np.eye(b))
         u = _solve_pivot(L, col.transpose(0, 2, 1))
-        z = _solve_pivot(L, np.append(basis.project(y), 0.0)[self._ypos]
-                         - xi * self._coords[:, lo:lo + b])
+        z = _solve_pivot(L, basis.outputs(y[None]) - xi * self._coords[:, lo:lo + b])
         self._coords += u.transpose(0, 2, 1) @ z
         self._res -= xi[..., None] * _block_gram(u, u, b)
         self._rows = _put(self._rows, 0, t * b, u.transpose(0, 2, 1))
@@ -503,14 +498,8 @@ class PosteriorState(_Posterior):
     def mean_batch(self, Xq) -> np.ndarray:
         """Posterior means over a stack of queries, shape (N, n)."""
         Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
-        N, b = Xq.shape[0], self._basis.b
-        if self.t == 0:
-            return np.zeros((N, self.kernel.n))
         coords = self._coords if Xq is self._grid else self._at(Xq)[1]
-        r = self._basis.r
-        return self._basis.assemble_mean(
-            [np.concatenate([coords[j, :N * b, :r[j]] for j in g], axis=1)
-             for g, _, _ in self._basis.by_kernel], N)
+        return self._basis.assemble_mean(coords, Xq.shape[0])
 
     def cov(self, x) -> np.ndarray:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues

@@ -105,8 +105,11 @@ def _suite_variance_geometry():
 
 def _suite_fast_path_equivalence():
     """The default systems, off the grid and grid-resident, agree with the
-    single general system (ICM, diagonal); on a sum-separable kernel, which
-    is one general system, grid-resident reads agree with off-grid ones.
+    single general system (ICM, and a diagonal kernel whose tasks share one
+    scalar-kernel object; with distinct scalars a diagonal kernel is itself
+    the general system, so it would compare a path with itself); on a
+    sum-separable kernel, which is one general system, grid-resident reads
+    agree with off-grid ones.
     In exact-grid-interleaved the history alternates repeated grid rows
     with off-grid points, so the grid-resident state adds each new
     off-grid arm by forward substitution through its history rows and
@@ -117,7 +120,7 @@ def _suite_fast_path_equivalence():
     icm = kernels.ICMKernel(se, kernels.gram_coupling(3, rng))
     cases = (
         ("icm-equivalence", icm, False),
-        ("diagonal-equivalence", kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)]), False),
+        ("diagonal-equivalence", kernels.DiagonalKernel([se] * 3), False),
         ("sum-separable-grid", kernels.SumSeparableKernel([
             (se, kernels.omega_coupling(0.5, 3)),
             (kernels.Matern52(0.5), kernels.gram_coupling(3, rng)),
@@ -159,8 +162,8 @@ def _dense_posterior(kern, X, Y, eta, Xq):
 
 def _suite_full_dictionary():
     """Budgeted posterior with an all-points dictionary matches the exact one,
-    with one scalar factor (ICM), one per distinct scalar (diagonal), and
-    on grid reads served from the arm arrays of a grid-resident state whose
+    with one scalar factor (ICM), with the n x n blocks of a diagonal kernel
+    with distinct scalars factored as the general system, and on grid reads served from the arm arrays of a grid-resident state whose
     history repeats grid points and mixes in off-grid ones.  On 45 of 101
     arms 0.01 apart at lengthscale 0.2 the dictionary is numerically
     rank-deficient, so the features skip arms at the pivot cut; there the

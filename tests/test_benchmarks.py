@@ -32,6 +32,8 @@ class TestEnvironment:
             benchmarks.Environment("toy", grid, np.zeros((4, 2)), 0.1)
         with pytest.raises(ValueError):
             benchmarks.Environment("toy", grid, values, -0.1)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            benchmarks.Environment("toy", grid, values, np.nan)
 
     def test_observe_adds_gaussian_noise(self):
         grid = np.zeros((1, 1))
@@ -230,6 +232,16 @@ class TestRegretSeries:
             benchmarks.bayes_regret(
                 res, env, scal, scalarize.InverseWeightedWeights(2),
                 checkpoints=[0], rng=np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize("n_mc", [0, -3])
+    def test_bayes_regret_rejects_empty_weight_stack(self, n_mc):
+        """No Monte-Carlo draw leaves no mean to take: a ValueError naming n_mc."""
+        res, env, scal = self._run()
+        with pytest.raises(ValueError, match="n_mc"):
+            benchmarks.bayes_regret(
+                res, env, scal, scalarize.InverseWeightedWeights(2),
+                checkpoints=[1], n_mc=n_mc, rng=np.random.default_rng(0),
             )
 
 

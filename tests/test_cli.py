@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_posterior_cov, dense_posterior_mean
-from mtbandit import cli, nystrom, posterior, validate
+from mtbandit import benchmarks, cli, nystrom, posterior, validate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -281,6 +281,78 @@ class TestRunCommand:
         a = (out_a / "trace_MTKB_trial000.csv").read_bytes()
         b = (out_b / "trace_MTKB_trial000.csv").read_bytes()
         assert a != b
+
+
+class TestObjectivesAndCouplings:
+    """The objectives other than rkhs, the inline coupling and the cross-key
+    rules on run.algorithms and kernel.variant, through ``mtbandit run``."""
+
+    @staticmethod
+    def _run(tmp_path, *sets):
+        out = tmp_path / "out"
+        argv = ["run", _write_config(tmp_path), "--outdir", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        return cli.main(argv), out
+
+    @staticmethod
+    def _trace_rows(out):
+        with open(out / "trace_MTKB_trial000.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    @pytest.mark.parametrize("weights, n", [(None, 4), ("[1.0, 0.0, 0.5, 0.0, 1.0, 0.5]", 2)])
+    def test_perturbed_sine_run(self, tmp_path, weights, n):
+        """perturbed_sine runs with its default weight rows (four tasks) and
+        with objective.weights (one task per row of three)."""
+        sets = ["objective.name=perturbed_sine", "objective.grid_step=0.05", "bandit.b=1.0"]
+        if weights is not None:
+            sets.append(f"objective.weights={weights}")
+        code, out = self._run(tmp_path, *sets)
+        assert code == 0
+        rows = self._trace_rows(out)
+        assert len(rows) == 5
+        for row in rows:
+            assert len(row["y"].split(";")) == n
+            assert 0.0 <= float(row["x"]) <= 1.0
+
+    def test_shifted_branin_run(self, tmp_path):
+        """shifted_branin runs on a small grid with bandit.b set, and every
+        query is a grid point of the branin domain."""
+        code, out = self._run(tmp_path, "objective.name=shifted_branin", "objective.n_tasks=3",
+                              "objective.grid_side=4", "bandit.b=1.0")
+        assert code == 0
+        rows = self._trace_rows(out)
+        assert len(rows) == 5
+        grid = benchmarks.make_shifted_branin(3, grid_side=4).grid
+        for row in rows:
+            x = np.array([float(v) for v in row["x"].split(";")])
+            assert np.any(np.all(grid == x, axis=1))
+            assert len(row["y"].split(";")) == 3
+
+    def test_inline_coupling(self, tmp_path, capsys):
+        """Valid inline rows run; rows that are not PSD exit 2 naming
+        kernel.rows, before the output directory is made."""
+        code, out = self._run(tmp_path, "kernel.coupling=inline", "kernel.rows=[1.0, 0.3, 0.3, 1.0]")
+        assert code == 0 and len(self._trace_rows(out)) == 5
+        bad = tmp_path / "bad"
+        code = cli.main(["run", _write_config(tmp_path), "--outdir", str(bad), "--set",
+                         "kernel.coupling=inline", "--set", "kernel.rows=[1.0, 2.0, 2.0, 1.0]"])
+        assert code == 2
+        assert "kernel.rows" in capsys.readouterr().err
+        assert not bad.exists()
+
+    @pytest.mark.parametrize("item, key", [
+        ("run.algorithms=[]", "run.algorithms"),
+        ('run.algorithms=["MTKB", "MTKB"]', "run.algorithms"),
+        ("kernel.variant=diagonal", "kernel.variant"),
+    ])
+    def test_cross_key_errors_exit_2_naming_key(self, tmp_path, capsys, item, key):
+        """An empty or repeated algorithm list, and the diagonal variant on
+        the rkhs objective, exit 2 naming the key."""
+        code, out = self._run(tmp_path, item)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlotCommand:

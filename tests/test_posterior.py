@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_logdet, dense_posterior_cov, dense_posterior_mean, random_icm
-from mtbandit import benchmarks, kernels, posterior
+from mtbandit import benchmarks, kernels, nystrom, posterior
 
 ETA = 0.1
 
@@ -140,8 +140,8 @@ class TestFastPaths:
         )
 
     def test_diagonal_fast_matches_dense(self):
-        """Tasks that share one scalar-kernel object share one ridge system;
-        a distinct scalar gets its own."""
+        """A diagonal kernel with distinct scalars is one general system
+        with 3 x 3 blocks; it matches the dense posterior too."""
         rng = np.random.default_rng(21)
         se = kernels.SquaredExponential(0.3)
         kern = kernels.DiagonalKernel([se, se, kernels.Matern52(0.5)])
@@ -444,6 +444,23 @@ class TestValidation:
         np.testing.assert_array_equal(state.Y, Y)
         state.update(np.ones(3), np.ones(2))
         assert state.t == t + 1 and state.mean_batch(np.ones((4, 3))).shape == (4, 2)
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_non_finite_output_leaves_state_unchanged(self, budgeted):
+        """A NaN output is refused, by the exact and by the budgeted
+        posterior, before the history, the log-det sum or the arm universe
+        grows, although its input would have been a new arm."""
+        rng = np.random.default_rng(27)
+        kern = random_icm(rng, n=2)
+        if budgeted:
+            state = nystrom.NystromState(kern, ETA, q=10.0, rng=np.random.default_rng(0))
+        else:
+            state = posterior.PosteriorState(kern, ETA)
+        state.update(rng.random(2), rng.normal(size=2))
+        t, logdet, arms = state.t, state.logdet_sum, state._arms.shape[0]
+        with pytest.raises(ValueError, match="non-finite"):
+            state.update(rng.random(2), np.array([0.3, np.nan]))
+        assert state.t == t and state.logdet_sum == logdet and state._arms.shape[0] == arms
 
     def test_update_rejects_a_stack_of_points(self):
         """A stack of several points is refused, naming its shape, before
