@@ -44,8 +44,8 @@ that it is required) and its allowed values or bound.  A key it does not
 list inside these five sections, whether from the file or from
 ``--set section.key=value``, is a config error that names
 ``section.key``; other sections are kept in ``raw`` and left unread.
-Missing, mistyped, out-of-range and unknown keys all fail at load, before
-``run`` creates its output directory.
+Missing, mistyped, out-of-range and unknown keys, and floats that are NaN
+or infinite, all fail at load, before ``run`` creates its output directory.
 
 Determinism: (config, master seed) fully determines every CSV byte.
 Per-trial seeds are derived by hashing (master seed, trial index,
@@ -172,6 +172,8 @@ def _typed(name: str, value, kind):
         return [_typed(f"{name} entry", v, get_args(kind)[0]) for v in value]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     return float(value) if kind is float else value
 
 

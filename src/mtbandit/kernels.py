@@ -32,13 +32,13 @@ Cholesky factor) are flushed at sqrt(tiny) = 1.5e-154, so that no
 product of two of them is subnormal either.  The squared exponential
 skips exp where its value would be below tiny, since exp is also slow
 there.  Distances are summed coordinate by coordinate, in the order of
-scipy's cdist and with its bits, without importing scipy.spatial.
+scipy's cdist and with its bits, without importing scipy.spatial.  The
+eigen-solvers of the couplings are NumPy's, so the module loads no SciPy.
 """
 
 import abc
 
 import numpy as np
-import scipy.linalg as la
 
 __all__ = [
     "ScalarKernel",
@@ -82,7 +82,7 @@ def operator_norm(M: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix (its induced 2-norm)."""
     M = np.asarray(M, dtype=float)
     sym = 0.5 * (M + M.T)
-    return float(la.eigvalsh(sym)[-1])
+    return float(np.linalg.eigvalsh(sym)[-1])
 
 
 # Scalar kernels ==============================================================
@@ -211,7 +211,7 @@ def validate_coupling(B) -> np.ndarray:
     asym = np.max(np.abs(B - B.T)) if B.size else 0.0
     if asym > 1e-12:
         raise ValueError(f"coupling matrix is asymmetric (max |B - B^T| = {asym:.3e})")
-    evals = la.eigvalsh(B)
+    evals = np.linalg.eigvalsh(B)
     lam_max = max(evals[-1], 0.0)
     if evals[0] < -1e-9 * max(lam_max, 1e-300):
         raise ValueError(
@@ -231,7 +231,7 @@ def coupling_spectrum(B) -> CouplingSpectrum:
     otherwise masquerade as an informative direction).
     """
     B = validate_coupling(B)
-    evals, evecs = la.eigh(B)
+    evals, evecs = np.linalg.eigh(B)
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
     if evals.size:

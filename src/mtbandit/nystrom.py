@@ -56,7 +56,8 @@ is 0.0, so no product of two features is subnormal (the kernels module
 docstring gives the cost of subnormals).  Far from the dictionary,
 features and thus means are exactly 0.0.  A point that is not an arm is
 embedded by forward substitution through the pivot triangle, the same
-recurrence restricted to the pivot arms.
+recurrence restricted to the pivot arms, in ``posterior._solve_lower``, the
+one triangle solve of both posteriors; only these reads load SciPy.
 
 The dictionary lists its arms in the order of their first visit in the
 history, so the same arm set always gives the same factor and an arm
@@ -114,11 +115,10 @@ the support holds no feature row, and every read is the prior.
 """
 
 import numpy as np
-import scipy.linalg as la
 
 from .kernels import MultiTaskKernel, _as_points
-from .posterior import (_block_gram, _chol, _inv_lower, _Posterior, _solve_pivot,
-                        _TaskBasis)
+from .posterior import (_block_gram, _chol, _inv_lower, _Posterior, _solve_lower,
+                        _solve_pivot, _TaskBasis)
 
 __all__ = [
     "Dictionary",
@@ -294,8 +294,7 @@ class _Features:
         rhs = np.einsum("ic,icq->iq", self.C, K.reshape(r, b, -1))
         T = np.einsum("ic,sic->is", self.C, self.F[:, _block_cols(piv, b)].reshape(r, r, b))
         T *= piv[:, None] != piv[None, :]  # the rows of one pivot are independent
-        return _flush(la.solve_triangular(T, rhs, lower=True, unit_diagonal=True,
-                                          check_finite=False))
+        return _flush(_solve_lower(T, rhs, unit_diagonal=True))
 
 
 class _Support:

@@ -68,6 +68,9 @@ diagonal.  A new off-grid arm enters this way before its update, and every
 read that is not the grid reads its mean sum_s u_s[x]^T z_s and residual
 k(x, x) - xi_g sum_s u_s[x]^T u_s[x] this way.  Grid reads match the grid
 by identity (the same array object); the caller must not mutate it.
+``_solve_lower`` is the one triangle solve, of this engine and of the
+budgeted one; it imports SciPy on first use, so only reads away from the
+arms load SciPy.
 
 Per system an update at an arm last seen at step s0 costs O((t - s0) A b^2)
 for A arms, a first visit O(t A b^2), a grid read O(N b^2), and a new arm
@@ -79,13 +82,13 @@ and updated together, and each kernel value serves all of them.  No
 weight is divided by, so a zero coupling keeps a zero-weight system.
 
 The budgeted posterior in the nystrom module shares the front-end, the
-factor helpers and the covariance clamp, builds its support over the
-same systems and assembles it, and its log-det increments, with the same
-``_TaskBasis`` methods and the same per-system coordinate layout.
+factor helpers, the triangle solve and the covariance clamp, builds its
+support over the same systems and assembles it, and its log-det
+increments, with the same ``_TaskBasis`` methods and the same per-system
+coordinate layout.
 """
 
 import numpy as np
-import scipy.linalg as la
 
 from .kernels import DiagonalKernel, ICMKernel, MultiTaskKernel, _as_points
 
@@ -200,6 +203,16 @@ def _inv_lower(L) -> np.ndarray:
 def _solve_pivot(L, X) -> np.ndarray:
     """L_g^{-1} X_g for a stack of lower-triangular b x b pivot factors."""
     return X / L if L.shape[-1] == 1 else _inv_lower(L) @ X
+
+
+def _solve_lower(T, K, unit_diagonal=False) -> np.ndarray:
+    """T^{-1} K for one lower-triangular T, whose strict upper triangle is
+    never read; with ``unit_diagonal`` its diagonal is taken as ones.  The
+    one triangle solve of both posteriors, which only reads away from the
+    arms need: SciPy is imported here, on the first such read."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(T, K, lower=True, unit_diagonal=unit_diagonal, check_finite=False)
 
 
 # Observation front-end =======================================================
@@ -452,7 +465,7 @@ class PosteriorState(_Posterior):
                 T = self._rows[g][hist, :t * b]  # a copy
                 T *= xi
                 T[diag] = self._pivots[g, :t * b]
-                V[g] = la.solve_triangular(T, K, lower=True, check_finite=False)
+                V[g] = _solve_lower(T, K)
         res = basis.kernel.diag_blocks(Xq) - self._xi[..., None] * _block_gram(V, V, b)
         blocks = V.transpose(0, 2, 1)
         return blocks, blocks @ self._innov[:, :t * b], res

@@ -107,6 +107,8 @@ class ChebyshevScalarization(Scalarization):
         self.reference = (
             None if reference is None else np.asarray(reference, dtype=float).reshape(-1)
         )
+        if self.reference is not None and not np.all(np.isfinite(self.reference)):
+            raise ValueError(f"reference must be finite, got {self.reference}")
 
     def _shifted(self, Y):
         if self.reference is None:

@@ -13,7 +13,6 @@ per suite and a tally, and returns 0 when every suite passed, else 1.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import kernels, nystrom, posterior
 
@@ -152,11 +151,10 @@ def _dense_posterior(kern, X, Y, eta, Xq):
     """Means (N, n) and covariance norms (N,) at Xq by one dense solve."""
     N, n = Xq.shape[0], kern.n
     G = kernels.block_kernel_matrix(kern, X)
-    L = np.linalg.cholesky(G + eta * np.eye(G.shape[0]))
-    W = la.solve_triangular(L, kernels.cross_block(kern, X, Xq), lower=True)
-    mean = W.T @ la.solve_triangular(L, Y.reshape(-1), lower=True)
-    W3 = W.reshape(-1, N, n)
-    cov = kern.diag_blocks(Xq) - np.einsum("kja,kjb->jab", W3, W3)
+    C = kernels.cross_block(kern, X, Xq)
+    S = np.linalg.solve(G + eta * np.eye(G.shape[0]), C)
+    mean = S.T @ Y.reshape(-1)
+    cov = kern.diag_blocks(Xq) - posterior._block_gram(C, S, n)
     return mean.reshape(N, n), np.linalg.eigvalsh(0.5 * (cov + cov.transpose(0, 2, 1)))[:, -1]
 
 

@@ -236,6 +236,10 @@ class TestRunCommand:
             ("rkhs", "kernel.lenghtscale", "0.9"),
             ("rkhs", "bandit.eta", "-1"),
             ("rkhs", "bandit.delta", "2"),
+            ("rkhs", "bandit.b", "inf"),
+            ("rkhs", "bandit.eta", "inf"),
+            ("rkhs", "kernel.lengthscale", "inf"),
+            ("rkhs", "scalarization.reference", "[nan, 0.0]"),
         ],
     )
     def test_out_of_range_value_exits_2_naming_key(
@@ -527,3 +531,39 @@ class TestModuleEntryPoints:
             env=env, capture_output=True, text=True,
         )
         assert proc.stdout.strip() == "False False", proc.stderr
+
+    @pytest.mark.parametrize("engine", ["posterior", "nystrom"])
+    def test_grid_runs_leave_scipy_unloaded(self, tmp_path, engine):
+        """Grid runs of every algorithm, model-dump and pareto load no SciPy in a
+        fresh interpreter; an off-grid read of either posterior then loads it."""
+        text = MINIMAL_CONFIG.replace(
+            'algorithms = ["MTKB"]', 'algorithms = ["MTKB", "MTBKB", "ITKB"]'
+        ).replace("delta = 0.1", "delta = 0.1\nepsilon = 0.5")
+        script = """if True:
+            import sys
+            import numpy as np
+            from mtbandit import cli, kernels, nystrom, posterior
+            cfg, out, engine = sys.argv[1:]
+            for argv in (["run", cfg, "--outdir", out + "/run"],
+                         ["model-dump", cfg, "--out", out + "/model.csv"],
+                         ["pareto", cfg, "--out", out + "/pareto.csv"]):
+                assert cli.main(argv) == 0, argv
+            print("scipy" in sys.modules)
+            grid = np.linspace(0.0, 1.0, 11)[:, None]
+            kern = kernels.ICMKernel(kernels.SquaredExponential(0.2),
+                                     kernels.omega_coupling(0.5, 2))
+            state = (posterior.PosteriorState(kern, 0.1, grid=grid) if engine == "posterior"
+                     else nystrom.NystromState(kern, 0.1, q=10.0,
+                                               rng=np.random.default_rng(0), grid=grid))
+            state.update(grid[3], [0.5, -0.5])
+            state.mean_batch(grid[:4] + 0.05)
+            print("scipy" in sys.modules)
+        """
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, _write_config(tmp_path, text), str(tmp_path), engine],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.stdout.split()[-2:] == ["False", "True"], proc.stderr

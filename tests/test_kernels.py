@@ -114,14 +114,16 @@ class TestPairwise:
         with pytest.raises(ValueError, match="dimensions differ"):
             kernels.SquaredExponential(1.0).pairwise(np.zeros((2, 3)), np.zeros((2, 2)))
 
-    def test_cli_import_skips_scipy_spatial(self):
-        """Distances need no scipy.spatial, so a fresh import of the CLI does not load it."""
+    @pytest.mark.parametrize("module", ["scipy.spatial", "scipy"])
+    def test_cli_import_skips_scipy_spatial(self, module):
+        """Distances need no scipy.spatial and the couplings' eigen-solvers no
+        SciPy, so a fresh import of the CLI loads neither."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, mtbandit.cli; print('scipy.spatial' in sys.modules)"],
+             f"import sys, mtbandit.cli; print({module!r} in sys.modules)"],
             env=env, capture_output=True, text=True,
         )
         assert proc.stdout.strip() == "False", proc.stderr

@@ -65,6 +65,12 @@ class TestChebyshevScalarization:
         with pytest.raises(ValueError):
             s.value(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("reference", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_reference_rejected(self, reference):
+        """A NaN reference would make every score NaN, so it fails at construction."""
+        with pytest.raises(ValueError, match="finite"):
+            ChebyshevScalarization(reference)
+
 
 class TestValueStack:
     @pytest.mark.parametrize("reference", [None, [0.3, -0.2, 0.1, 0.0]])
