@@ -160,8 +160,6 @@ def beta_tilde_t(config: AlgorithmConfig, approx_logdet_sum: float) -> float:
 # Acquisition =================================================================
 def acquisition(model, scalarization: Scalarization, lam, beta: float, x) -> float:
     """u(x) = s_lambda(mu(x)) + L_lambda * beta * ||cov(x, x)||^{1/2}."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
     return float(_scores(scalarization, lam, beta, model.mean(x)[None], [model.cov_norm(x)])[0])
 
 
@@ -180,7 +178,10 @@ def select_point(model, scalarization: Scalarization, lam, beta: float, candidat
 
 
 def _scores(scalarization, lam, beta, means, norms) -> np.ndarray:
-    """Acquisition values from the posterior means and covariance norms."""
+    """Acquisition values from the posterior means and covariance norms;
+    beta must be >= 0 (a NaN is refused too)."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     widths = np.sqrt(np.clip(norms, 0.0, None))
     return (
         scalarization.value_batch(lam, means)

@@ -258,5 +258,5 @@ def bayes_regret(
     # np.take keeps the gaps C-ordered: mean(axis=0) then sums the draws one
     # row after another, as over the rows of a per-draw loop; an F-ordered
     # array would be summed pairwise, with other last bits.
-    gaps = opt[:, None] - np.take(best, np.array(checkpoints) - 1, axis=1)
+    gaps = opt[:, None] - np.take(best, np.array(checkpoints, dtype=int) - 1, axis=1)
     return gaps.mean(axis=0)

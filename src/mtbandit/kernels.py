@@ -367,11 +367,12 @@ def block_kernel_matrix(kernel: MultiTaskKernel, X) -> np.ndarray:
 
 
 def cross_block(kernel: MultiTaskKernel, X, z) -> np.ndarray:
-    """Stacked cross-kernel [Gamma(x_1, z); ...; Gamma(x_t, z)] of shape (nt, n).
+    """Stacked cross-kernel [Gamma(x_1, z); ...; Gamma(x_t, z)] of shape (nt, n q)
+    for q query points z.
 
-    An empty history yields an empty (0, n) matrix.
+    An empty history yields an empty (0, n q) matrix.
     """
-    X = np.asarray(X, dtype=float)
+    X, Z = np.asarray(X, dtype=float), _as_points(z)
     if X.size == 0:
-        return np.zeros((0, kernel.n))
-    return kernel._cross(X, _as_points(z))
+        return np.zeros((0, kernel.n * Z.shape[0]))
+    return kernel._cross(X, Z)

@@ -87,20 +87,24 @@ things to them:
   so A_g gains a border: X_g becomes its block inverse through the Schur
   complement, and the residual blocks gain the Schur-complement term,
   O(r A b k) per system for k new rows;
-* a dictionary that loses an arm keeps the feature rows of the common
-  prefix, appends the rest and solves the model from scratch: one
-  Cholesky factor of A_g and its inverse per system, O(r^3 + r^2 A b).
-  ``NystromState.rebuilds`` counts these rounds.
+* a dictionary that loses an arm resets the model: the features keep the
+  rows of the common prefix, X_g covers no row and the residual blocks
+  are the prior.  The rest of the dictionary is appended, and the same
+  border as above, now over every row, solves the model from scratch,
+  O(r^3 + r^2 A b) per system.  ``NystromState.rebuilds`` counts these
+  rounds.  A support solved from scratch is an empty one grown this way.
 
-The means are recomputed every round from X_g and the compressed
-history, O(r^2 + r A) per right-hand side, so they carry only the error
-of X_g; the ``budgeted-update-vs-rebuild`` suite of ``mtbandit validate``
-checks the updated model against one solved from scratch.  Grid reads
-(the grid matched by identity, as in the exact engine), the resample's
-history norms and the round's log-det increment are gathers from these
-arm arrays; only other queries are embedded afresh.  The model holds at
-most |D_t| A b^2 feature entries for A arms, whatever t (the exact
-engine's rows take t A b^2 floats).
+Every round then solves the coefficients z_g = X_g F_U S_U from the
+compressed history, O(r^2 + r A) per right-hand side, so the mean
+coordinates phi^T z_g carry only the error of X_g; the
+``budgeted-update-vs-rebuild`` suite of ``mtbandit validate`` checks the
+updated model against one solved from scratch.  The reads are the
+front-end's (posterior module docstring).  A grid read (the grid matched
+by identity) gathers the feature columns and residual blocks kept at the
+arms, and the resample's history norms and the round's log-det increment
+gather the residual blocks; only other queries are embedded afresh.  The
+model holds at most |D_t| A b^2 feature entries for A arms, whatever t
+(the exact engine's rows take t A b^2 floats).
 
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one factor of the
@@ -108,15 +112,16 @@ basis kernel and one inverse per system.  An ICM kernel, and a diagonal
 kernel whose tasks share one scalar-kernel object, factor that scalar
 once; any other kernel, a diagonal kernel with distinct scalars
 included, factors its n x n blocks as a single system.  The
-observation checks, the history, the arm universe, the log-det
-accumulator and increment, the Cholesky helpers and the covariance clamp
-to [0, kappa] are the exact posterior's.  Before the first observation
-the support holds no feature row, and every read is the prior.
+observation and query checks, the reads, the history, the arm universe,
+the log-det accumulator and increment, the Cholesky helpers and the
+covariance clamp to [0, kappa] are the exact posterior's.  Before the
+first observation the support holds no feature row, and every read is
+the prior.
 """
 
 import numpy as np
 
-from .kernels import MultiTaskKernel, _as_points
+from .kernels import MultiTaskKernel
 from .posterior import (_block_gram, _chol, _inv_lower, _Posterior, _solve_lower,
                         _solve_pivot, _TaskBasis)
 
@@ -305,35 +310,30 @@ class _Support:
     features over the arms (``_Features``, which evaluate the kernel rows
     of the arms they append) and the prior blocks k(a, a) at every arm;
     and, stacked over the systems so that every step updates all of them
-    at once, the inverses X_g of xi_g V + eta I as one (G, r, r) stack and
-    the mean coordinates, for reads away from the arms, as one
-    (G, r, r_max) stack in ``_TaskBasis``'s per-system layout.  ``means``,
-    ``res`` (residual blocks, (G, A, b, b)) and ``norms`` hold the model at
-    every arm, and ``rebuilds`` counts the updates that solved it from
-    scratch.  Built empty, it holds no feature row and reads the prior
-    everywhere.
+    at once, the inverses X_g of xi_g V + eta I as one (G, r, r) stack, the
+    solved coefficients ``_z`` = X_g F_U S_U as one (G, r, r_max) stack in
+    ``_TaskBasis``'s per-system layout, so that phi^T z are the mean
+    coordinates of embeddings phi, and the residual blocks ``res``
+    (G, A, b, b) at every arm.  ``rebuilds`` counts the updates whose
+    dictionary lost an arm.  Built empty, it holds no feature row and reads
+    the prior everywhere.
     """
 
     def __init__(self, basis: _TaskBasis, eta, arms):
-        none = np.zeros(0, dtype=int)
-        G, _, r = basis.ypos.shape
         self.basis, self.eta, self._arms = basis, eta, arms
         self._prior = basis.kernel.diag_blocks(arms)
-        self._features = _Features(basis.kernel, arms, none, 0.0)
+        self._features = _Features(basis.kernel, arms, np.zeros(0, dtype=int), 0.0)
         self._xi = basis._xi[:, None, None]
-        self._inv = np.zeros((G, 0, 0))
-        self._z = np.zeros((G, 0, r))
-        self._dict = none
-        self.res = np.repeat(self._prior[None], G, axis=0)
-        self.norms = basis.assemble_cov_norm(self.res)
-        self.means = np.zeros((arms.shape[0], basis.U.shape[0]))
+        self._dict = np.zeros(0, dtype=int)
+        self._reset(0)
         self.rebuilds = 0
 
     @classmethod
     def solved(cls, basis, eta, dict_arms, arms, counts, sums):
-        """The model of the dictionary arms ``dict_arms`` built and solved from scratch."""
+        """The model of the dictionary arms ``dict_arms`` solved from scratch:
+        an empty support grown by them."""
         support = cls(basis, eta, arms)
-        support._rebuild(0, dict_arms, counts, sums)
+        support._grow(dict_arms, counts, sums)
         return support
 
     def add_arm(self, arms):
@@ -344,46 +344,46 @@ class _Support:
         phi = self.embed(x)
         self._features.add_columns(phi)
         self._prior = np.concatenate([self._prior, self.basis.kernel.diag_blocks(x)])
-        new = self.residuals_at(phi, self._prior[-1:])
-        self.res = np.concatenate([self.res, new], axis=1)
-        self.norms = np.append(self.norms, self.basis.assemble_cov_norm(new))
+        self.res = np.concatenate([self.res, self.residuals_at(phi, self._prior[-1:])], axis=1)
 
     def update(self, a, dict_arms, counts, sums):
         """Fold in the observation at arm a, already counted in ``counts`` and
         ``sums``, and move the model to the dictionary arms ``dict_arms``.
 
-        While the dictionary only gains arms the model is updated in place;
-        when it loses one, the features keep the rows of the common prefix
-        and the model is solved from scratch.
+        While the dictionary only gains arms the observation is folded into
+        the model in place.  When it loses one, the model is reset to the
+        features of the common prefix, which then enter as new rows.  Either
+        way the arms past the prefix are appended and the model grows by
+        every feature row it does not cover yet.
         """
         keep = _common_prefix(self._dict, dict_arms)
         if keep < self._dict.size:
             self.rebuilds += 1
-            self._rebuild(keep, dict_arms, counts, sums)
-            return
-        self._observe(a)
+            self._reset(keep)
+        else:
+            self._observe(a)
+        self._grow(dict_arms, counts, sums)
+
+    def _reset(self, keep):
+        """Keep the feature rows of the first ``keep`` dictionary arms and drop
+        the model over them: no inverse, no coefficient, prior residual blocks."""
+        G, _, r = self.basis.ypos.shape
+        self._features.truncate(keep)
+        self._inv = np.zeros((G, 0, 0))
+        self._z = np.zeros((G, 0, r))
+        self.res = np.repeat(self._prior[None], G, axis=0)
+
+    def _grow(self, dict_arms, counts, sums):
+        """Append the dictionary arms past those of the features, border every
+        system by the feature rows its inverse does not cover, and solve the
+        coefficients from the output sums of the observed arms."""
+        f, n0 = self._features, self._inv.shape[1]
+        f.append(self.basis.kernel, self._arms, dict_arms[f.ends.size:], self._cut())
         seen, ucols, c = _observed(counts, self.basis.b)
-        f, n0 = self._features, self._features.piv.size
-        f.append(self.basis.kernel, self._arms, dict_arms[keep:], self._cut())
         if f.piv.size > n0:
             self._border(n0, ucols, c)
         self._dict = dict_arms
-        self._solve_means(seen, ucols, sums)
-
-    def _rebuild(self, keep, dict_arms, counts, sums):
-        """Truncate the features to the first ``keep`` dictionary arms, append
-        the rest and solve the model from scratch."""
-        f = self._features
-        f.truncate(keep)
-        f.append(self.basis.kernel, self._arms, dict_arms[keep:], self._cut())
-        seen, ucols, c = _observed(counts, self.basis.b)
-        FU = f.F[:, ucols]
-        V = (FU * c) @ FU.T  # the history Gram
-        Li = _inv_lower(_chol(self._xi * V + self.eta * np.eye(V.shape[0])))
-        self._inv = Li.transpose(0, 2, 1) @ Li
-        self.res = self.residuals_at(f.F, self._prior)
-        self._dict = dict_arms
-        self._solve_means(seen, ucols, sums)
+        self._z = self._inv @ (f.F[:, ucols] @ self.basis.outputs(sums[seen]))
 
     def _cut(self) -> float:
         """Pivot cut: PINV_RTOL times the largest prior diagonal."""
@@ -432,15 +432,6 @@ class _Support:
         grown[:, n0:, n0:] = Lt @ Li
         self._inv = grown
 
-    def _solve_means(self, seen, ucols, sums):
-        """Mean coordinates X_g F_U S_U of every system, from the output sums
-        of the observed arms ``seen``, and the model at every arm; the
-        covariance norms from the residual blocks."""
-        F = self._features.F
-        self._z = self._inv @ (F[:, ucols] @ self.basis.outputs(sums[seen]))
-        self.means = self.mean_at(F, self._arms.shape[0])
-        self.norms = self.basis.assemble_cov_norm(self.res)
-
     def embed(self, Xq) -> np.ndarray:
         """Embeddings (r, N b) of a stack of queries; without feature rows
         every query embeds as no row."""
@@ -449,18 +440,11 @@ class _Support:
             return np.zeros((0, Xq.shape[0] * self.basis.b))
         return f.embed(self.basis.kernel._cross(self._arms[f.piv], Xq))
 
-    def mean_at(self, phi, N) -> np.ndarray:
-        """Means (N, n) from embeddings (r, N b)."""
-        return self.basis.assemble_mean(phi.T @ self._z, N)
-
     def residuals_at(self, phi, prior) -> np.ndarray:
         """Residual blocks R~_g = k(x, x) - phi^T phi + eta phi^T X_g phi, (G, N, b, b)."""
         b = self.basis.b
         return prior - _block_gram(phi, phi, b) + self.eta * _block_gram(phi, self._inv @ phi, b)
 
-    def residuals(self, Xq) -> np.ndarray:
-        """Residual blocks (G, N, b, b) at a stack of queries, embedded afresh."""
-        return self.residuals_at(self.embed(Xq), self.basis.kernel.diag_blocks(Xq))
 
 
 # Public state ================================================================
@@ -479,12 +463,12 @@ class NystromState(_Posterior):
         source of randomness in this state.
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round, as for
-        ``PosteriorState``.  Its rows are the first N arms, so every
-        update keeps the means and covariance norms over the grid and
-        ``mean_batch(grid)`` or ``cov_norm_batch(grid)`` is a copy.
-        Only a query that *is* this array object is served from the arm
-        arrays, without checking the grid again; every other query (copies
-        included) is checked and embedded afresh.
+        ``PosteriorState``.  Its rows are the first N arms, so
+        ``mean_batch(grid)`` and ``cov_norm_batch(grid)`` read the feature
+        columns and residual blocks kept at every arm, without checking the
+        grid again.  Only a query that *is* this array object is served
+        from the arm arrays; every other query (copies included) is checked
+        and embedded afresh.
         The caller must not mutate the grid afterwards.  Inputs must have
         the grid's dimension.
 
@@ -497,9 +481,10 @@ class NystromState(_Posterior):
     sums kept here.  While the dictionary only gains arms, every update
     folds the observation into the model and appends the new dictionary
     arms in place; ``rebuilds`` counts the updates whose dictionary lost an
-    arm, which keep the features of the common prefix and solve the model
-    from scratch.  The support is built over the kernel's task-basis
-    systems (posterior._task_systems); no option selects another path.
+    arm, which reset the model to the features of the common prefix and
+    solve it from scratch along the same path.  The support is built over
+    the kernel's task-basis systems (posterior._task_systems); no option
+    selects another path.
 
     Updates mutate in place (single-writer); reads are pure.
     """
@@ -552,12 +537,13 @@ class NystromState(_Posterior):
         increment.  Both are gathered from the support's arm arrays; a
         point new to the arm universe first joins them by its embedding.
         """
-        support = self._support
-        if a == support.norms.shape[0]:
+        support, basis = self._support, self._basis
+        if a == support.res.shape[1]:
             support.add_arm(self._arms)
-        increment = self._basis.logdet(support.res[:, a], self.eta)
+        increment = basis.logdet(support.res[:, a], self.eta)
         self._record(a, y)
-        self.dictionary = resample_dictionary(support.norms[self._hist_arm], self.q, self.rng)
+        norms = basis.assemble_cov_norm(support.res)[self._hist_arm]
+        self.dictionary = resample_dictionary(norms, self.q, self.rng)
         # Distinct sampled arms in first-visit order: repeats and weights
         # leave the span of the support features, hence Phi^T Phi, unchanged.
         sampled = np.zeros(self._arms.shape[0], dtype=bool)
@@ -566,22 +552,20 @@ class NystromState(_Posterior):
         support.update(a, visited[sampled[visited]], self._counts, self._sums)
         return increment
 
-    # -- reads ----------------------------------------------------------
-    def mean_batch(self, Xq) -> np.ndarray:
-        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
+    def _coords_at(self, Xq) -> np.ndarray:
+        """Mean coordinates (G, N b, r) at the points Xq: phi^T z for their
+        feature columns phi, kept at the arms or embedded afresh."""
+        support = self._support
         if Xq is self._grid:
-            return self._support.means[: Xq.shape[0]].copy()
-        return self._support.mean_at(self._support.embed(Xq), Xq.shape[0])
+            phi = support._features.F[:, :Xq.shape[0] * self._basis.b]
+        else:
+            phi = support.embed(Xq)
+        return phi.T @ support._z
 
-    def cov(self, x) -> np.ndarray:
-        """Approximate covariance Gamma~_t(x, x), symmetric with eigenvalues
-        clamped to [0, kappa]."""
-        return self._basis.assemble_cov(self._support.residuals(_as_points(x))[:, 0])
-
-    def cov_norm_batch(self, Xq) -> np.ndarray:
-        """Approximate covariance norms over a stack of queries, shape (N,),
-        clamped to [0, kappa]."""
-        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
+    def _res_at(self, Xq) -> np.ndarray:
+        """Residual blocks (G, N, b, b) at the points Xq, kept at the arms or
+        embedded afresh."""
+        support = self._support
         if Xq is self._grid:
-            return self._support.norms[: Xq.shape[0]].copy()
-        return self._basis.assemble_cov_norm(self._support.residuals(Xq))
+            return support.res[:, :Xq.shape[0]]
+        return support.residuals_at(support.embed(Xq), self._basis.kernel.diag_blocks(Xq))

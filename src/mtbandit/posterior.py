@@ -64,10 +64,16 @@ row by one forward substitution,
     u_s[x] = L_s^{-1} (k(a_s, x) - xi_g sum_{s'<s} u_{s'}[a_s]^T u_{s'}[x]),
 
 through the block lower-triangular history matrix with L_s on its
-diagonal.  A new off-grid arm enters this way before its update, and every
-read that is not the grid reads its mean sum_s u_s[x]^T z_s and residual
-k(x, x) - xi_g sum_s u_s[x]^T u_s[x] this way.  Grid reads match the grid
-by identity (the same array object); the caller must not mutate it.
+diagonal.  A new off-grid arm enters this way before its update.
+
+Both posteriors read alike.  ``_Posterior`` defines ``mean_batch``,
+``cov`` and ``cov_norm_batch`` once, from two hooks of the engine: the
+mean coordinates w_t and the residual blocks at the queried points, which
+``_TaskBasis`` assembles into means, covariances and norms.  A query that
+is the grid (the same array object; the caller must not mutate it) is
+served from the arrays kept at the arms.  Any other query is checked and
+embedded: here by the forward substitution above, giving the mean
+sum_s u_s[x]^T z_s and the residual k(x, x) - xi_g sum_s u_s[x]^T u_s[x].
 ``_solve_lower`` is the one triangle solve, of this engine and of the
 budgeted one; it imports SciPy on first use, so only reads away from the
 arms load SciPy.
@@ -81,11 +87,11 @@ systems share the kernel, b, t and the arms, so their arrays are stacked
 and updated together, and each kernel value serves all of them.  No
 weight is divided by, so a zero coupling keeps a zero-weight system.
 
-The budgeted posterior in the nystrom module shares the front-end, the
-factor helpers, the triangle solve and the covariance clamp, builds its
-support over the same systems and assembles it, and its log-det
-increments, with the same ``_TaskBasis`` methods and the same per-system
-coordinate layout.
+The budgeted posterior in the nystrom module shares the front-end with
+its checks and its reads, the factor helpers, the triangle solve and the
+covariance clamp.  It builds its support over the same systems, in the
+same per-system coordinate layout, and assembles its reads and its
+log-det increments with the same ``_TaskBasis`` methods.
 """
 
 import numpy as np
@@ -146,7 +152,7 @@ def _group_eigenvalues(xis: np.ndarray):
     return [(xi, np.asarray(cols, dtype=int)) for xi, cols in groups]
 
 
-def _task_systems(kernel: MultiTaskKernel, structured: bool = True):
+def _task_systems(kernel: MultiTaskKernel):
     """The ridge systems of a multi-task kernel, by the module's one rule.
 
     Returns (U, k, systems): an orthonormal (n, n) basis U, the one kernel
@@ -157,15 +163,15 @@ def _task_systems(kernel: MultiTaskKernel, structured: bool = True):
 
     with r = |cols| / b.  A diagonal kernel splits only when all its tasks
     share one scalar-kernel object; with distinct scalars it is the general
-    system.  ``structured=False`` gives the single general system for every
-    kernel.
+    system.  ``SumSeparableKernel(kernel.terms)`` is the same kernel as the
+    single general system, with the same ``_cross`` bits.
     """
     n = kernel.n
-    if structured and isinstance(kernel, ICMKernel):
+    if isinstance(kernel, ICMKernel):
         # A zero coupling keeps one zero-weight system, so no basis is empty.
         groups = _group_eigenvalues(kernel.spectrum.eigenvalues) or [(0.0, np.arange(n))]
         return kernel.spectrum.eigenvectors, kernel.scalar, groups
-    if structured and isinstance(kernel, DiagonalKernel) and all(
+    if isinstance(kernel, DiagonalKernel) and all(
             k is kernel.scalars[0] for k in kernel.scalars):
         return np.eye(n), kernel.scalars[0], [(1.0, np.arange(n))]
     return np.eye(n), kernel, [(1.0, np.arange(n))]
@@ -227,11 +233,22 @@ class _Posterior:
     and the arm indices grow in ``_put`` buffers, and ``X`` is the arms of
     the history, gathered on each read.
 
-    A subclass grows its model in ``_absorb(a, y)``, called after every
-    check with the observed point already an arm a.  It records the
-    observation with ``_record(a, y)`` once it no longer needs the history
-    before it, and returns log det(I_n + eta^{-1} Gamma_{t-1}(x_t, x_t)).
-    A subclass also supplies ``mean_batch``, ``cov`` and ``cov_norm_batch``.
+    The reads ``mean_batch``, ``cov`` and ``cov_norm_batch`` are defined
+    here once: they check the query (``_points``) and assemble the engine's
+    per-system arrays through its ``_TaskBasis``, ``_basis``.  A subclass
+    supplies three hooks:
+
+    * ``_absorb(a, y)`` grows its model, called after every check with the
+      observed point already an arm a.  It records the observation with
+      ``_record(a, y)`` once it no longer needs the history before it, and
+      returns log det(I_n + eta^{-1} Gamma_{t-1}(x_t, x_t)).
+    * ``_coords_at(Xq)`` gives the mean coordinates (G, N b, r) and
+    * ``_res_at(Xq)`` the residual blocks (G, N, b, b) at N checked points.
+
+    Both read hooks serve the grid object from the arrays the engine keeps
+    at the arms, and any other stack through the engine's own embedding.
+    They are two hooks, so that a budgeted covariance read forms no mean
+    coordinates.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
@@ -277,13 +294,10 @@ class _Posterior:
         before the history grows, so an invalid observation leaves the
         state unchanged.  x is one point: a d-vector or a single row.
         """
-        X = _as_points(x)
+        X = self._points(x)
         if X.shape[0] != 1:
             raise ValueError(f"update takes one point, got an input of shape {np.shape(x)}")
         x = X[0]
-        d = self._arms.shape[1]
-        if (self.t or d) and x.shape[0] != d:
-            raise ValueError(f"input has dimension {x.shape[0]}, the posterior expects {d}")
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != self.kernel.n:
             raise ValueError(
@@ -293,6 +307,18 @@ class _Posterior:
             raise ValueError("observation contains non-finite entries")
         self.logdet_sum += self._absorb(self._arm(x), y)
         return self
+
+    def _points(self, Xq) -> np.ndarray:
+        """The query Xq as an (N, d) point stack.  The grid object is returned
+        unchecked (it was checked once); any other input is checked, and must
+        have the dimension of the grid or of the history, once either is set."""
+        if Xq is self._grid:
+            return Xq
+        X = _as_points(Xq)
+        d = self._arms.shape[1]
+        if (self.t or d) and X.shape[1] != d:
+            raise ValueError(f"input has dimension {X.shape[1]}, the posterior expects {d}")
+        return X
 
     def _add_arms(self, X):
         """Append the points X as unobserved arms."""
@@ -314,6 +340,20 @@ class _Posterior:
         self._Y = _put(self._Y, self.t, 0, y[None])
         self._hist = _put(self._hist, self.t, 0, np.array([[a]]))
         self.t += 1
+
+    def mean_batch(self, Xq) -> np.ndarray:
+        """Posterior means over a stack of queries, shape (N, n)."""
+        return self._basis.assemble_mean(self._coords_at(self._points(Xq)))
+
+    def cov(self, x) -> np.ndarray:
+        """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
+        clamped to [0, kappa]."""
+        return self._basis.assemble_cov(self._res_at(self._points(x))[:, 0])
+
+    def cov_norm_batch(self, Xq) -> np.ndarray:
+        """Posterior covariance norms over a stack of queries, shape (N,),
+        clamped to [0, kappa]."""
+        return self._basis.assemble_cov_norm(self._res_at(self._points(Xq)))
 
     def mean(self, x) -> np.ndarray:
         """Posterior mean mu_t(x) as an (n,) vector; zero at t = 0."""
@@ -337,8 +377,8 @@ class _TaskBasis:
     eigenvalues clamped to [0, kappa], the kernel's bound on
     ||Gamma(x, x)||."""
 
-    def __init__(self, kernel, structured=True):
-        self.U, self.kernel, self.systems = _task_systems(kernel, structured)
+    def __init__(self, kernel):
+        self.U, self.kernel, self.systems = _task_systems(kernel)
         self.kappa = kernel.kappa
         self.b = b = self.kernel.n  # the block size
         self.r = [cols.size // b for _, cols in self.systems]  # right-hand sides
@@ -354,12 +394,13 @@ class _TaskBasis:
         P = np.concatenate([P, np.zeros((P.shape[0], 1))], axis=1)[:, self.ypos]
         return P.transpose(1, 0, 2, 3).reshape(len(self.systems), -1, P.shape[-1])
 
-    def assemble_mean(self, coords, N) -> np.ndarray:
+    def assemble_mean(self, coords) -> np.ndarray:
         """sum_g xi_g coords_g U_g^T from the coordinate stack (G, N b, r) of
-        the first N points, as one product (N, n) @ U^T of the weighted
-        coordinates in basis order."""
-        G, _, r = coords.shape
-        weighted = self._xi[:, None, None, None] * coords[:, :N * self.b].reshape(G, N, self.b, r)
+        N points, as one product (N, n) @ U^T of the weighted coordinates in
+        basis order."""
+        G, Nb, r = coords.shape
+        N = Nb // self.b
+        weighted = self._xi[:, None, None, None] * coords.reshape(G, N, self.b, r)
         basis = np.zeros((N, self.U.shape[1] + 1))  # the last column takes the padding
         basis[:, self.ypos] = weighted.transpose(1, 0, 2, 3)
         return basis[:, :-1] @ self.U.T
@@ -394,14 +435,6 @@ class PosteriorState(_Posterior):
     kernel : MultiTaskKernel
     eta : float
         Positive regularizer.
-    fast_path : {"auto", True, False}
-        Chooses the systems of the one engine.  "auto" splits an ICM kernel,
-        and a diagonal kernel whose tasks share one scalar-kernel object,
-        into task-basis systems over that one scalar (``_task_systems``),
-        and solves any other kernel as one general system; a diagonal
-        kernel with distinct scalars is such a general system.  False
-        solves every kernel as one general system; True raises TypeError
-        for a kernel that is neither ICM nor diagonal.
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round.  Its rows
         are the first arms, so ``mean_batch(grid)`` and
@@ -414,6 +447,11 @@ class PosteriorState(_Posterior):
         must not mutate the grid afterwards.  Inputs must have the grid's
         dimension.
 
+    The systems of the one engine follow from the kernel alone
+    (``_task_systems``): an ICM kernel, and a diagonal kernel whose tasks
+    share one scalar-kernel object, split into task-basis systems over that
+    one scalar; any other kernel, a diagonal kernel with distinct scalars
+    included, is one general system.  No option selects another path.
     Each system keeps one row over the arms per observation (module
     docstring): t A b^2 floats for A arms, with no (N b)^2 covariance.  An
     update at an arm last observed at step s0 reads the t - s0 rows since
@@ -422,13 +460,9 @@ class PosteriorState(_Posterior):
     Updates mutate the state in place (single-writer); reads are pure.
     """
 
-    def __init__(self, kernel: MultiTaskKernel, eta: float, fast_path="auto", grid=None):
+    def __init__(self, kernel: MultiTaskKernel, eta: float, grid=None):
         super().__init__(kernel, eta, grid)
-        structured = isinstance(kernel, (ICMKernel, DiagonalKernel))
-        if fast_path is True and not structured:
-            raise TypeError(f"no fast path for kernel variant {type(kernel).__name__}")
-        structured = structured and (fast_path is True or fast_path == "auto")
-        self._basis = basis = _TaskBasis(kernel, structured)
+        self._basis = basis = _TaskBasis(kernel)
         G, b, r = basis.ypos.shape
         self._xi = basis._xi[:, None, None]
         self._last = {}  # arm -> step of its last observation
@@ -508,20 +542,12 @@ class PosteriorState(_Posterior):
         self._record(a, y)
         return basis.logdet(B, self.eta)
 
-    def mean_batch(self, Xq) -> np.ndarray:
-        """Posterior means over a stack of queries, shape (N, n)."""
-        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
-        coords = self._coords if Xq is self._grid else self._at(Xq)[1]
-        return self._basis.assemble_mean(coords, Xq.shape[0])
+    def _coords_at(self, Xq) -> np.ndarray:
+        """Mean coordinates (G, N b, r) at the points Xq."""
+        if Xq is self._grid:
+            return self._coords[:, :Xq.shape[0] * self._basis.b]
+        return self._at(Xq)[1]
 
-    def cov(self, x) -> np.ndarray:
-        """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
-        clamped to [0, kappa]."""
-        return self._basis.assemble_cov(self._at(_as_points(x))[2][:, 0])
-
-    def cov_norm_batch(self, Xq) -> np.ndarray:
-        """Posterior covariance norms over a stack of queries, shape (N,),
-        clamped to [0, kappa]."""
-        Xq = Xq if Xq is self._grid else _as_points(Xq)  # the grid was checked once
-        res = self._res[:, :Xq.shape[0]] if Xq is self._grid else self._at(Xq)[2]
-        return self._basis.assemble_cov_norm(res)
+    def _res_at(self, Xq) -> np.ndarray:
+        """Residual blocks (G, N, b, b) at the points Xq."""
+        return self._res[:, :Xq.shape[0]] if Xq is self._grid else self._at(Xq)[2]

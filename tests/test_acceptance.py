@@ -199,8 +199,8 @@ def test_criterion_04_fast_path_equivalence():
     start = time.monotonic()
     rng = np.random.default_rng(11)
     kern = _se_icm(0.6, 3, lengthscale=0.3)
-    fast = posterior.PosteriorState(kern, ETA, fast_path=True)
-    general = posterior.PosteriorState(kern, ETA, fast_path=False)
+    fast = posterior.PosteriorState(kern, ETA)
+    general = posterior.PosteriorState(kernels.SumSeparableKernel(kern.terms), ETA)
     for _ in range(25):
         x, y = rng.random(1), rng.normal(size=3)
         fast.update(x, y)

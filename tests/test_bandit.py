@@ -122,6 +122,20 @@ class TestSelection:
         ]
         np.testing.assert_allclose(direct, direct[0], atol=1e-12)
 
+    @pytest.mark.parametrize("beta", [-1.0, np.nan])
+    def test_negative_or_nan_beta_refused(self, beta):
+        """select_point and acquisition refuse a radius that is not >= 0; both
+        used to score with it, select_point returning index 0."""
+        env, b, kern = _tiny_env()
+        from mtbandit.posterior import PosteriorState
+
+        model = PosteriorState(kern, 0.1)
+        lam, scal = np.array([0.5, 0.5]), scalarize.LinearScalarization()
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            bandit.select_point(model, scal, lam, beta, env.grid)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            bandit.acquisition(model, scal, lam, beta, env.grid[0])
+
     def test_select_point_empty_candidates(self):
         env, b, kern = _tiny_env()
         from mtbandit.posterior import PosteriorState

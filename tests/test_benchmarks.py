@@ -234,6 +234,16 @@ class TestRegretSeries:
                 checkpoints=[0], rng=np.random.default_rng(0),
             )
 
+    def test_bayes_regret_without_checkpoints(self):
+        """No checkpoint gives an empty series; it used to raise a TypeError
+        from np.take on a float index."""
+        res, env, scal = self._run()
+        series = benchmarks.bayes_regret(
+            res, env, scal, scalarize.InverseWeightedWeights(2),
+            checkpoints=[], rng=np.random.default_rng(0),
+        )
+        assert series.shape == (0,)
+
     @pytest.mark.parametrize("n_mc", [0, -3])
     def test_bayes_regret_rejects_empty_weight_stack(self, n_mc):
         """No Monte-Carlo draw leaves no mean to take: a ValueError naming n_mc."""

@@ -245,6 +245,9 @@ class TestMultiTaskKernels:
         assert C.shape == (18, 3)
         empty = kernels.cross_block(gamma, np.zeros((0, 2)), z)
         assert empty.shape == (0, 3)
+        Z = rng.random((4, 2))
+        assert kernels.cross_block(gamma, X, Z).shape == (18, 12)
+        assert kernels.cross_block(gamma, np.zeros((0, 2)), Z).shape == (0, 12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 10_000))

@@ -171,7 +171,8 @@ class TestIncompleteCholeskyFeatures:
         s, tiny = state._support, np.finfo(float).tiny
         F = s._features.F
         assert not np.any((F != 0) & (np.abs(F) < np.sqrt(tiny)))
-        for M in (s.means, *s.res, s.norms):
+        means, norms, res = _at_arms(s)
+        for M in (means, *res, norms):
             assert not np.any((M != 0) & (np.abs(M) < tiny))
 
 
@@ -302,12 +303,13 @@ class TestGridResidentReads:
         state = nystrom.NystromState(random_icm(rng, n=2), ETA, q=3.0,
                                      rng=np.random.default_rng(4), grid=grid)
         calls = []
-        monkeypatch.setattr(nystrom, "_as_points",
+        monkeypatch.setattr(posterior, "_as_points",
                             lambda X: calls.append(1) or kernels._as_points(X))
         for _ in range(2):
             state.mean_batch(grid), state.cov_norm_batch(grid)
             assert calls == []
             state.update(grid[3], rng.normal(size=2))
+            calls.clear()  # the update checks its point
         state.mean_batch(grid.copy()), state.cov_norm_batch(grid.copy())
         assert len(calls) == 2
 
@@ -389,10 +391,16 @@ def _solved(state):
                                    state._counts, state._sums)
 
 
+def _at_arms(s):
+    """A support's means, covariance norms and residual blocks (a copy) at
+    every arm, from its coefficients and residual blocks."""
+    coords = s._features.F.T @ s._z
+    return s.basis.assemble_mean(coords), s.basis.assemble_cov_norm(s.res), s.res.copy()
+
+
 def _model_gap(s, t) -> float:
     """Largest |difference| of two supports' means, covariance norms and residual blocks."""
-    return max(float(np.max(np.abs(u - v))) for u, v in
-               ((s.means, t.means), (s.norms, t.norms), (s.res, t.res)))
+    return max(float(np.max(np.abs(u - v))) for u, v in zip(_at_arms(s), _at_arms(t)))
 
 
 def _churn(dicts) -> dict:
@@ -448,7 +456,7 @@ class TestSupportCarryOver:
                 state.update(x, y)
                 s = state._support
                 rounds.append((s._dict, [(f.F.copy(), f.piv, f.ends) for f in (s._features,)],
-                               s.means, s.norms, s.res.copy(), state.logdet_sum))
+                               *_at_arms(s), state.logdet_sum))
             return rounds, state.rebuilds
 
         for grid in (G, None):
@@ -537,7 +545,7 @@ class TestSupportCarryOver:
 
         with monkeypatch.context() as m:
             for target, attr in ((np.linalg, "eigh"), (scipy.linalg, "eigh"),
-                                 (nystrom._Support, "_rebuild")):
+                                 (nystrom._Support, "_reset")):
                 m.setattr(target, attr, banned)
             for _ in range(60):
                 state.update(G[rng.integers(15)], rng.normal(size=3))

@@ -2,8 +2,9 @@
 
 Every incremental quantity (mean, covariance, log-det accumulator) is
 compared with a from-scratch dense computation in conftest, for all
-three kernel variants and both system lists of the one engine (task-basis
-systems and the single general system).  The battery also covers long
+three kernel variants, on the task-basis systems of the one engine and
+on the single general system of the same kernel (built as
+``SumSeparableKernel(kern.terms)``).  The battery also covers long
 runs at small eta with repeated noiseless queries, grid-resident reads
 along those runs for every kernel, grid-resident states whose history
 interleaves grid rows with off-grid points, the log-det accumulator
@@ -26,7 +27,11 @@ from mtbandit import benchmarks, kernels, nystrom, posterior
 ETA = 0.1
 
 
-def _fit(kern, X, Y, eta=ETA, **kwargs):
+def _fit(kern, X, Y, eta=ETA, general=False, **kwargs):
+    """The exact state after observing X, Y; ``general`` solves the kernel as
+    the single general system, ``SumSeparableKernel(kern.terms)``."""
+    if general:
+        kern = kernels.SumSeparableKernel(kern.terms)
     state = posterior.PosteriorState(kern, eta, **kwargs)
     for x, y in zip(X, Y):
         state.update(x, y)
@@ -103,8 +108,8 @@ class TestFastPaths:
         X = rng.random((25, 2))
         Y = rng.normal(size=(25, 3))
         Xq = rng.random((30, 2))
-        fast = _fit(kern, X, Y, fast_path=True)
-        general = _fit(kern, X, Y, fast_path=False)
+        fast = _fit(kern, X, Y)
+        general = _fit(kern, X, Y, general=True)
         np.testing.assert_allclose(fast.mean_batch(Xq), general.mean_batch(Xq), atol=1e-10)
         np.testing.assert_allclose(
             fast.cov_norm_batch(Xq), general.cov_norm_batch(Xq), atol=1e-10
@@ -119,8 +124,8 @@ class TestFastPaths:
         kern = random_icm(rng, n=4, omega=0.3)
         X = rng.random((10, 1))
         Y = rng.normal(size=(10, 4))
-        fast = _fit(kern, X, Y, fast_path=True)
-        general = _fit(kern, X, Y, fast_path=False)
+        fast = _fit(kern, X, Y)
+        general = _fit(kern, X, Y, general=True)
         Xq = rng.random((5, 1))
         np.testing.assert_allclose(fast.mean_batch(Xq), general.mean_batch(Xq), atol=1e-10)
 
@@ -178,14 +183,6 @@ class TestFastPaths:
             np.testing.assert_allclose(diag.cov(xq), icm.cov(xq), atol=1e-10)
         assert diag.logdet_sum == pytest.approx(icm.logdet_sum, abs=1e-10)
 
-    def test_fast_path_rejects_unsupported_kernel(self):
-        rng = np.random.default_rng(11)
-        kern = kernels.SumSeparableKernel(
-            [(kernels.SquaredExponential(0.4), kernels.omega_coupling(0.5, 2))]
-        )
-        with pytest.raises(TypeError, match="fast path"):
-            posterior.PosteriorState(kern, ETA, fast_path=True)
-
 
 def _repeated_noiseless_run(variant):
     """150 noiseless observations drawn from a 40-point pool, mostly repeats."""
@@ -201,13 +198,13 @@ def _repeated_noiseless_run(variant):
 class TestAppendOnlyFactors:
     @pytest.mark.parametrize("eta", [0.1, 1e-3])
     @pytest.mark.parametrize(
-        "variant, fast_path", [(0, True), (0, False), (1, True), (1, False), (2, False)]
+        "variant, general", [(0, False), (0, True), (1, False), (1, True), (2, False)]
     )
-    def test_long_repeated_noiseless_run_matches_dense(self, variant, fast_path, eta):
+    def test_long_repeated_noiseless_run_matches_dense(self, variant, general, eta):
         """After 150 noiseless updates, most of them repeating an earlier
         query, the posterior still matches the dense oracles."""
         rng, kern, pool, X, Y = _repeated_noiseless_run(variant)
-        state = _fit(kern, X, Y, eta=eta, fast_path=fast_path)
+        state = _fit(kern, X, Y, eta=eta, general=general)
         Xq = np.vstack([pool[:4], rng.random((4, 2))])
         np.testing.assert_allclose(
             state.mean_batch(Xq), dense_posterior_mean(kern, X, Y, eta, Xq), atol=1e-9
@@ -220,15 +217,15 @@ class TestAppendOnlyFactors:
 
     @pytest.mark.parametrize("eta", [0.1, 1e-3])
     @pytest.mark.parametrize(
-        "variant, fast_path", [(0, "auto"), (1, "auto"), (2, "auto"), (0, False)]
+        "variant, general", [(0, False), (1, False), (2, False), (0, True)]
     )
-    def test_grid_reads_match_dense_and_off_grid(self, variant, fast_path, eta):
+    def test_grid_reads_match_dense_and_off_grid(self, variant, general, eta):
         """A state built on the pool grid serves pool reads from its
         grid-resident rows, for task-basis systems and for the single
         general system alike.  Along the same repeated noiseless run they
         match the dense oracles and the off-grid path (a copy of the pool)."""
         _, kern, pool, X, Y = _repeated_noiseless_run(variant)
-        state = posterior.PosteriorState(kern, eta, fast_path=fast_path, grid=pool)
+        state = _fit(kern, (), (), eta=eta, general=general, grid=pool)
         checkpoints = {0, 1, 75, 150}
         for t in range(X.shape[0] + 1):
             if t in checkpoints:
@@ -444,6 +441,26 @@ class TestValidation:
         np.testing.assert_array_equal(state.Y, Y)
         state.update(np.ones(3), np.ones(2))
         assert state.t == t + 1 and state.mean_batch(np.ones((4, 3))).shape == (4, 2)
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_wrong_input_dimension_refused_by_reads(self, budgeted):
+        """A read of the wrong dimension is refused, naming both dimensions,
+        by the exact and the budgeted posterior, before the first update
+        (the grid fixes the dimension) and after it.  At t = 0 a 3-D query
+        on a 2-D grid state used to read the prior."""
+        rng = np.random.default_rng(28)
+        kern, grid = random_icm(rng, n=2), rng.random((5, 2))
+        if budgeted:
+            state = nystrom.NystromState(kern, ETA, q=10.0, rng=np.random.default_rng(0),
+                                         grid=grid)
+        else:
+            state = posterior.PosteriorState(kern, ETA, grid=grid)
+        for t in range(2):
+            assert state.t == t
+            for read in (state.mean_batch, state.cov_norm_batch, state.cov):
+                with pytest.raises(ValueError, match="dimension 3.*expects 2"):
+                    read(rng.random((4, 3)))
+            state.update(grid[t], rng.normal(size=2))
 
     @pytest.mark.parametrize("budgeted", [False, True])
     def test_non_finite_output_leaves_state_unchanged(self, budgeted):
