@@ -207,7 +207,7 @@ class RunResult:
     Y: np.ndarray            # (T, n)
     u_values: np.ndarray     # (T,)
     betas: np.ndarray        # (T,)
-    m_sizes: np.ndarray      # (T,) dictionary sizes; 0 for MTKB
+    m_sizes: np.ndarray      # (T,) dictionary arms |D_t|; 0 for MTKB
     logdet_sums: np.ndarray  # (T,)
     variance_norms: np.ndarray  # (T,)
     micros: np.ndarray = field(default=None)  # (T,) wall-clock per round

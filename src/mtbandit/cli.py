@@ -484,7 +484,7 @@ def _run_one_trial(exp, env, b_auto, label, trial, timing):
     """Execute one (algorithm, trial) cell.
 
     Returns (result, instantaneous regrets, dictionary rows, seed, model):
-    the dictionary rows are MTBKB's (t, m_t, indices) per round, empty for
+    the dictionary rows are MTBKB's (t, m_t, arms) per round, empty for
     the other labels, and model is the run's posterior after its last round.
     """
     n = env.n
@@ -496,8 +496,7 @@ def _run_one_trial(exp, env, b_auto, label, trial, timing):
 
     def hook(t, model):
         if label == "MTBKB":
-            idx = ";".join(map(str, model.dictionary.indices.tolist()))
-            dict_rows.append((t, model.m, idx))
+            dict_rows.append((t, model.m, ";".join(map(str, model.dictionary.tolist()))))
         models[:] = [model]
 
     result = bandit.run(
@@ -534,7 +533,7 @@ def cmd_run(args) -> int:
             write_trace(os.path.join(exp.outdir, name), result, inst)
             filenames.append(name)
             if dict_rows:
-                save(f"dictionary_{label}_trial{trial:03d}.csv", ("t", "m_t", "indices"), dict_rows)
+                save(f"dictionary_{label}_trial{trial:03d}.csv", ("t", "m_t", "arms"), dict_rows)
             by_label[label].append((result, inst))
 
     # Merged summary -------------------------------------------------------

@@ -1,24 +1,27 @@
 """Budgeted posteriors over a resampled Nystrom dictionary.
 
-Every round the dictionary is resampled: each past point x_i enters
-independently with probability
+Every round the dictionary is resampled.  Each arm a visited so far
+enters independently with probability
 
-    p_{t,i} = min{ q * ||approx_cov_{t-1}(x_i, x_i)||, 1 }
+    1 - (1 - p_{t,a})^{c_a},    p_{t,a} = min{ q * ||approx_cov_{t-1}(a, a)||, 1 },
 
-so that high-variance (poorly explained) points are more likely to be
-kept.  The distinct arms D_t of the retained points define embeddings
-Phi_t(x) with
+with c_a its visit count, so that high-variance (poorly explained) arms
+are more likely to be kept.  The dictionary D_t of the sampled arms
+defines embeddings Phi_t(x) with
 
     Phi_t(x)^T Phi_t(x') = k(x, D_t) K_DD^+ k(D_t, x'),
 
 the projection of the features onto their span over D_t.  The BKB
-dictionary of Calandriello et al. (COLT 2019) also reweights each
-retained point by 1/sqrt(p) and keeps a point once per visit, but a
-positive reweighting or a repeated point leaves that span unchanged.  So
-the support is built from each sampled arm once, unweighted, and m_t (the
-number of sampled history points) can exceed the number of its columns.
-Means and covariances then use ridge statistics accumulated over the
-full history:
+dictionary of Calandriello et al. (COLT 2019) samples every past point
+with its probability p_{t,i}, reweights it by 1/sqrt(p) and keeps it once
+per visit.  A positive reweighting or a repeated point leaves that span
+unchanged, and every visit to arm a has the same p_{t,a}, so BKB's
+support holds arm a with the probability above, independently of the
+other arms: sampling one uniform per visited arm draws the same
+distribution over supports.  The support holds each sampled arm once,
+unweighted, and m_t = |D_t| is the number of its arms.  A draw that keeps
+no arm keeps the newest point's arm.  Means and covariances then use
+ridge statistics accumulated over the full history:
 
     mu_t(x)       = Phi_t(x)^T (V_t + eta I)^{-1} sum_s Phi_t(x_s) y_s
     Gamma~_t(x,x') = Gamma(x,x') - Phi_t(x)^T Phi_t(x')
@@ -61,12 +64,11 @@ one triangle solve of both posteriors; only these reads load SciPy.
 
 The dictionary lists its arms in the order of their first visit in the
 history, so the same arm set always gives the same factor and an arm
-visited for the first time comes last.  When every point is kept, this
-is also the order in which the arms were first sampled.  Between two
-dictionaries the rows of their longest common prefix carry over, so on a
-fixed arm universe the factor is bitwise the one built afresh.  The
-kernel rows k(a, arms) are evaluated when the arms are appended, one per
-appended arm.  A new arm in the universe gets its feature columns by the
+visited for the first time comes last.  Between two dictionaries the
+rows of their longest common prefix carry over, so on a fixed arm
+universe the factor is bitwise the one built afresh.  The kernel rows
+k(a, arms) are evaluated when the arms are appended, one per appended
+arm.  A new arm in the universe gets its feature columns by the
 embedding recurrence from its kernel blocks with the pivot arms; those
 columns agree with a fresh factor to rounding.
 
@@ -101,10 +103,10 @@ coordinates phi^T z_g carry only the error of X_g; the
 updated model against one solved from scratch.  The reads are the
 front-end's (posterior module docstring).  A grid read (the grid matched
 by identity) gathers the feature columns and residual blocks kept at the
-arms, and the resample's history norms and the round's log-det increment
-gather the residual blocks; only other queries are embedded afresh.  The
-model holds at most |D_t| A b^2 feature entries for A arms, whatever t
-(the exact engine's rows take t A b^2 floats).
+arms, and the resample's norms at the visited arms and the round's
+log-det increment gather the residual blocks; only other queries are
+embedded afresh.  The model holds at most |D_t| A b^2 feature entries
+for A arms, whatever t (the exact engine's rows take t A b^2 floats).
 
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one factor of the
@@ -126,7 +128,6 @@ from .posterior import (_block_gram, _chol, _inv_lower, _Posterior, _solve_lower
                         _solve_pivot, _TaskBasis)
 
 __all__ = [
-    "Dictionary",
     "resample_dictionary",
     "NystromState",
     "PINV_RTOL",
@@ -140,58 +141,29 @@ PINV_RTOL = 1e-10
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
-class Dictionary:
-    """Retained history indices with their inclusion probabilities.
+def resample_dictionary(norms, counts, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli-sample a fresh dictionary over the visited arms.
 
-    Attributes
-    ----------
-    indices : (m,) int ndarray, strictly increasing positions in the history.
-    probs : (m,) float ndarray, inclusion probabilities in (0, 1].
+    ``norms`` and ``counts`` give each visited arm's covariance norm and
+    visit count c.  With p = min{q * norm, 1}, an arm is kept with
+    probability 1 - (1 - p)^c, the chance that one of its c visits is kept
+    when each is kept with p (module docstring).  One uniform is drawn per
+    arm regardless of its probability, so the rng stream advances
+    identically across configurations.  Returns the positions of the kept
+    arms, increasing; it may be empty.
     """
-
-    def __init__(self, indices, probs):
-        self.indices = np.asarray(indices, dtype=int)
-        self.probs = np.asarray(probs, dtype=float)
-        if self.indices.ndim != 1 or self.indices.shape != self.probs.shape:
-            raise ValueError("indices and probs must be 1-D and aligned")
-        if self.indices.size and np.any(np.diff(self.indices) <= 0):
-            raise ValueError("dictionary indices must be strictly increasing")
-        if np.any(self.probs <= 0) or np.any(self.probs > 1):
-            raise ValueError("inclusion probabilities must lie in (0, 1]")
-
-    @property
-    def m(self) -> int:
-        """Sampled history points in the dictionary, repeats of an arm included."""
-        return self.indices.shape[0]
-
-    def __repr__(self):
-        return f"Dictionary(m={self.m})"
-
-
-def resample_dictionary(variance_norms, q: float, rng: np.random.Generator) -> Dictionary:
-    """Bernoulli-sample a fresh dictionary over the t history points.
-
-    Inclusion probability per point is min{q * variance_norm, 1}.  One
-    uniform draw is consumed per point regardless of its probability, so
-    the rng stream advances identically across configurations.  If no
-    point survives at t >= 1, the most recent point is included with
-    probability 1 (the approximation is undefined on an empty support and
-    the newest point carries the freshest variance).
-    """
-    norms = np.asarray(variance_norms, dtype=float)
-    if norms.ndim != 1:
-        raise ValueError("variance_norms must be a 1-D sequence")
+    norms = np.asarray(norms, dtype=float)
+    counts = np.asarray(counts)
+    if norms.ndim != 1 or counts.shape != norms.shape or np.any(counts < 1):
+        raise ValueError("norms and positive counts must be 1-D and aligned")
     if np.any(norms < 0) or not np.all(np.isfinite(norms)):
-        raise ValueError("variance_norms must be finite and nonnegative")
+        raise ValueError("variance norms must be finite and nonnegative")
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    t = norms.shape[0]
-    probs = np.minimum(q * norms, 1.0)
-    draws = rng.random(t)
-    included = np.flatnonzero(draws < probs)
-    if included.size == 0 and t >= 1:
-        return Dictionary([t - 1], [1.0])
-    return Dictionary(included, probs[included])
+    p = np.minimum(q * norms, 1.0)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives probability 1
+        keep = -np.expm1(counts * np.log1p(-p))
+    return np.flatnonzero(rng.random(norms.shape[0]) < keep)
 
 
 # Support =====================================================================
@@ -459,8 +431,8 @@ class NystromState(_Posterior):
     q : float
         Inclusion-probability multiplier, q >= 1.
     rng : numpy.random.Generator
-        Owns the Bernoulli dictionary draws; advancing it is the only
-        source of randomness in this state.
+        Owns the Bernoulli dictionary draws, one uniform per visited arm and
+        round; advancing it is the only source of randomness in this state.
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round, as for
         ``PosteriorState``.  Its rows are the first N arms, so
@@ -474,13 +446,14 @@ class NystromState(_Posterior):
 
     The state's distinct inputs are the arms of the shared front-end: the
     grid rows, then each off-grid history point when it is first observed.
-    ``dictionary`` lists the sampled history points with their inclusion
-    probabilities, and ``m`` counts them; the support is built from the
-    distinct arms among them, each once and unweighted (module docstring).
-    The history enters compressed per arm, with the visit counts and output
-    sums kept here.  While the dictionary only gains arms, every update
-    folds the observation into the model and appends the new dictionary
-    arms in place; ``rebuilds`` counts the updates whose dictionary lost an
+    Every round draws the dictionary over the visited arms, one Bernoulli
+    per arm (module docstring).  ``dictionary`` is the (m,) int array of the
+    sampled arms in first-visit order, on which the support is built, each
+    once and unweighted, and ``m`` is its size.  The history enters
+    compressed per arm, with the visit counts and output sums kept here.
+    While the dictionary only gains arms, every update folds the
+    observation into the model and appends the new dictionary arms in
+    place; ``rebuilds`` counts the updates whose dictionary lost an
     arm, which reset the model to the features of the common prefix and
     solve it from scratch along the same path.  The support is built over
     the kernel's task-basis systems (posterior._task_systems); no option
@@ -503,13 +476,17 @@ class NystromState(_Posterior):
         self.q = float(q)
         self.rng = rng
         self._basis = _TaskBasis(kernel)
-        self.dictionary = Dictionary([], [])
         self._support = _Support(self._basis, self.eta, self._arms)
 
     @property
+    def dictionary(self) -> np.ndarray:
+        """The dictionary arms, (m,) in first-visit order."""
+        return self._support._dict
+
+    @property
     def m(self) -> int:
-        """Sampled history points in the dictionary, repeats of an arm included."""
-        return self.dictionary.m
+        """Arms in the dictionary."""
+        return self.dictionary.size
 
     def _add_arms(self, X):
         super()._add_arms(X)
@@ -532,24 +509,21 @@ class NystromState(_Posterior):
     def _absorb(self, a, y) -> float:
         """Record the observation, resample the dictionary and update the support.
 
-        Inclusion probabilities for all points (the new one included) come
-        from the previous round's covariance, and so does the log-det
+        Inclusion probabilities for the visited arms (the new one included)
+        come from the previous round's covariance, and so does the log-det
         increment.  Both are gathered from the support's arm arrays; a
         point new to the arm universe first joins them by its embedding.
+        A draw that keeps no arm keeps arm a, the newest point's.
         """
         support, basis = self._support, self._basis
         if a == support.res.shape[1]:
             support.add_arm(self._arms)
         increment = basis.logdet(support.res[:, a], self.eta)
         self._record(a, y)
-        norms = basis.assemble_cov_norm(support.res)[self._hist_arm]
-        self.dictionary = resample_dictionary(norms, self.q, self.rng)
-        # Distinct sampled arms in first-visit order: repeats and weights
-        # leave the span of the support features, hence Phi^T Phi, unchanged.
-        sampled = np.zeros(self._arms.shape[0], dtype=bool)
-        sampled[self._hist_arm[self.dictionary.indices]] = True
         visited = np.array(self._visited)
-        support.update(a, visited[sampled[visited]], self._counts, self._sums)
+        norms = basis.assemble_cov_norm(support.res[:, visited])
+        kept = visited[resample_dictionary(norms, self._counts[visited], self.q, self.rng)]
+        support.update(a, kept if kept.size else np.array([a]), self._counts, self._sums)
         return increment
 
     def _coords_at(self, Xq) -> np.ndarray:

@@ -235,7 +235,9 @@ class _Posterior:
 
     The reads ``mean_batch``, ``cov`` and ``cov_norm_batch`` are defined
     here once: they check the query (``_points``) and assemble the engine's
-    per-system arrays through its ``_TaskBasis``, ``_basis``.  A subclass
+    per-system arrays through its ``_TaskBasis``, ``_basis``.  ``update``,
+    ``mean``, ``cov`` and ``cov_norm`` take one point (``_point``) and
+    refuse a stack of several, naming themselves.  A subclass
     supplies three hooks:
 
     * ``_absorb(a, y)`` grows its model, called after every check with the
@@ -294,10 +296,7 @@ class _Posterior:
         before the history grows, so an invalid observation leaves the
         state unchanged.  x is one point: a d-vector or a single row.
         """
-        X = self._points(x)
-        if X.shape[0] != 1:
-            raise ValueError(f"update takes one point, got an input of shape {np.shape(x)}")
-        x = X[0]
+        x = self._point(x, "update")[0]
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != self.kernel.n:
             raise ValueError(
@@ -318,6 +317,14 @@ class _Posterior:
         d = self._arms.shape[1]
         if (self.t or d) and X.shape[1] != d:
             raise ValueError(f"input has dimension {X.shape[1]}, the posterior expects {d}")
+        return X
+
+    def _point(self, x, name: str) -> np.ndarray:
+        """The point x as a checked (1, d) stack; ``name``, the caller,
+        refuses a stack of several points."""
+        X = self._points(x)
+        if X.shape[0] != 1:
+            raise ValueError(f"{name} takes one point, got an input of shape {np.shape(x)}")
         return X
 
     def _add_arms(self, X):
@@ -347,8 +354,8 @@ class _Posterior:
 
     def cov(self, x) -> np.ndarray:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
-        clamped to [0, kappa]."""
-        return self._basis.assemble_cov(self._res_at(self._points(x))[:, 0])
+        clamped to [0, kappa]; x is one point."""
+        return self._basis.assemble_cov(self._res_at(self._point(x, "cov"))[:, 0])
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
         """Posterior covariance norms over a stack of queries, shape (N,),
@@ -356,12 +363,12 @@ class _Posterior:
         return self._basis.assemble_cov_norm(self._res_at(self._points(Xq)))
 
     def mean(self, x) -> np.ndarray:
-        """Posterior mean mu_t(x) as an (n,) vector; zero at t = 0."""
-        return self.mean_batch(x)[0]
+        """Posterior mean mu_t(x) as an (n,) vector at one point x; zero at t = 0."""
+        return self.mean_batch(self._point(x, "mean"))[0]
 
     def cov_norm(self, x) -> float:
-        """Operator norm ||Gamma_t(x, x)|| of the clamped covariance."""
-        return float(self.cov_norm_batch(x)[0])
+        """Operator norm ||Gamma_t(x, x)|| of the clamped covariance at one point x."""
+        return float(self.cov_norm_batch(self._point(x, "cov_norm"))[0])
 
 
 # Engine ======================================================================

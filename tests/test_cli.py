@@ -206,6 +206,36 @@ class TestRunCommand:
                     tmp_path / "b" / name
                 ).read_bytes(), name
 
+    def test_dictionary_csv_lists_visited_arms(self, tmp_path):
+        """Under a binding budget (MTBKB at eta = 0.01 over 60 rounds) each
+        dictionary row lists m_t distinct arms, every one a grid row visited
+        by round t, and m_t <= the arms visited so far <= t, with some
+        round keeping fewer than all of them."""
+        text = MINIMAL_CONFIG.replace('["MTKB"]', '["MTBKB"]').replace(
+            "horizon = 5", "horizon = 60").replace("eta = 0.1", "eta = 0.01").replace(
+            "delta = 0.1", "delta = 0.1\nepsilon = 0.5")
+        cfg = _write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+        env, _ = cli.load_config(cfg).build_environment()
+        row_of = {tuple(x): i for i, x in enumerate(env.grid.tolist())}
+        with open(out / "trace_MTBKB_trial000.csv", newline="") as fh:
+            picked = [row_of[tuple(map(float, r["x"].split(";")))] for r in csv.DictReader(fh)]
+        with open(out / "dictionary_MTBKB_trial000.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["t", "m_t", "arms"]
+            rows = list(reader)
+        assert [int(r["t"]) for r in rows] == list(range(1, 61))
+        binding = 0
+        for r in rows:
+            t, m = int(r["t"]), int(r["m_t"])
+            arms = [int(a) for a in r["arms"].split(";")]
+            visited = set(picked[:t])
+            assert len(arms) == len(set(arms)) == m
+            assert set(arms) <= visited and m <= len(visited) <= t
+            binding += m < len(visited)
+        assert binding > 0
+
     def test_manifest_lists_every_output_with_hash(self, tmp_path):
         cfg = _write_config(tmp_path)
         out = tmp_path / "out"

@@ -487,6 +487,27 @@ class TestValidation:
             state.update(np.array([[0.1], [0.5], [0.9]]), np.ones(2))
         assert state.t == 0 and state.logdet_sum == 0.0 and state.X.shape[0] == 0
 
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_point_reads_reject_a_stack_of_points(self, budgeted):
+        """``mean``, ``cov`` and ``cov_norm`` take one point: the exact and the
+        budgeted posterior refuse a stack of several by name and shape,
+        before and after the first update, where they used to return the
+        first point's values.  A d-vector and a single row are one point."""
+        rng = np.random.default_rng(29)
+        kern = random_icm(rng, n=2)
+        if budgeted:
+            state = nystrom.NystromState(kern, ETA, q=10.0, rng=np.random.default_rng(0))
+        else:
+            state = posterior.PosteriorState(kern, ETA)
+        stack = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        for _ in range(2):
+            for name in ("mean", "cov", "cov_norm"):
+                with pytest.raises(ValueError, match=rf"^{name} takes one point.*\(3, 2\)"):
+                    getattr(state, name)(stack)
+                np.testing.assert_array_equal(getattr(state, name)(stack[1]),
+                                              getattr(state, name)(stack[1:2]))
+            state.update(rng.random(2), rng.normal(size=2))
+
     def test_history_grows_in_buffers(self):
         """X is the arm of every history point and Y the outputs, in order,
         over grid rows, repeats and off-grid points; the arm indices stay
