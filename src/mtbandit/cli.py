@@ -550,18 +550,17 @@ def cmd_run(args) -> int:
             theorybounds.regret_bound_value(r.config, gain, varsum, t_axis)
             for (r, _), gain, varsum in zip(cells, gains, varsums)
         ])
-        for t in range(T):
-            rows.append(
-                (
-                    label,
-                    t + 1,
-                    _fmt_float(avg[:, t].mean()),
-                    _fmt_float(avg[:, t].std()),
-                    _fmt_float(gains[:, t].mean()),
-                    _fmt_float(bounds[:, t].mean()),
-                    _fmt_float(varsums[:, t].mean()),
-                )
-            )
+        # One reduce per column over the contiguous (T, trials) transpose,
+        # along its last axis: bitwise each round's column reduced alone (an
+        # axis-0 reduce sums in another order from 8 trials on).
+        avg_t = np.ascontiguousarray(avg.T)
+        stats = [avg_t.mean(axis=1), avg_t.std(axis=1)] + [
+            np.ascontiguousarray(M.T).mean(axis=1) for M in (gains, bounds, varsums)
+        ]
+        rows.extend(
+            (label, t, *map(_fmt_float, vals))
+            for t, *vals in zip(t_axis.tolist(), *(s.tolist() for s in stats))
+        )
     save("summary.csv", _SUMMARY_HEADER, rows)
 
     # Bayes-regret checkpoints ----------------------------------------------

@@ -79,26 +79,32 @@ and, at every arm, the residual blocks
 
     R~_g(a) = k(a, a) - F_a^T F_a + eta F_a^T X_g F_a,
 
-the covariance above restricted to system g.  A round does one of three
-things to them:
+the covariance above restricted to system g.  A round updates them in
+one step (``_Support._step``), in which the round's observation and the
+k feature rows of the dictionary arms it appends enter together:
 
-* an observation at arm a adds xi_g F_a F_a^T to A_g: a rank-b Woodbury
-  update of X_g and of the residual blocks, O(r^2 b + r A b^2) per
-  system for r feature rows and A arms;
-* dictionary arms appended after the previous ones append feature rows,
-  so A_g gains a border: X_g becomes its block inverse through the Schur
-  complement, and the residual blocks gain the Schur-complement term,
-  O(r A b k) per system for k new rows;
-* a dictionary that loses an arm resets the model: the features keep the
-  rows of the common prefix, X_g covers no row and the residual blocks
-  are the prior.  The rest of the dictionary is appended, and the same
-  border as above, now over every row, solves the model from scratch,
-  O(r^3 + r^2 A b) per system.  ``NystromState.rebuilds`` counts these
-  rounds.  A support solved from scratch is an empty one grown this way.
+* an observation at arm a adds xi_g F_a F_a^T to A_g, a rank-b Woodbury
+  update of X_g and of the residual blocks;
+* the appended rows border A_g: X_g becomes its block inverse through the
+  Schur complement, taken against the observed inverse without forming
+  it, and the residual blocks gain the Schur-complement term.
+
+One product over the old feature rows gives both residual terms, and one
+rank-(b + k) product updates the old block of X_g in place; X_g lives in
+a buffer that then only takes the border.  That is O(r^2 (b + k) +
+r A b (b + k)) per system for r feature rows and A arms, and a round that
+appends no row is the Woodbury update alone, O(r^2 b + r A b^2).  A
+dictionary that loses an arm resets the model: the features keep the
+rows of the common prefix, X_g covers no row and the residual blocks are
+the prior.  The same step with no observation then takes in every row,
+which solves the model from scratch, O(r^3 + r^2 A b) per system.
+``NystromState.rebuilds`` counts these rounds.  A support solved from
+scratch is an empty one grown this way.
 
 Every round then solves the coefficients z_g = X_g F_U S_U from the
-compressed history, O(r^2 + r A) per right-hand side, so the mean
-coordinates phi^T z_g carry only the error of X_g; the
+compressed history, with the features F_U at the observed arms gathered
+once for the border and the solve, O(r^2 + r A) per right-hand side, so
+the mean coordinates phi^T z_g carry only the error of X_g; the
 ``budgeted-update-vs-rebuild`` suite of ``mtbandit validate`` checks the
 updated model against one solved from scratch.  The reads are the
 front-end's (posterior module docstring).  A grid read (the grid matched
@@ -124,7 +130,7 @@ the prior.
 import numpy as np
 
 from .kernels import MultiTaskKernel
-from .posterior import (_block_gram, _chol, _inv_lower, _Posterior, _solve_lower,
+from .posterior import (_block_gram, _chol, _inv_lower, _Posterior, _put, _solve_lower,
                         _solve_pivot, _TaskBasis)
 
 __all__ = [
@@ -280,23 +286,27 @@ class _Support:
 
     Every system shares the basis kernel, so the model keeps one set of
     features over the arms (``_Features``, which evaluate the kernel rows
-    of the arms they append) and the prior blocks k(a, a) at every arm;
-    and, stacked over the systems so that every step updates all of them
-    at once, the inverses X_g of xi_g V + eta I as one (G, r, r) stack, the
-    solved coefficients ``_z`` = X_g F_U S_U as one (G, r, r_max) stack in
-    ``_TaskBasis``'s per-system layout, so that phi^T z are the mean
-    coordinates of embeddings phi, and the residual blocks ``res``
-    (G, A, b, b) at every arm.  ``rebuilds`` counts the updates whose
-    dictionary lost an arm.  Built empty, it holds no feature row and reads
-    the prior everywhere.
+    of the arms they append), the prior blocks k(a, a) at every arm and
+    their largest diagonal ``_top``, which scales the pivot cut; and,
+    stacked over the systems so that every step updates all of them at
+    once, the inverses X_g of xi_g V + eta I as the leading (G, r, r) view
+    ``_inv`` of a ``_put`` buffer, which a round that gains rows grows by
+    writing only their border, the solved coefficients ``_z`` = X_g F_U S_U
+    as one (G, r, r_max) stack in ``_TaskBasis``'s per-system layout, so
+    that phi^T z are the mean coordinates of embeddings phi, and the
+    residual blocks ``res`` (G, A, b, b) at every arm.  ``rebuilds`` counts
+    the updates whose dictionary lost an arm.  Built empty, it holds no
+    feature row and reads the prior everywhere.
     """
 
     def __init__(self, basis: _TaskBasis, eta, arms):
         self.basis, self.eta, self._arms = basis, eta, arms
         self._prior = basis.kernel.diag_blocks(arms)
+        self._top = np.max(np.diagonal(self._prior, axis1=1, axis2=2), initial=0.0)
         self._features = _Features(basis.kernel, arms, np.zeros(0, dtype=int), 0.0)
         self._xi = basis._xi[:, None, None]
         self._dict = np.zeros(0, dtype=int)
+        self._buf = np.zeros((basis.ypos.shape[0], 0, 0))
         self._reset(0)
         self.rebuilds = 0
 
@@ -305,7 +315,7 @@ class _Support:
         """The model of the dictionary arms ``dict_arms`` solved from scratch:
         an empty support grown by them."""
         support = cls(basis, eta, arms)
-        support._grow(dict_arms, counts, sums)
+        support._grow(None, dict_arms, counts, sums)
         return support
 
     def add_arm(self, arms):
@@ -315,94 +325,103 @@ class _Support:
         self._arms, x = arms, arms[-1:]
         phi = self.embed(x)
         self._features.add_columns(phi)
-        self._prior = np.concatenate([self._prior, self.basis.kernel.diag_blocks(x)])
-        self.res = np.concatenate([self.res, self.residuals_at(phi, self._prior[-1:])], axis=1)
+        prior = self.basis.kernel.diag_blocks(x)
+        self._prior = np.concatenate([self._prior, prior])
+        self._top = max(self._top, np.max(np.diagonal(prior, axis1=1, axis2=2)))
+        self.res = np.concatenate([self.res, self.residuals_at(phi, prior)], axis=1)
 
     def update(self, a, dict_arms, counts, sums):
         """Fold in the observation at arm a, already counted in ``counts`` and
         ``sums``, and move the model to the dictionary arms ``dict_arms``.
 
-        While the dictionary only gains arms the observation is folded into
-        the model in place.  When it loses one, the model is reset to the
-        features of the common prefix, which then enter as new rows.  Either
-        way the arms past the prefix are appended and the model grows by
-        every feature row it does not cover yet.
+        While the dictionary only gains arms, the observation and the rows
+        of the appended arms enter the model in place, in one step.  When it
+        loses one, the model is reset to the features of the common prefix,
+        which then enter as new rows by the same step with no observation.
         """
         keep = _common_prefix(self._dict, dict_arms)
         if keep < self._dict.size:
             self.rebuilds += 1
             self._reset(keep)
-        else:
-            self._observe(a)
-        self._grow(dict_arms, counts, sums)
+            a = None
+        self._grow(a, dict_arms, counts, sums)
 
     def _reset(self, keep):
         """Keep the feature rows of the first ``keep`` dictionary arms and drop
         the model over them: no inverse, no coefficient, prior residual blocks."""
         G, _, r = self.basis.ypos.shape
         self._features.truncate(keep)
-        self._inv = np.zeros((G, 0, 0))
+        self._inv = self._buf[:, :0, :0]
         self._z = np.zeros((G, 0, r))
         self.res = np.repeat(self._prior[None], G, axis=0)
 
-    def _grow(self, dict_arms, counts, sums):
-        """Append the dictionary arms past those of the features, border every
-        system by the feature rows its inverse does not cover, and solve the
-        coefficients from the output sums of the observed arms."""
+    def _grow(self, a, dict_arms, counts, sums):
+        """Append the dictionary arms past those of the features, step every
+        system by the observation at arm a (none if a is None) and the
+        feature rows its inverse does not cover, and solve the coefficients
+        from the output sums of the observed arms."""
         f, n0 = self._features, self._inv.shape[1]
-        f.append(self.basis.kernel, self._arms, dict_arms[f.ends.size:], self._cut())
+        f.append(self.basis.kernel, self._arms, dict_arms[f.ends.size:], PINV_RTOL * self._top)
         seen, ucols, c = _observed(counts, self.basis.b)
-        if f.piv.size > n0:
-            self._border(n0, ucols, c)
+        FU = f.F[:, ucols]  # the features at the observed arms
+        if a is not None or f.piv.size > n0:
+            self._step(a, n0, FU, c)
         self._dict = dict_arms
-        self._z = self._inv @ (f.F[:, ucols] @ self.basis.outputs(sums[seen]))
+        self._z = self._inv @ (FU @ self.basis.outputs(sums[seen]))
 
-    def _cut(self) -> float:
-        """Pivot cut: PINV_RTOL times the largest prior diagonal."""
-        return PINV_RTOL * np.max(np.diagonal(self._prior, axis1=1, axis2=2))
+    def _step(self, a, n0, FU, c):
+        """Fold the observation at arm a (none if a is None) and the feature
+        rows from n0 on into every system, given the features FU at the
+        observed arms and the visit count c of each of their columns.
 
-    def _observe(self, a):
-        """Rank-b update of every system by one visit of arm a (Woodbury).
-
-        A_g gains v v^T, v = sqrt(xi_g) F_a.  With u = X_g v and
-        M = I + v^T u = L_M L_M^T, the inverse X_g loses W^T W and the
-        residual blocks lose eta times the blocks of (W F)^T (W F), where
-        W = L_M^{-1} u^T.
+        The observation adds v v^T, v = sqrt(xi_g) F_a, to A_g.  With
+        u = X_g v, M = I + v^T u = L_M L_M^T and W = L_M^{-1} u^T, the
+        observed inverse is X_g - W^T W (Woodbury) and the residual blocks
+        lose eta times the blocks of (W F)^T (W F).  A round that gains no
+        row stops there.  Otherwise, with f the k new rows and
+        Y = xi_g F_U diag(c) f_U^T, the border P = X_g Y - W^T (W Y) is
+        taken against the observed inverse without forming it, and
+        S = xi_g f_U diag(c) f_U^T + eta I - Y^T P = L_S L_S^T.  The inverse
+        becomes the block inverse
+        [[X_g - W^T W + P S^{-1} P^T, -P S^{-1}], [-S^{-1} P^T, S^{-1}]]:
+        one rank-(b + k) product of [W; L_S^{-1} P^T], its entries below
+        sqrt(tiny) set to 0.0 so that no product is subnormal, updates the
+        old block in place, and only the border is written.  The residual
+        blocks gain -f^T f + eta h^T h, h = L_S^{-1} (f - P^T F) (the
+        Schur-complement term); one product [W; P^T] F gives both residual
+        terms.
         """
-        b, F, X = self.basis.b, self._features.F, self._inv
-        v = np.sqrt(self._xi) * F[:, a * b:(a + 1) * b]
-        u = X @ v
-        W = _solve_pivot(_chol(np.eye(b) + v.transpose(0, 2, 1) @ u), u.transpose(0, 2, 1))
-        H = W @ F
-        self.res -= self.eta * _block_gram(H, H, b)
-        X -= W.transpose(0, 2, 1) @ W
-
-    def _border(self, n0, ucols, c):
-        """Grow every system by the feature rows from n0 on.
-
-        With f the k new rows, B = xi_g f_U diag(c) F_U^T their border with
-        the old rows, P = X_g B^T and S = xi_g f_U diag(c) f_U^T + eta I
-        - B P = L_S L_S^T, the inverse becomes the block inverse
-        [[X_g + P S^{-1} P^T, -P S^{-1}], [-S^{-1} P^T, S^{-1}]] and the
-        residual blocks gain -f^T f + eta h^T h, h = L_S^{-1} (f - P^T F)
-        (the Schur-complement term).
-        """
-        b, F, X, xi = self.basis.b, self._features.F, self._inv, self._xi
-        Fo, Fn = F[:n0], F[n0:]
-        Nc = Fn[:, ucols] * c
-        Vno, Vnn = Nc @ Fo[:, ucols].T, Nc @ Fn[:, ucols].T
-        P = X @ (xi * Vno.T)
-        Li = _inv_lower(_chol(xi * (Vnn - Vno @ P) + self.eta * np.eye(Vnn.shape[0])))
+        b, eta, xi, X = self.basis.b, self.eta, self._xi, self._inv
+        F = self._features.F
+        Fo, r = F[:n0], F.shape[0]
+        if a is not None:
+            v = np.sqrt(xi) * Fo[:, a * b:(a + 1) * b]
+            u = X @ v
+            W = _solve_pivot(_chol(np.eye(b) + v.transpose(0, 2, 1) @ u), u.transpose(0, 2, 1))
+            if r == n0:
+                H = W @ Fo
+                self.res -= eta * _block_gram(H, H, b)
+                X -= W.transpose(0, 2, 1) @ W
+                return
+        else:
+            W = np.zeros((X.shape[0], 0, n0))
+        Nc, w, Fn = FU[n0:] * c, W.shape[1], F[n0:]
+        Vno, Vnn = Nc @ FU[:n0].T, Nc @ FU[n0:].T
+        Y = xi * Vno.T
+        P = X @ Y - W.transpose(0, 2, 1) @ (W @ Y)
+        Li = _inv_lower(_chol(xi * (Vnn - Vno @ P) + eta * np.eye(r - n0)))
         Pt = P.transpose(0, 2, 1)
-        Pl, h = Li @ Pt, Li @ (Fn - Pt @ Fo)
-        self.res += self.eta * _block_gram(h, h, b) - _block_gram(Fn, Fn, b)
+        H = np.concatenate([W, Pt], axis=1) @ Fo  # [W F; P^T F]
+        h, WF = Li @ (Fn - H[:, w:]), H[:, :w]
+        self.res += eta * (_block_gram(h, h, b) - _block_gram(WF, WF, b)) - _block_gram(Fn, Fn, b)
+        R = _flush(np.concatenate([W, Li @ Pt], axis=1))
+        Pl = R[:, w:]
+        X += np.concatenate([-R[:, :w], Pl], axis=1).transpose(0, 2, 1) @ R
         Lt = Li.transpose(0, 2, 1)
-        grown = np.empty((X.shape[0], F.shape[0], F.shape[0]))
-        grown[:, :n0, :n0] = X + Pl.transpose(0, 2, 1) @ Pl
-        grown[:, n0:, :n0] = -(Lt @ Pl)  # -S^{-1} P^T
-        grown[:, :n0, n0:] = grown[:, n0:, :n0].transpose(0, 2, 1)
-        grown[:, n0:, n0:] = Lt @ Li
-        self._inv = grown
+        buf = self._buf = _put(self._buf, n0, n0, Lt @ Li)  # S^{-1}
+        buf[:, n0:r, :n0] = -(Lt @ Pl)  # -S^{-1} P^T
+        buf[:, :n0, n0:r] = buf[:, n0:r, :n0].transpose(0, 2, 1)
+        self._inv = buf[:, :r, :r]
 
     def embed(self, Xq) -> np.ndarray:
         """Embeddings (r, N b) of a stack of queries; without feature rows
@@ -452,10 +471,10 @@ class NystromState(_Posterior):
     once and unweighted, and ``m`` is its size.  The history enters
     compressed per arm, with the visit counts and output sums kept here.
     While the dictionary only gains arms, every update folds the
-    observation into the model and appends the new dictionary arms in
-    place; ``rebuilds`` counts the updates whose dictionary lost an
+    observation and the new dictionary arms into the model in place, in
+    one step; ``rebuilds`` counts the updates whose dictionary lost an
     arm, which reset the model to the features of the common prefix and
-    solve it from scratch along the same path.  The support is built over
+    solve it from scratch by the same step.  The support is built over
     the kernel's task-basis systems (posterior._task_systems); no option
     selects another path.
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_posterior_cov, dense_posterior_mean
-from mtbandit import benchmarks, cli, nystrom, posterior, validate
+from mtbandit import benchmarks, cli, nystrom, posterior, theorybounds, validate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -187,6 +187,36 @@ class TestRunCommand:
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert len(summary) == 6
         assert summary[0].startswith("algorithm,t,mean_time_avg_regret")
+
+    @pytest.mark.parametrize("trials", [1, 8, 9])
+    def test_summary_is_the_per_column_formula(self, tmp_path, trials):
+        """Every summary value is the mean (or std) of its round's column over
+        the trials, bit for bit, also from 8 trials on, where NumPy's
+        pairwise summation starts."""
+        text = MINIMAL_CONFIG.replace("trials = 1", f"trials = {trials}").replace(
+            "horizon = 5", "horizon = 12")
+        cfg = _write_config(tmp_path, text)
+        assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        exp = cli.load_config(cfg)
+        env, b_auto = exp.build_environment()
+        cells = [cli._run_one_trial(exp, env, b_auto, "MTKB", i, False)[:2]
+                 for i in range(trials)]
+        t_axis = np.arange(1, exp.horizon + 1)
+        avg = np.vstack([np.cumsum(inst) for _, inst in cells]) / t_axis
+        gains = np.vstack([0.5 * r.logdet_sums for r, _ in cells])
+        varsums = np.vstack([np.cumsum(r.variance_norms) for r, _ in cells])
+        bounds = np.vstack([
+            theorybounds.regret_bound_value(r.config, gain, varsum, t_axis)
+            for (r, _), gain, varsum in zip(cells, gains, varsums)
+        ])
+        expected = [
+            ["MTKB", str(t + 1), *(repr(float(v)) for v in (
+                avg[:, t].mean(), avg[:, t].std(), gains[:, t].mean(),
+                bounds[:, t].mean(), varsums[:, t].mean()))]
+            for t in range(exp.horizon)
+        ]
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == expected
 
     def test_byte_identical_across_runs(self, tmp_path):
         text = MINIMAL_CONFIG.replace(
@@ -515,16 +545,23 @@ class TestValidateCommand:
         assert not reports["full-dictionary-rank-deficient"].passed
 
     def test_stale_residuals_fail_update_suite(self, monkeypatch):
-        """Budgeted residual blocks left stale by an observation move the
-        updated model away from the one solved from scratch."""
-        original = nystrom._Support._observe
+        """Budgeted residual blocks that miss an observation's term, the
+        eta (W F)^T (W F) of its Woodbury update, move the updated model
+        away from the one solved from scratch."""
+        original = nystrom._Support._step
 
-        def stale(self, a):
-            res = self.res.copy()
-            original(self, a)
-            self.res = res
+        def stale(self, a, n0, FU, c):
+            if a is not None:
+                b, Fo = self.basis.b, self._features.F[:n0]
+                v = np.sqrt(self._xi) * Fo[:, a * b:(a + 1) * b]
+                u = self._inv @ v
+                L = posterior._chol(np.eye(b) + v.transpose(0, 2, 1) @ u)
+                WF = posterior._solve_pivot(L, u.transpose(0, 2, 1)) @ Fo
+            original(self, a, n0, FU, c)
+            if a is not None:
+                self.res += self.eta * posterior._block_gram(WF, WF, b)
 
-        monkeypatch.setattr(nystrom._Support, "_observe", stale)
+        monkeypatch.setattr(nystrom._Support, "_step", stale)
         (report,) = validate._suite_budgeted_update()
         assert not report.passed
 
