@@ -483,27 +483,28 @@ def write_manifest(outdir: str, exp: ExperimentConfig, seeds: dict, filenames: l
 def _run_one_trial(exp, env, b_auto, label, trial, timing):
     """Execute one (algorithm, trial) cell.
 
-    Returns (result, instantaneous regrets, dictionary rows, seed, model):
-    the dictionary rows are MTBKB's (t, m_t, arms) per round, empty for
-    the other labels, and model is the run's posterior after its last round.
+    Returns (result, instantaneous regrets, dictionaries, seed, model):
+    the dictionaries are MTBKB's (t, arms) per round, with arms the round's
+    dictionary array (every update makes a new one), empty for the other
+    labels, and model is the run's posterior after its last round.
     """
     n = env.n
     kern = exp.build_inference_kernel(label, n)
     seed = trial_seed(exp.master_seed, trial, label)
     config = exp.build_algorithm_config(label, kern, seed, b_auto)
     scal = exp.build_scalarization()
-    dict_rows, models = [], []
+    dicts, models = [], []
 
     def hook(t, model):
         if label == "MTBKB":
-            dict_rows.append((t, model.m, ";".join(map(str, model.dictionary.tolist()))))
+            dicts.append((t, model.dictionary))
         models[:] = [model]
 
     result = bandit.run(
         config, env, kern, scal, exp.build_weight_dist(n), round_hook=hook, timing=timing,
     )
     inst = benchmarks.instantaneous_regrets(result, env, scal)
-    return result, inst, dict_rows, seed, models[0]
+    return result, inst, dicts, seed, models[0]
 
 
 def cmd_run(args) -> int:
@@ -525,15 +526,16 @@ def cmd_run(args) -> int:
     by_label = {label: [] for label in exp.algorithms}
     for label in exp.algorithms:
         for trial in range(exp.trials):
-            result, inst, dict_rows, seed, _ = _run_one_trial(
+            result, inst, dicts, seed, _ = _run_one_trial(
                 exp, env, b_auto, label, trial, args.timing
             )
             seeds.setdefault(label, []).append(seed)
             name = f"trace_{label}_trial{trial:03d}.csv"
             write_trace(os.path.join(exp.outdir, name), result, inst)
             filenames.append(name)
-            if dict_rows:
-                save(f"dictionary_{label}_trial{trial:03d}.csv", ("t", "m_t", "arms"), dict_rows)
+            if dicts:
+                save(f"dictionary_{label}_trial{trial:03d}.csv", ("t", "m_t", "arms"),
+                     [(t, arms.size, ";".join(map(str, arms.tolist()))) for t, arms in dicts])
             by_label[label].append((result, inst))
 
     # Merged summary -------------------------------------------------------

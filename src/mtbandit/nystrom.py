@@ -101,18 +101,26 @@ which solves the model from scratch, O(r^3 + r^2 A b) per system.
 ``NystromState.rebuilds`` counts these rounds.  A support solved from
 scratch is an empty one grown this way.
 
-Every round then solves the coefficients z_g = X_g F_U S_U from the
-compressed history, with the features F_U at the observed arms gathered
-once for the border and the solve, O(r^2 + r A) per right-hand side, so
-the mean coordinates phi^T z_g carry only the error of X_g; the
-``budgeted-update-vs-rebuild`` suite of ``mtbandit validate`` checks the
-updated model against one solved from scratch.  The reads are the
-front-end's (posterior module docstring).  A grid read (the grid matched
-by identity) gathers the feature columns and residual blocks kept at the
-arms, and the resample's norms at the visited arms and the round's
-log-det increment gather the residual blocks; only other queries are
-embedded afresh.  The model holds at most |D_t| A b^2 feature entries
-for A arms, whatever t (the exact engine's rows take t A b^2 floats).
+The model keeps no coefficient.  Per system it keeps the moments
+m_g = F_U S_g, S_g the output sums of the observed arms projected on the
+system's basis columns, and at every arm the task-space means and the
+covariance norms; z_g = X_g m_g is solved only for a point off the arms.
+The step moves the means by the rows it has already formed: an
+observation adds F_a Y_a to m_g, and the means gain
+sum_g (W F)^T e_W U_g^T with e_W from W, L_M and the moment; the
+appended rows append f_U S_g to m_g, and the means gain the same product
+of the Schur-complement rows h and e_h (``_Support._step``).  A reset
+zeroes the means and empties the moments.  After every step the norms
+are assembled once from the residual blocks; the next round's resample
+gathers them at the visited arms.  The ``budgeted-update-vs-rebuild``
+suite of ``mtbandit validate`` checks the kept means, norms and residual
+blocks against one model solved from scratch.  The reads are the
+front-end's (posterior module docstring): a grid read (the grid matched
+by identity) returns views of the kept means and norms, and the round's
+log-det increment gathers the residual blocks at its arm; only other
+queries are embedded afresh.  The model holds at most |D_t| A b^2
+feature entries for A arms, whatever t (the exact engine's rows take
+t A b^2 floats).
 
 The computation splits over the same task-basis systems as the exact
 engine (posterior._task_systems, one rule for both): one factor of the
@@ -291,12 +299,14 @@ class _Support:
     stacked over the systems so that every step updates all of them at
     once, the inverses X_g of xi_g V + eta I as the leading (G, r, r) view
     ``_inv`` of a ``_put`` buffer, which a round that gains rows grows by
-    writing only their border, the solved coefficients ``_z`` = X_g F_U S_U
-    as one (G, r, r_max) stack in ``_TaskBasis``'s per-system layout, so
-    that phi^T z are the mean coordinates of embeddings phi, and the
-    residual blocks ``res`` (G, A, b, b) at every arm.  ``rebuilds`` counts
-    the updates whose dictionary lost an arm.  Built empty, it holds no
-    feature row and reads the prior everywhere.
+    writing only their border, the moments ``moments`` m_g = F_U S_g as
+    the leading (G, r, r_max) view of another, in ``_TaskBasis``'s
+    per-system layout, and the residual blocks ``res`` (G, A, b, b) at
+    every arm.  At every arm it also keeps the task-space means ``mean``
+    (A, n) and the covariance norms ``norms`` (A,), which every update
+    replaces.  ``rebuilds`` counts the updates whose dictionary lost an
+    arm.  Built empty, it holds no feature row and reads the prior
+    everywhere.
     """
 
     def __init__(self, basis: _TaskBasis, eta, arms):
@@ -306,8 +316,11 @@ class _Support:
         self._features = _Features(basis.kernel, arms, np.zeros(0, dtype=int), 0.0)
         self._xi = basis._xi[:, None, None]
         self._dict = np.zeros(0, dtype=int)
-        self._buf = np.zeros((basis.ypos.shape[0], 0, 0))
+        G, _, r = basis.ypos.shape
+        self._buf = np.zeros((G, 0, 0))
+        self._mbuf = np.zeros((G, 0, r))
         self._reset(0)
+        self.norms = basis.assemble_cov_norm(self.res)
         self.rebuilds = 0
 
     @classmethod
@@ -315,24 +328,27 @@ class _Support:
         """The model of the dictionary arms ``dict_arms`` solved from scratch:
         an empty support grown by them."""
         support = cls(basis, eta, arms)
-        support._grow(None, dict_arms, counts, sums)
+        support._grow(None, None, dict_arms, counts, sums)
         return support
 
     def add_arm(self, arms):
         """Take in the newest of the arms: its feature columns, embedded from
         its kernel blocks with the pivot arms, and the model's residual
-        blocks there."""
-        self._arms, x = arms, arms[-1:]
+        blocks, mean and covariance norm there."""
+        self._arms, x, basis = arms, arms[-1:], self.basis
         phi = self.embed(x)
         self._features.add_columns(phi)
-        prior = self.basis.kernel.diag_blocks(x)
+        prior = basis.kernel.diag_blocks(x)
         self._prior = np.concatenate([self._prior, prior])
         self._top = max(self._top, np.max(np.diagonal(prior, axis1=1, axis2=2)))
-        self.res = np.concatenate([self.res, self.residuals_at(phi, prior)], axis=1)
+        res = self.residuals_at(phi, prior)
+        self.res = np.concatenate([self.res, res], axis=1)
+        self.mean = np.concatenate([self.mean, basis.assemble_mean(self.coords(phi))])
+        self.norms = np.concatenate([self.norms, basis.assemble_cov_norm(res)])
 
-    def update(self, a, dict_arms, counts, sums):
-        """Fold in the observation at arm a, already counted in ``counts`` and
-        ``sums``, and move the model to the dictionary arms ``dict_arms``.
+    def update(self, a, y, dict_arms, counts, sums):
+        """Fold in the observation y at arm a, already counted in ``counts``
+        and ``sums``, and move the model to the dictionary arms ``dict_arms``.
 
         While the dictionary only gains arms, the observation and the rows
         of the appended arms enter the model in place, in one step.  When it
@@ -344,67 +360,77 @@ class _Support:
             self.rebuilds += 1
             self._reset(keep)
             a = None
-        self._grow(a, dict_arms, counts, sums)
+        self._grow(a, y, dict_arms, counts, sums)
 
     def _reset(self, keep):
         """Keep the feature rows of the first ``keep`` dictionary arms and drop
-        the model over them: no inverse, no coefficient, prior residual blocks."""
-        G, _, r = self.basis.ypos.shape
+        the model over them: no inverse, no moment, prior residual blocks
+        and zero means."""
         self._features.truncate(keep)
         self._inv = self._buf[:, :0, :0]
-        self._z = np.zeros((G, 0, r))
-        self.res = np.repeat(self._prior[None], G, axis=0)
+        self.moments = self._mbuf[:, :0]
+        self.res = np.repeat(self._prior[None], self._xi.shape[0], axis=0)
+        self.mean = np.zeros((self._arms.shape[0], self.basis.U.shape[0]))
 
-    def _grow(self, a, dict_arms, counts, sums):
+    def _grow(self, a, y, dict_arms, counts, sums):
         """Append the dictionary arms past those of the features, step every
-        system by the observation at arm a (none if a is None) and the
-        feature rows its inverse does not cover, and solve the coefficients
-        from the output sums of the observed arms."""
+        system by the observation y at arm a (none if a is None) and the
+        feature rows its inverse does not cover, and assemble the covariance
+        norms at the arms."""
         f, n0 = self._features, self._inv.shape[1]
         f.append(self.basis.kernel, self._arms, dict_arms[f.ends.size:], PINV_RTOL * self._top)
-        seen, ucols, c = _observed(counts, self.basis.b)
-        FU = f.F[:, ucols]  # the features at the observed arms
         if a is not None or f.piv.size > n0:
-            self._step(a, n0, FU, c)
+            self._step(a, y, n0, counts, sums)
         self._dict = dict_arms
-        self._z = self._inv @ (FU @ self.basis.outputs(sums[seen]))
+        self.norms = self.basis.assemble_cov_norm(self.res)
 
-    def _step(self, a, n0, FU, c):
-        """Fold the observation at arm a (none if a is None) and the feature
-        rows from n0 on into every system, given the features FU at the
-        observed arms and the visit count c of each of their columns.
+    def _step(self, a, y, n0, counts, sums):
+        """Fold the observation y at arm a (none if a is None) and the feature
+        rows from n0 on into every system, given the visit counts and output
+        sums of the arms.
 
-        The observation adds v v^T, v = sqrt(xi_g) F_a, to A_g.  With
-        u = X_g v, M = I + v^T u = L_M L_M^T and W = L_M^{-1} u^T, the
-        observed inverse is X_g - W^T W (Woodbury) and the residual blocks
-        lose eta times the blocks of (W F)^T (W F).  A round that gains no
-        row stops there.  Otherwise, with f the k new rows and
-        Y = xi_g F_U diag(c) f_U^T, the border P = X_g Y - W^T (W Y) is
-        taken against the observed inverse without forming it, and
+        The observation adds v v^T, v = sqrt(xi_g) F_a, to A_g and F_a Y_a
+        to the moment m_g, Y_a the projected output (``_TaskBasis.outputs``).
+        With u = X_g v, M = I + v^T u = L_M L_M^T and W = L_M^{-1} u^T, the
+        observed inverse is X_g - W^T W (Woodbury), the residual blocks lose
+        eta times the blocks of (W F)^T (W F), and the mean coordinates
+        gain (W F)^T e_W / xi_g, e_W = sqrt(xi_g) L_M^T Y_a - xi_g W m_g.
+        A round that gains no row stops there.  Otherwise, with f the k new
+        rows and Y = xi_g F_U diag(c) f_U^T, the border P = X_g Y - W^T (W Y)
+        is taken against the observed inverse without forming it, and
         S = xi_g f_U diag(c) f_U^T + eta I - Y^T P = L_S L_S^T.  The inverse
         becomes the block inverse
         [[X_g - W^T W + P S^{-1} P^T, -P S^{-1}], [-S^{-1} P^T, S^{-1}]]:
         one rank-(b + k) product of [W; L_S^{-1} P^T], its entries below
         sqrt(tiny) set to 0.0 so that no product is subnormal, updates the
-        old block in place, and only the border is written.  The residual
-        blocks gain -f^T f + eta h^T h, h = L_S^{-1} (f - P^T F) (the
-        Schur-complement term); one product [W; P^T] F gives both residual
-        terms.
+        old block in place, and only the border is written.  The moments
+        gain the rows f_U S_g.  With h = L_S^{-1} (f - P^T F) the residual
+        blocks gain -f^T f + eta h^T h (the Schur-complement term) and the
+        mean coordinates h^T e_h / xi_g, e_h = xi_g L_S^{-1} (f_U S_g -
+        P^T m_g).  One product [W; P^T] F gives both residual terms, and one
+        ``_TaskBasis.mean_step`` of [W F; h] and [e_W; e_h] the means.
         """
-        b, eta, xi, X = self.basis.b, self.eta, self._xi, self._inv
-        F = self._features.F
+        basis, eta, xi, X = self.basis, self.eta, self._xi, self._inv
+        b, F, m = basis.b, self._features.F, self.moments
         Fo, r = F[:n0], F.shape[0]
         if a is not None:
-            v = np.sqrt(xi) * Fo[:, a * b:(a + 1) * b]
+            Fa, Ya = Fo[:, a * b:(a + 1) * b], basis.outputs(y[None])
+            m += Fa @ Ya
+            v = np.sqrt(xi) * Fa
             u = X @ v
-            W = _solve_pivot(_chol(np.eye(b) + v.transpose(0, 2, 1) @ u), u.transpose(0, 2, 1))
+            L = _chol(np.eye(b) + v.transpose(0, 2, 1) @ u)
+            W = _solve_pivot(L, u.transpose(0, 2, 1))
+            e = np.sqrt(xi) * (L.transpose(0, 2, 1) @ Ya) - xi * (W @ m)
             if r == n0:
                 H = W @ Fo
                 self.res -= eta * _block_gram(H, H, b)
+                self.mean = self.mean + basis.mean_step(H, e)
                 X -= W.transpose(0, 2, 1) @ W
                 return
         else:
-            W = np.zeros((X.shape[0], 0, n0))
+            W, e = np.zeros((X.shape[0], 0, n0)), np.zeros((X.shape[0], 0, m.shape[2]))
+        seen, ucols, c = _observed(counts, b)
+        FU = F[:, ucols]  # the features at the observed arms
         Nc, w, Fn = FU[n0:] * c, W.shape[1], F[n0:]
         Vno, Vnn = Nc @ FU[:n0].T, Nc @ FU[n0:].T
         Y = xi * Vno.T
@@ -414,6 +440,9 @@ class _Support:
         H = np.concatenate([W, Pt], axis=1) @ Fo  # [W F; P^T F]
         h, WF = Li @ (Fn - H[:, w:]), H[:, :w]
         self.res += eta * (_block_gram(h, h, b) - _block_gram(WF, WF, b)) - _block_gram(Fn, Fn, b)
+        mn = FU[n0:] @ basis.outputs(sums[seen])  # the moment rows f_U S_g
+        e = np.concatenate([e, xi * (Li @ (mn - Pt @ m))], axis=1)
+        self.mean = self.mean + basis.mean_step(np.concatenate([WF, h], axis=1), e)
         R = _flush(np.concatenate([W, Li @ Pt], axis=1))
         Pl = R[:, w:]
         X += np.concatenate([-R[:, :w], Pl], axis=1).transpose(0, 2, 1) @ R
@@ -422,6 +451,13 @@ class _Support:
         buf[:, n0:r, :n0] = -(Lt @ Pl)  # -S^{-1} P^T
         buf[:, :n0, n0:r] = buf[:, n0:r, :n0].transpose(0, 2, 1)
         self._inv = buf[:, :r, :r]
+        self._mbuf = _put(self._mbuf, n0, 0, mn)
+        self.moments = self._mbuf[:, :r]
+
+    def coords(self, phi) -> np.ndarray:
+        """Mean coordinates phi^T z_g (G, N b, r_max) of the embeddings phi
+        (r, N b), with the coefficients z_g = X_g m_g solved here."""
+        return phi.T @ (self._inv @ self.moments)
 
     def embed(self, Xq) -> np.ndarray:
         """Embeddings (r, N b) of a stack of queries; without feature rows
@@ -435,7 +471,6 @@ class _Support:
         """Residual blocks R~_g = k(x, x) - phi^T phi + eta phi^T X_g phi, (G, N, b, b)."""
         b = self.basis.b
         return prior - _block_gram(phi, phi, b) + self.eta * _block_gram(phi, self._inv @ phi, b)
-
 
 
 # Public state ================================================================
@@ -455,11 +490,11 @@ class NystromState(_Posterior):
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round, as for
         ``PosteriorState``.  Its rows are the first N arms, so
-        ``mean_batch(grid)`` and ``cov_norm_batch(grid)`` read the feature
-        columns and residual blocks kept at every arm, without checking the
-        grid again.  Only a query that *is* this array object is served
-        from the arm arrays; every other query (copies included) is checked
-        and embedded afresh.
+        ``mean_batch(grid)`` and ``cov_norm_batch(grid)`` return read-only
+        views of the means and covariance norms kept at every arm, without
+        checking the grid again.  Only a query that *is* this array object
+        is served from the arm arrays; every other query (copies included)
+        is checked and embedded afresh.
         The caller must not mutate the grid afterwards.  Inputs must have
         the grid's dimension.
 
@@ -485,10 +520,10 @@ class NystromState(_Posterior):
                  rng: np.random.Generator, grid=None):
         # Visit count and output sum of every arm, grown with the arms (so
         # set before the front-end adds the grid), and the visited arms in
-        # first-visit order.
+        # first-visit order, in a _put buffer valid in its first rows.
         self._counts = np.zeros(0, dtype=int)
         self._sums = np.zeros((0, kernel.n))
-        self._visited = []
+        self._order, self._nvisited = np.zeros((0, 1), dtype=int), 0
         super().__init__(kernel, eta, grid)
         if not q >= 1:
             raise ValueError(f"q must be >= 1, got {q}")
@@ -507,6 +542,19 @@ class NystromState(_Posterior):
         """Arms in the dictionary."""
         return self.dictionary.size
 
+    @property
+    def _visited(self) -> np.ndarray:
+        """The visited arms in first-visit order, (|U|,)."""
+        return self._order[:self._nvisited, 0]
+
+    @property
+    def _mean(self) -> np.ndarray:
+        return self._support.mean
+
+    @property
+    def _norms(self) -> np.ndarray:
+        return self._support.norms
+
     def _add_arms(self, X):
         super()._add_arms(X)
         self._counts = np.concatenate([self._counts, np.zeros(X.shape[0], dtype=int)])
@@ -514,7 +562,8 @@ class NystromState(_Posterior):
 
     def _record(self, a: int, y):
         if not self._counts[a]:
-            self._visited.append(a)
+            self._order = _put(self._order, self._nvisited, 0, np.array([[a]]))
+            self._nvisited += 1
         super()._record(a, y)
         self._counts[a] += 1
         self._sums[a] += y
@@ -530,35 +579,26 @@ class NystromState(_Posterior):
 
         Inclusion probabilities for the visited arms (the new one included)
         come from the previous round's covariance, and so does the log-det
-        increment.  Both are gathered from the support's arm arrays; a
-        point new to the arm universe first joins them by its embedding.
-        A draw that keeps no arm keeps arm a, the newest point's.
+        increment: the norms kept at the arms and the residual blocks at a.
+        A point new to the arm universe first joins the arm arrays by its
+        embedding.  A draw that keeps no arm keeps arm a, the newest point's.
         """
-        support, basis = self._support, self._basis
+        support = self._support
         if a == support.res.shape[1]:
             support.add_arm(self._arms)
-        increment = basis.logdet(support.res[:, a], self.eta)
+        increment = self._basis.logdet(support.res[:, a], self.eta)
         self._record(a, y)
-        visited = np.array(self._visited)
-        norms = basis.assemble_cov_norm(support.res[:, visited])
-        kept = visited[resample_dictionary(norms, self._counts[visited], self.q, self.rng)]
-        support.update(a, kept if kept.size else np.array([a]), self._counts, self._sums)
+        visited = self._visited
+        drawn = resample_dictionary(support.norms[visited], self._counts[visited], self.q, self.rng)
+        kept = visited[drawn] if drawn.size else np.array([a])
+        support.update(a, y, kept, self._counts, self._sums)
         return increment
 
     def _coords_at(self, Xq) -> np.ndarray:
-        """Mean coordinates (G, N b, r) at the points Xq: phi^T z for their
-        feature columns phi, kept at the arms or embedded afresh."""
-        support = self._support
-        if Xq is self._grid:
-            phi = support._features.F[:, :Xq.shape[0] * self._basis.b]
-        else:
-            phi = support.embed(Xq)
-        return phi.T @ support._z
+        """Mean coordinates (G, N b, r) at the points Xq, embedded afresh."""
+        return self._support.coords(self._support.embed(Xq))
 
     def _res_at(self, Xq) -> np.ndarray:
-        """Residual blocks (G, N, b, b) at the points Xq, kept at the arms or
-        embedded afresh."""
+        """Residual blocks (G, N, b, b) at the points Xq, embedded afresh."""
         support = self._support
-        if Xq is self._grid:
-            return support.res[:, :Xq.shape[0]]
         return support.residuals_at(support.embed(Xq), self._basis.kernel.diag_blocks(Xq))

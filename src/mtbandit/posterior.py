@@ -43,13 +43,18 @@ Write P_g for its posterior covariance (prior k; Gamma_t restricted to
 system g is xi_g P_g) and w_g for its mean coordinates.  Observation s at
 arm a_s has the pivot S_s = xi_g P_{s-1}(a_s, a_s) + eta I_b = L_s L_s^T,
 the row u_s = L_s^{-1} P_{s-1}(a_s, arms) and the innovation
-z_s = L_s^{-1} (y_s U_g - xi_g w_{s-1}(a_s)), so that
+z_s = L_s^{-1} (y_s - mu_{s-1}(a_s)) U_g, so that
 
-    P_t = k(arms, arms) - xi_g sum_{s<=t} u_s^T u_s,   w_t = sum_{s<=t} u_s^T z_s.
+    P_t = k(arms, arms) - xi_g sum_{s<=t} u_s^T u_s,   w_t = sum_{s<=t} u_s^T z_s
 
-P_t is never formed.  The system keeps the rows, L_s and z_s, and at every
-arm w_t and the residual diagonal blocks P_t(a, a); each observation
-updates both by its row, and the log-det increment is read off its pivot.
+and mu_t(a) = sum_g xi_g w_t(a) U_g^T.  As U is orthogonal, the innovation
+is the residual of the projected outputs, y_s U_g - xi_g w_{s-1}(a_s),
+and no weight is divided by.  P_t is never formed.  The system keeps the
+rows, L_s and z_s, and at every arm the residual diagonal blocks
+P_t(a, a); the engine keeps at every arm the task-space mean mu_t and the
+covariance norm ||Gamma_t(a, a)||.  Each observation updates the blocks
+by its row and the means by the one product sum_g xi_g (u_s^T z_s) U_g^T,
+and the log-det increment is read off its pivot.
 An update at arm a needs the pre-update column P_{t-1}(arms, a).  When a
 was last observed at step s0, the column restarts from that row,
 
@@ -66,21 +71,25 @@ row by one forward substitution,
 through the block lower-triangular history matrix with L_s on its
 diagonal.  A new off-grid arm enters this way before its update.
 
-Both posteriors read alike.  ``_Posterior`` defines ``mean_batch``,
-``cov`` and ``cov_norm_batch`` once, from two hooks of the engine: the
-mean coordinates w_t and the residual blocks at the queried points, which
-``_TaskBasis`` assembles into means, covariances and norms.  A query that
-is the grid (the same array object; the caller must not mutate it) is
-served from the arrays kept at the arms.  Any other query is checked and
-embedded: here by the forward substitution above, giving the mean
-sum_s u_s[x]^T z_s and the residual k(x, x) - xi_g sum_s u_s[x]^T u_s[x].
+Both posteriors read alike.  Each keeps the means ``_mean`` (A, n) and
+the covariance norms ``_norms`` (A,) at every arm, and its ``update``
+replaces both arrays rather than writing into them.  ``_Posterior``
+defines ``mean_batch``, ``cov`` and ``cov_norm_batch`` once.  A query
+that is the grid (the same array object; the caller must not mutate it)
+reads read-only views of the kept arrays, which no later update changes.
+Any other query, and ``cov`` at any point, uses two hooks of the engine:
+the mean coordinates w_t and the residual blocks at the queried points,
+which ``_TaskBasis`` assembles into means, covariances and norms.  Here
+they come from the forward substitution above, giving the mean
+coordinates sum_s u_s[x]^T z_s and the residual
+k(x, x) - xi_g sum_s u_s[x]^T u_s[x].
 ``_solve_lower`` is the one triangle solve, of this engine and of the
 budgeted one; it imports SciPy on first use, so only reads away from the
 arms load SciPy.
 
 Per system an update at an arm last seen at step s0 costs O((t - s0) A b^2)
-for A arms, a first visit O(t A b^2), a grid read O(N b^2), and a new arm
-or a read of q other points O((t b)^2 (1 + q b)).  The rows take t A b^2
+for A arms, a first visit O(t A b^2), a grid read O(1), and a new arm or
+a read of q other points O((t b)^2 (1 + q b)).  The rows take t A b^2
 floats: on the 6,400-arm branin grid 5 MB per system after 100
 observations, where an arm-space covariance would take 328 MB.  The
 systems share the kernel, b, t and the arms, so their arrays are stacked
@@ -90,8 +99,9 @@ weight is divided by, so a zero coupling keeps a zero-weight system.
 The budgeted posterior in the nystrom module shares the front-end with
 its checks and its reads, the factor helpers, the triangle solve and the
 covariance clamp.  It builds its support over the same systems, in the
-same per-system coordinate layout, and assembles its reads and its
-log-det increments with the same ``_TaskBasis`` methods.
+same per-system coordinate layout, keeps the same arrays at the arms,
+and assembles its reads, its mean updates and its log-det increments
+with the same ``_TaskBasis`` methods.
 """
 
 import numpy as np
@@ -234,22 +244,26 @@ class _Posterior:
     the history, gathered on each read.
 
     The reads ``mean_batch``, ``cov`` and ``cov_norm_batch`` are defined
-    here once: they check the query (``_points``) and assemble the engine's
-    per-system arrays through its ``_TaskBasis``, ``_basis``.  ``update``,
-    ``mean``, ``cov`` and ``cov_norm`` take one point (``_point``) and
-    refuse a stack of several, naming themselves.  A subclass
-    supplies three hooks:
+    here once and check the query (``_points``).  On the grid object
+    ``mean_batch`` and ``cov_norm_batch`` return read-only views of the
+    engine's ``_mean`` (A, n) and ``_norms`` (A,), the means and covariance
+    norms it keeps at every arm; an update replaces those arrays, so a view
+    read before it stays as it was.  Any other query, and ``cov``, is
+    assembled from the engine's per-system arrays through its
+    ``_TaskBasis``, ``_basis``.  ``update``, ``mean``, ``cov`` and
+    ``cov_norm`` take one point (``_point``) and refuse a stack of
+    several, naming themselves.  A subclass keeps ``_mean`` and ``_norms``
+    current and supplies three hooks:
 
     * ``_absorb(a, y)`` grows its model, called after every check with the
       observed point already an arm a.  It records the observation with
       ``_record(a, y)`` once it no longer needs the history before it, and
       returns log det(I_n + eta^{-1} Gamma_{t-1}(x_t, x_t)).
     * ``_coords_at(Xq)`` gives the mean coordinates (G, N b, r) and
-    * ``_res_at(Xq)`` the residual blocks (G, N, b, b) at N checked points.
+    * ``_res_at(Xq)`` the residual blocks (G, N, b, b) at N checked points,
+      by the engine's own embedding.
 
-    Both read hooks serve the grid object from the arrays the engine keeps
-    at the arms, and any other stack through the engine's own embedding.
-    They are two hooks, so that a budgeted covariance read forms no mean
+    They are two hooks, so that a covariance read forms no mean
     coordinates.
 
     Updates mutate the state in place (single-writer); reads are pure.
@@ -348,9 +362,19 @@ class _Posterior:
         self._hist = _put(self._hist, self.t, 0, np.array([[a]]))
         self.t += 1
 
+    def _kept(self, values) -> np.ndarray:
+        """A read-only view of the arm array ``values`` over the grid rows."""
+        view = values[:self._grid.shape[0]]
+        view.flags.writeable = False
+        return view
+
     def mean_batch(self, Xq) -> np.ndarray:
-        """Posterior means over a stack of queries, shape (N, n)."""
-        return self._basis.assemble_mean(self._coords_at(self._points(Xq)))
+        """Posterior means over a stack of queries, shape (N, n); read-only
+        on the grid."""
+        Xq = self._points(Xq)
+        if Xq is self._grid:
+            return self._kept(self._mean)
+        return self._basis.assemble_mean(self._coords_at(Xq))
 
     def cov(self, x) -> np.ndarray:
         """Posterior covariance Gamma_t(x, x), symmetric with eigenvalues
@@ -359,8 +383,11 @@ class _Posterior:
 
     def cov_norm_batch(self, Xq) -> np.ndarray:
         """Posterior covariance norms over a stack of queries, shape (N,),
-        clamped to [0, kappa]."""
-        return self._basis.assemble_cov_norm(self._res_at(self._points(Xq)))
+        clamped to [0, kappa]; read-only on the grid."""
+        Xq = self._points(Xq)
+        if Xq is self._grid:
+            return self._kept(self._norms)
+        return self._basis.assemble_cov_norm(self._res_at(Xq))
 
     def mean(self, x) -> np.ndarray:
         """Posterior mean mu_t(x) as an (n,) vector at one point x; zero at t = 0."""
@@ -380,7 +407,9 @@ class _TaskBasis:
     posteriors hold their mean coordinates as one (G, N b, r) stack, r the
     largest r_g.  Its columns are system g's right-hand sides, the basis
     columns ``ypos[g]`` (b, r), one row per block row; columns past r_g
-    are index n, a zero output.  Every covariance it assembles has its
+    are index n, a zero output.  Coordinate (g, j, c) maps to task space
+    through the row U[:, ypos[g, j, c]]^T, 0 for the padding, so means are
+    one product with these rows.  Every covariance it assembles has its
     eigenvalues clamped to [0, kappa], the kernel's bound on
     ||Gamma(x, x)||."""
 
@@ -393,24 +422,34 @@ class _TaskBasis:
         self.ypos = np.full((len(self.systems), b, max(self.r)), kernel.n)
         for g, (_, cols) in enumerate(self.systems):
             self.ypos[g, :, :self.r[g]] = cols.reshape(b, -1)
+        self._to_tasks = np.vstack([self.U.T, np.zeros((1, kernel.n))])[self.ypos]  # (G, b, r, n)
 
     def outputs(self, Y) -> np.ndarray:
         """Outputs Y (q, n) in basis coordinates, Y U, as the right-hand sides
         of every system, (G, q b, r); the columns past r_g are 0."""
-        P = np.asarray(Y, dtype=float) @ self.U
-        P = np.concatenate([P, np.zeros((P.shape[0], 1))], axis=1)[:, self.ypos]
-        return P.transpose(1, 0, 2, 3).reshape(len(self.systems), -1, P.shape[-1])
+        G, b, r, n = self._to_tasks.shape
+        P = np.asarray(Y, dtype=float) @ self._to_tasks.reshape(-1, n).T  # (q, G b r)
+        return P.reshape(-1, G, b, r).transpose(1, 0, 2, 3).reshape(G, -1, r)
 
     def assemble_mean(self, coords) -> np.ndarray:
-        """sum_g xi_g coords_g U_g^T from the coordinate stack (G, N b, r) of
-        N points, as one product (N, n) @ U^T of the weighted coordinates in
-        basis order."""
-        G, Nb, r = coords.shape
-        N = Nb // self.b
-        weighted = self._xi[:, None, None, None] * coords.reshape(G, N, self.b, r)
-        basis = np.zeros((N, self.U.shape[1] + 1))  # the last column takes the padding
-        basis[:, self.ypos] = weighted.transpose(1, 0, 2, 3)
-        return basis[:, :-1] @ self.U.T
+        """sum_g xi_g coords_g U_g^T, (N, n), from the coordinate stack
+        (G, N b, r) of N points."""
+        G, b, r, n = self._to_tasks.shape
+        N = coords.shape[1] // b
+        C = coords.reshape(G, N, b, r).transpose(1, 0, 2, 3).reshape(N, G * b * r)
+        return C @ (self._xi[:, None, None, None] * self._to_tasks).reshape(-1, n)
+
+    def mean_step(self, rows, coeffs) -> np.ndarray:
+        """sum_g (rows_g^T coeffs_g) U_g^T, (N, n), for rows (G, k, N b)
+        and coefficients (G, k, r): the change of the means kept at the arms
+        when each system's mean coordinates gain rows_g^T coeffs_g / xi_g.
+        The coefficients are mapped to task space first, so the one product
+        over the N points has inner size G k b."""
+        G, b, r, n = self._to_tasks.shape
+        k, N = rows.shape[1], rows.shape[2] // b
+        R = rows.reshape(G, k, N, b).transpose(2, 0, 1, 3).reshape(N, G * k * b)
+        E = coeffs @ self._to_tasks.transpose(0, 2, 1, 3).reshape(G, r, b * n)  # (G, k, b n)
+        return R @ E.reshape(G * k * b, n)
 
     def assemble_cov(self, res) -> np.ndarray:
         """sum_g U_g (xi_g R_g (x) I) U_g^T for one query's residual blocks R_g,
@@ -445,11 +484,11 @@ class PosteriorState(_Posterior):
     grid : (N, d) float ndarray or None
         Fixed candidate stack that will be queried every round.  Its rows
         are the first arms, so ``mean_batch(grid)`` and
-        ``cov_norm_batch(grid)`` read the mean coordinates and residual
-        blocks kept at every arm, O(N b^2) per system, without checking
-        the grid again.  Only a query that *is* this array object is
-        served from them; every other query (copies included) is checked
-        and costs one forward substitution through the history,
+        ``cov_norm_batch(grid)`` return read-only views of the means and
+        covariance norms kept at every arm, without checking the grid
+        again.  Only a query that *is* this array object is served from
+        them; every other query (copies included) is checked and costs
+        one forward substitution through the history,
         O((t b)^2 (1 + q b)) per system for q points.  The caller
         must not mutate the grid afterwards.  Inputs must have the grid's
         dimension.
@@ -463,6 +502,7 @@ class PosteriorState(_Posterior):
     docstring): t A b^2 floats for A arms, with no (N b)^2 covariance.  An
     update at an arm last observed at step s0 reads the t - s0 rows since
     then, O((t - s0) A b^2) per system; a first visit reads all t rows.
+    It then replaces the means and covariance norms kept at the arms.
 
     Updates mutate the state in place (single-writer); reads are pure.
     """
@@ -476,12 +516,13 @@ class PosteriorState(_Posterior):
         # Stacked over the systems, in buffers grown by _put: the rows u_s,
         # stored arm-major (u_s^T fills columns s b .. s b + b - 1), and the
         # pivot factors L_s and innovations z_s, b rows per step; then at
-        # every arm the mean coordinates and the residual blocks.
+        # every arm the residual blocks, and the means and covariance norms.
         self._rows = np.zeros((G, 0, 0))
         self._pivots = np.zeros((G, 0, b))
         self._innov = np.zeros((G, 0, r))
-        self._coords = np.zeros((G, 0, r))
         self._res = np.zeros((G, 0, b, b))
+        self._mean = np.zeros((0, kernel.n))
+        self._norms = np.zeros(0)
         self._extend(self._arms)
 
     def _at(self, Xq):
@@ -513,20 +554,23 @@ class PosteriorState(_Posterior):
 
     def _extend(self, X):
         """Append the points X as arms of every system: their blocks in every
-        row, their mean coordinates and their residual blocks."""
+        row, their residual blocks, means and covariance norms."""
+        basis = self._basis
         blocks, coords, res = self._at(X)
-        self._rows = _put(self._rows, self._coords.shape[1], 0, blocks)
-        self._coords = np.concatenate([self._coords, coords], axis=1)
+        self._rows = _put(self._rows, self._res.shape[1] * basis.b, 0, blocks)
         self._res = np.concatenate([self._res, res], axis=1)
+        self._mean = np.concatenate([self._mean, basis.assemble_mean(coords)])
+        self._norms = np.concatenate([self._norms, basis.assemble_cov_norm(res)])
 
     def _absorb(self, a, y) -> float:
         """Update every system by the observation y at arm a.
 
         The pre-update column P_g(arms, a) restarts from the arm's last row,
-        or starts from the prior column at a first visit.
+        or starts from the prior column at a first visit.  The means and
+        covariance norms at the arms are replaced.
         """
         basis, b, t, xi = self._basis, self._basis.b, self.t, self._xi
-        if a * b == self._coords.shape[1]:  # a point new to the arm universe
+        if a == self._res.shape[1]:  # a point new to the arm universe
             self._extend(self._arms[a:a + 1])
         A, lo, s0 = self._arms.shape[0], a * b, self._last.get(a)
         M = self._rows[:, :A * b, (s0 or 0) * b:t * b]
@@ -539,9 +583,10 @@ class PosteriorState(_Posterior):
         B = col[:, lo:lo + b]
         L = _chol(xi * B + self.eta * np.eye(b))
         u = _solve_pivot(L, col.transpose(0, 2, 1))
-        z = _solve_pivot(L, basis.outputs(y[None]) - xi * self._coords[:, lo:lo + b])
-        self._coords += u.transpose(0, 2, 1) @ z
+        z = _solve_pivot(L, basis.outputs((y - self._mean[a])[None]))
+        self._mean = self._mean + basis.mean_step(u, xi * z)
         self._res -= xi[..., None] * _block_gram(u, u, b)
+        self._norms = basis.assemble_cov_norm(self._res)
         self._rows = _put(self._rows, 0, t * b, u.transpose(0, 2, 1))
         self._pivots = _put(self._pivots, t * b, 0, L)
         self._innov = _put(self._innov, t * b, 0, z)
@@ -551,10 +596,8 @@ class PosteriorState(_Posterior):
 
     def _coords_at(self, Xq) -> np.ndarray:
         """Mean coordinates (G, N b, r) at the points Xq."""
-        if Xq is self._grid:
-            return self._coords[:, :Xq.shape[0] * self._basis.b]
         return self._at(Xq)[1]
 
     def _res_at(self, Xq) -> np.ndarray:
         """Residual blocks (G, N, b, b) at the points Xq."""
-        return self._res[:, :Xq.shape[0]] if Xq is self._grid else self._at(Xq)[2]
+        return self._at(Xq)[2]

@@ -207,11 +207,9 @@ def _suite_full_dictionary():
 
 
 def _at_arms(support):
-    """A budgeted support's means, covariance norms and residual blocks at
-    every arm."""
-    basis = support.basis
-    coords = support._features.F.T @ support._z
-    return basis.assemble_mean(coords), basis.assemble_cov_norm(support.res), support.res
+    """The means, covariance norms and residual blocks a budgeted support
+    keeps at every arm."""
+    return support.mean, support.norms, support.res
 
 
 def _suite_budgeted_update():
@@ -222,9 +220,9 @@ def _suite_budgeted_update():
     revisit an ever wider pool of 12 grid arms and, from round 150, one
     off-grid arm, so that the dictionary keeps its arms, gains arms and
     loses arms; after every round the means, covariance norms and residual
-    blocks at every arm are compared.  A round that loses an arm resets the
-    model to the features of the common prefix and grows it by the same
-    Schur border as a round that gains arms."""
+    blocks that each model keeps at every arm are compared.  A round that
+    loses an arm resets the model to the features of the common prefix and
+    grows it by the same Schur border as a round that gains arms."""
     eta = 0.1
     rng = np.random.default_rng(404)
     icm = kernels.ICMKernel(kernels.SquaredExponential(0.3), kernels.gram_coupling(2, rng))

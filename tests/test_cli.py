@@ -544,26 +544,50 @@ class TestValidateCommand:
         reports = {r.name: r for r in validate._suite_full_dictionary()}
         assert not reports["full-dictionary-rank-deficient"].passed
 
+    @staticmethod
+    def _drop_observation_term(monkeypatch, drop):
+        """Run the budgeted update suite with ``drop(support, WF, term)``
+        applied after every step that folds in an observation, given the
+        step's rows W F and mean term sum_g (W F)^T e_W U_g^T, formed as
+        ``_Support._step`` forms them."""
+        original = nystrom._Support._step
+
+        def stale(self, a, y, n0, counts, sums):
+            if a is not None:
+                b, Fo, xi = self.basis.b, self._features.F[:n0], self._xi
+                Fa, Ya = Fo[:, a * b:(a + 1) * b], self.basis.outputs(y[None])
+                v = np.sqrt(xi) * Fa
+                u = self._inv @ v
+                L = posterior._chol(np.eye(b) + v.transpose(0, 2, 1) @ u)
+                W = posterior._solve_pivot(L, u.transpose(0, 2, 1))
+                e = np.sqrt(xi) * (L.transpose(0, 2, 1) @ Ya) - xi * (W @ (self.moments + Fa @ Ya))
+                WF = W @ Fo
+                term = self.basis.mean_step(WF, e)
+            original(self, a, y, n0, counts, sums)
+            if a is not None:
+                drop(self, WF, term)
+
+        monkeypatch.setattr(nystrom._Support, "_step", stale)
+        (report,) = validate._suite_budgeted_update()
+        return report
+
     def test_stale_residuals_fail_update_suite(self, monkeypatch):
         """Budgeted residual blocks that miss an observation's term, the
         eta (W F)^T (W F) of its Woodbury update, move the updated model
         away from the one solved from scratch."""
-        original = nystrom._Support._step
+        def drop(support, WF, term):
+            support.res += support.eta * posterior._block_gram(WF, WF, support.basis.b)
 
-        def stale(self, a, n0, FU, c):
-            if a is not None:
-                b, Fo = self.basis.b, self._features.F[:n0]
-                v = np.sqrt(self._xi) * Fo[:, a * b:(a + 1) * b]
-                u = self._inv @ v
-                L = posterior._chol(np.eye(b) + v.transpose(0, 2, 1) @ u)
-                WF = posterior._solve_pivot(L, u.transpose(0, 2, 1)) @ Fo
-            original(self, a, n0, FU, c)
-            if a is not None:
-                self.res += self.eta * posterior._block_gram(WF, WF, b)
+        assert not self._drop_observation_term(monkeypatch, drop).passed
 
-        monkeypatch.setattr(nystrom._Support, "_step", stale)
-        (report,) = validate._suite_budgeted_update()
-        assert not report.passed
+    def test_stale_means_fail_update_suite(self, monkeypatch):
+        """Budgeted means that miss an observation's term, the (W F)^T e_W
+        of its Woodbury update, move the updated model away from the one
+        solved from scratch."""
+        def drop(support, WF, term):
+            support.mean = support.mean - term
+
+        assert not self._drop_observation_term(monkeypatch, drop).passed
 
     def test_sign_mutation_fails_geometry_suite(self, capsys, monkeypatch):
         """Flipping the posterior covariance sign must trip the suites."""

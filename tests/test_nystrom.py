@@ -14,7 +14,8 @@ against the Nystrom kernel k(x, D) K_DD^{-1} k(D, x') and, on a
 rank-deficient dictionary, against the dense posterior.  The support updated in place must agree
 with one solved from scratch (its feature factor bitwise on a fixed arm
 universe), solve nothing from scratch while the dictionary loses no arm,
-and evaluate one kernel row per appended arm.
+keep its means from drifting over a long bandit run, and evaluate one
+kernel row per appended arm.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 import scipy.linalg
 
 from conftest import dense_posterior_cov, dense_posterior_mean, random_icm
-from mtbandit import benchmarks, kernels, nystrom, posterior
+from mtbandit import benchmarks, cli, kernels, nystrom, posterior
 
 ETA = 0.1
 
@@ -93,6 +94,26 @@ class TestDictionary:
             state.update(G[v], rng.normal(size=2))
             np.testing.assert_array_equal(state.dictionary, [v])
             assert state.m == 1
+
+    def test_each_update_gives_a_new_dictionary_array(self):
+        """Every update gives a new ``dictionary`` array, and no later update
+        writes into it, so a caller may keep each round's array (the CLI
+        formats them at write time).  The visited arms grow in a buffer that
+        the dictionary is drawn from."""
+        rng = np.random.default_rng(12)
+        G = rng.random((10, 2))
+        state = nystrom.NystromState(random_icm(rng, n=2), ETA, q=5.0,
+                                     rng=np.random.default_rng(4), grid=G)
+        kept = []
+        for _ in range(60):
+            state.update(G[rng.integers(10)], rng.normal(size=2))
+            assert all(state.dictionary is not d for d, _ in kept)
+            kept.append((state.dictionary, state.dictionary.copy()))
+        for d, copy in kept:
+            np.testing.assert_array_equal(d, copy)
+        assert len({tuple(copy) for _, copy in kept}) > 10
+        assert state._visited.dtype.kind == "i" and state._visited.size == np.unique(
+            state._hist_arm).size
 
     def test_one_uniform_draw_per_visited_arm_each_round(self):
         """Resampling consumes one variate per visited arm at each round,
@@ -450,10 +471,9 @@ def _solved(state):
 
 
 def _at_arms(s):
-    """A support's means, covariance norms and residual blocks (a copy) at
-    every arm, from its coefficients and residual blocks."""
-    coords = s._features.F.T @ s._z
-    return s.basis.assemble_mean(coords), s.basis.assemble_cov_norm(s.res), s.res.copy()
+    """The means, covariance norms and residual blocks (a copy) a support
+    keeps at every arm."""
+    return s.mean, s.norms, s.res.copy()
 
 
 def _model_gap(s, t) -> float:
@@ -587,6 +607,26 @@ class TestSupportCarryOver:
         kinds = _churn(dicts)
         assert min(kinds.values()) >= 10 and state.rebuilds == kinds["loss"]
         assert state.m < 100 and state._arms.shape[0] == 13
+
+    def test_long_bandit_run_keeps_its_mean(self):
+        """The means kept at the arms follow every observation and border
+        without being solved again, so they must not drift: after an MTBKB
+        run of 1,000 rounds on the 4-task rkhs objective (seed 1), of which
+        262 lose a dictionary arm, they agree with the support solved from
+        scratch within 1e-10 (3.5e-13 when written)."""
+        exp = cli.ExperimentConfig.from_mapping({
+            "run": {"trials": 1, "horizon": 1000, "master_seed": 1, "algorithms": ["MTBKB"]},
+            "objective": {"name": "rkhs", "tasks": 4, "seed": 1},
+            "kernel": {"family": "squared_exponential", "lengthscale": 0.2,
+                       "coupling": "gram", "coupling_seed": 1},
+            "scalarization": {"kind": "chebyshev", "weights": "inverse"},
+            "bandit": {"eta": 0.1, "delta": 0.1, "epsilon": 0.5},
+        })
+        env, b_auto = exp.build_environment()
+        state = cli._run_one_trial(exp, env, b_auto, "MTBKB", 0, False)[-1]
+        assert state.t == 1000 and state.rebuilds == 262
+        s, fresh = state._support, _solved(state)
+        assert _model_gap(s, fresh) <= 1e-10
 
     def test_no_rebuild_without_loss(self, monkeypatch):
         """A grid run whose dictionary never loses an arm (every inclusion

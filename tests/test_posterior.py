@@ -9,8 +9,9 @@ runs at small eta with repeated noiseless queries, grid-resident reads
 along those runs for every kernel, grid-resident states whose history
 interleaves grid rows with off-grid points, the log-det accumulator
 against a 60-digit determinant down to eta = 1e-6 (grid, grid-less and
-half-grid states), the traced memory of a state on a 6,400-arm grid, the
-covariance eigenvalue clamp, input checks that leave the state unchanged,
+half-grid states), the traced memory of a state on a 6,400-arm grid, grid
+reads of both engines that assemble nothing and return read-only views,
+the covariance eigenvalue clamp, input checks that leave the state unchanged,
 and the predictive-variance geometry used by the regret analysis.
 """
 
@@ -414,6 +415,81 @@ class TestCovarianceGeometry:
                 state.update(x, rng.normal(size=kern.n))
                 trace_sum += float(np.trace(state.cov(x)))
             assert trace_sum / ETA <= state.logdet_sum + 1e-8
+
+
+def _grid_state(budgeted, kern, grid, q=10.0):
+    """An exact or a budgeted posterior over the candidate grid."""
+    if budgeted:
+        return nystrom.NystromState(kern, ETA, q=q, rng=np.random.default_rng(0), grid=grid)
+    return posterior.PosteriorState(kern, ETA, grid=grid)
+
+
+class TestGridReads:
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_grid_reads_assemble_nothing(self, budgeted, monkeypatch):
+        """A grid read returns the means and covariance norms kept at the
+        arms: it calls neither ``_TaskBasis.assemble_mean`` nor
+        ``assemble_cov_norm``, while a read of a copy calls each once."""
+        rng = np.random.default_rng(30)
+        grid = rng.random((8, 2))
+        state = _grid_state(budgeted, random_icm(rng, n=3), grid)
+        for x in grid[:4]:
+            state.update(x, rng.normal(size=3))
+        calls = []
+        for name in ("assemble_mean", "assemble_cov_norm"):
+            def counted(self, arg, _name=name, _original=getattr(posterior._TaskBasis, name)):
+                calls.append(_name)
+                return _original(self, arg)
+
+            monkeypatch.setattr(posterior._TaskBasis, name, counted)
+        state.mean_batch(grid), state.cov_norm_batch(grid)
+        assert calls == []
+        state.mean_batch(grid.copy()), state.cov_norm_batch(grid.copy())
+        assert calls == ["assemble_mean", "assemble_cov_norm"]
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_grid_reads_are_read_only_and_kept(self, budgeted):
+        """A grid read is a read-only array, which a later update leaves as it
+        was: the update replaces the arrays kept at the arms.  The next grid
+        read agrees with a read of a copy, embedded afresh."""
+        rng = np.random.default_rng(31)
+        grid = rng.random((8, 2))
+        state = _grid_state(budgeted, random_icm(rng, n=3), grid)
+        for x in grid[:4]:
+            state.update(x, rng.normal(size=3))
+        reads = state.mean_batch(grid), state.cov_norm_batch(grid)
+        kept = [r.copy() for r in reads]
+        for r in reads:
+            assert not r.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                r[0] = 0.0
+        state.update(grid[5], rng.normal(size=3))
+        for r, k in zip(reads, kept):
+            np.testing.assert_array_equal(r, k)
+        new = state.mean_batch(grid), state.cov_norm_batch(grid)
+        assert not np.array_equal(new[0], kept[0]) and not np.array_equal(new[1], kept[1])
+        np.testing.assert_allclose(new[0], state.mean_batch(grid.copy()), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(new[1], state.cov_norm_batch(grid.copy()), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_cov_of_one_row_grid_matches_dense(self, budgeted):
+        """``cov`` of the grid object, a one-row grid, embeds it by the
+        engine's own hook and matches the dense oracle, as do the grid reads,
+        over a history that mixes the grid row with off-grid points."""
+        rng = np.random.default_rng(32)
+        kern, grid = random_icm(rng, n=2), rng.random((1, 2))
+        state = _grid_state(budgeted, kern, grid, q=1e12)
+        X = np.array([grid[0], rng.random(2), grid[0], rng.random(2), grid[0]])
+        Y = rng.normal(size=(5, 2))
+        for t, (x, y) in enumerate(zip(X, Y)):
+            state.update(x, y)
+            cov = dense_posterior_cov(kern, X[:t + 1], Y[:t + 1], ETA, grid[0])
+            np.testing.assert_allclose(state.cov(grid), cov, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(state.cov_norm_batch(grid), np.linalg.eigvalsh(cov)[-1:],
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(
+                state.mean_batch(grid), dense_posterior_mean(kern, X[:t + 1], Y[:t + 1], ETA, grid),
+                rtol=0, atol=1e-9)
 
 
 class TestValidation:
