@@ -27,6 +27,7 @@ dictionary resampling), so two algorithms given the same seed see
 identical weight and noise sequences.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -126,7 +127,7 @@ def rho_factor(epsilon: float) -> float:
 
 def epsilon_inflation(epsilon: float) -> float:
     """c_eps = 1 + 1/sqrt(1 - eps), the norm-bound inflation factor."""
-    return 1.0 + 1.0 / np.sqrt(1.0 - epsilon)
+    return 1.0 + 1.0 / math.sqrt(1.0 - epsilon)
 
 
 def dictionary_multiplier(epsilon: float, horizon: int, delta: float) -> float:
@@ -138,9 +139,9 @@ def dictionary_multiplier(epsilon: float, horizon: int, delta: float) -> float:
 def beta_t(config: AlgorithmConfig, logdet_sum):
     """Exact-posterior radius from the accumulated per-round log-dets; an
     array of sums gives an array of radii."""
-    if np.any(logdet_sum < 0):
+    if np.asarray(logdet_sum).min(initial=0.0) < 0:  # some sum is negative
         raise ValueError(f"logdet_sum must be >= 0, got {logdet_sum}")
-    return config.rkhs_bound + (config.noise_sigma / np.sqrt(config.eta)) * np.sqrt(
+    return config.rkhs_bound + (config.noise_sigma / math.sqrt(config.eta)) * np.sqrt(
         2.0 * np.log(1.0 / config.delta) + logdet_sum
     )
 
@@ -151,8 +152,8 @@ def beta_tilde_t(config: AlgorithmConfig, approx_logdet_sum: float) -> float:
         raise ValueError(f"approx_logdet_sum must be >= 0, got {approx_logdet_sum}")
     eps = config.epsilon
     return config.rkhs_bound * epsilon_inflation(eps) + (
-        config.noise_sigma / np.sqrt(config.eta)
-    ) * np.sqrt(
+        config.noise_sigma / math.sqrt(config.eta)
+    ) * math.sqrt(
         2.0 * np.log(2.0 / config.delta) + rho_factor(eps) * approx_logdet_sum
     )
 
@@ -173,7 +174,7 @@ def select_point(model, scalarization: Scalarization, lam, beta: float, candidat
         raise ValueError("candidate list is empty")
     means, norms = model.mean_batch(candidates), model.cov_norm_batch(candidates)
     scores = _scores(scalarization, lam, beta, means, norms)
-    idx = int(np.argmax(scores))
+    idx = int(scores.argmax())
     return idx, candidates[idx]
 
 
@@ -182,7 +183,7 @@ def _scores(scalarization, lam, beta, means, norms) -> np.ndarray:
     beta must be >= 0 (a NaN is refused too)."""
     if not beta >= 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    widths = np.sqrt(np.clip(norms, 0.0, None))
+    widths = np.sqrt(np.maximum(norms, 0.0))
     return (
         scalarization.value_batch(lam, means)
         + scalarization.lipschitz(lam) * beta * widths
@@ -283,7 +284,7 @@ def run(
         lam = lambdas[t]
         beta = float(radius(config, model.logdet_sum))
         scores = _scores(scalarization, lam, beta, means, norms)
-        idx = int(np.argmax(scores))
+        idx = int(scores.argmax())
         y = environment.observe(idx, rng_noise)
 
         model.update(grid[idx], y)

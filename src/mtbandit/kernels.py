@@ -67,7 +67,7 @@ def _as_points(X) -> np.ndarray:
     elif A.ndim == 1:
         # A single point given as a d-vector.
         A = A.reshape(1, -1)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("kernel input contains non-finite entries")
     return A
 
@@ -351,6 +351,16 @@ class DiagonalKernel(MultiTaskKernel):
         self.scalars = list(scalars)
         E = np.eye(len(self.scalars))
         super().__init__((k, np.outer(e, e)) for k, e in zip(self.scalars, E))
+
+    def _cross(self, X, Z) -> np.ndarray:
+        """The cross blocks, with k_j(X, Z) written into the (j, j) entries.
+        Bitwise the sum of the terms: their other entries add exact zeros to
+        nonnegative kernel values."""
+        X, Z, n = _as_points(X), _as_points(Z), self.n
+        out = np.zeros((X.shape[0] * n, Z.shape[0] * n))
+        for j, k in enumerate(self.scalars):
+            out[j::n, j::n] = k.pairwise(X, Z)
+        return out
 
 
 # Block assembly ==============================================================

@@ -168,16 +168,18 @@ def resample_dictionary(norms, counts, q: float, rng: np.random.Generator) -> np
     """
     norms = np.asarray(norms, dtype=float)
     counts = np.asarray(counts)
-    if norms.ndim != 1 or counts.shape != norms.shape or np.any(counts < 1):
+    # One reduction per check; a NaN fails the comparisons it reaches.
+    if norms.ndim != 1 or counts.shape != norms.shape or not counts.min(initial=1) >= 1:
         raise ValueError("norms and positive counts must be 1-D and aligned")
-    if np.any(norms < 0) or not np.all(np.isfinite(norms)):
+    if not (norms.min(initial=0.0) >= 0 and norms.max(initial=0.0) < np.inf):
         raise ValueError("variance norms must be finite and nonnegative")
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
     p = np.minimum(q * norms, 1.0)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives probability 1
-        keep = -np.expm1(counts * np.log1p(-p))
-    return np.flatnonzero(rng.random(norms.shape[0]) < keep)
+    # log(1 - p), with -inf where p = 1: an arm of probability 1 is kept.
+    log_miss = np.log1p(-p, out=np.full_like(p, -np.inf), where=p < 1)
+    keep = -np.expm1(counts * log_miss)
+    return (rng.random(norms.shape[0]) < keep).nonzero()[0]
 
 
 # Support =====================================================================
@@ -215,14 +217,14 @@ def _pivot_rows(P, cut) -> np.ndarray:
 def _common_prefix(u, v) -> int:
     """Length of the longest common prefix of two 1-D arrays."""
     n = min(u.size, v.size)
-    diff = np.flatnonzero(u[:n] != v[:n])
+    diff = (u[:n] != v[:n]).nonzero()[0]
     return int(diff[0]) if diff.size else n
 
 
 def _observed(counts, b):
     """The observed arms, their block columns and the visit count of each column."""
-    seen = np.flatnonzero(counts)
-    return seen, _block_cols(seen, b), np.repeat(counts[seen], b).astype(float)
+    seen = counts.nonzero()[0]
+    return seen, _block_cols(seen, b), counts[seen].repeat(b).astype(float)
 
 
 class _Features:
@@ -315,6 +317,9 @@ class _Support:
         self._top = np.max(np.diagonal(self._prior, axis1=1, axis2=2), initial=0.0)
         self._features = _Features(basis.kernel, arms, np.zeros(0, dtype=int), 0.0)
         self._xi = basis._xi[:, None, None]
+        self._sqrt_xi = np.sqrt(self._xi)
+        self._eye = np.eye(basis.b)
+        self._ridge = np.zeros((0, 0))  # eta I_k for the largest k of a border so far
         self._dict = np.zeros(0, dtype=int)
         G, _, r = basis.ypos.shape
         self._buf = np.zeros((G, 0, 0))
@@ -416,11 +421,11 @@ class _Support:
         if a is not None:
             Fa, Ya = Fo[:, a * b:(a + 1) * b], basis.outputs(y[None])
             m += Fa @ Ya
-            v = np.sqrt(xi) * Fa
+            v = self._sqrt_xi * Fa
             u = X @ v
-            L = _chol(np.eye(b) + v.transpose(0, 2, 1) @ u)
+            L = _chol(self._eye + v.transpose(0, 2, 1) @ u)
             W = _solve_pivot(L, u.transpose(0, 2, 1))
-            e = np.sqrt(xi) * (L.transpose(0, 2, 1) @ Ya) - xi * (W @ m)
+            e = self._sqrt_xi * (L.transpose(0, 2, 1) @ Ya) - xi * (W @ m)
             if r == n0:
                 H = W @ Fo
                 self.res -= eta * _block_gram(H, H, b)
@@ -435,7 +440,9 @@ class _Support:
         Vno, Vnn = Nc @ FU[:n0].T, Nc @ FU[n0:].T
         Y = xi * Vno.T
         P = X @ Y - W.transpose(0, 2, 1) @ (W @ Y)
-        Li = _inv_lower(_chol(xi * (Vnn - Vno @ P) + eta * np.eye(r - n0)))
+        if r - n0 > self._ridge.shape[0]:
+            self._ridge = eta * np.eye(r - n0)
+        Li = _inv_lower(_chol(xi * (Vnn - Vno @ P) + self._ridge[:r - n0, :r - n0]))
         Pt = P.transpose(0, 2, 1)
         H = np.concatenate([W, Pt], axis=1) @ Fo  # [W F; P^T F]
         h, WF = Li @ (Fn - H[:, w:]), H[:, :w]

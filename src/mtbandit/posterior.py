@@ -96,6 +96,17 @@ systems share the kernel, b, t and the arms, so their arrays are stacked
 and updated together, and each kernel value serves all of them.  No
 weight is divided by, so a zero coupling keeps a zero-weight system.
 
+At the bench sizes (about 100 arms, 4 tasks) a round costs NumPy calls
+rather than flops, so the round path makes as few as it can.  What
+depends only on the task basis is built once per basis, in
+``_TaskBasis``: the maps between outputs, coordinates and task space and
+the log-det gather index.  What depends only on eta is built once per
+state: eta I_b here, the identities of the budgeted step there.  Each
+per-round reduction is one ufunc or array method (``np.maximum`` rather
+than ``np.clip``, ``.max`` rather than ``np.max``), with the bits of the
+wrapper, and a b = 1 block Gram is a product and a sum, with the
+einsum's bits except at a single query (``_block_gram``).
+
 The budgeted posterior in the nystrom module shares the front-end with
 its checks and its reads, the factor helpers, the triangle solve and the
 covariance clamp.  It builds its support over the same systems, in the
@@ -113,8 +124,16 @@ __all__ = [
 ]
 
 
+def _clamp(vals, cap) -> np.ndarray:
+    """vals clamped to [0, cap], cap None setting no upper bound, by one
+    ``np.maximum`` and at most one ``np.minimum``: NaN propagates, and a
+    -0.0 comes out as +0.0 (``np.clip`` with a cap would keep -0.0)."""
+    vals = np.maximum(vals, 0.0)
+    return vals if cap is None else np.minimum(vals, cap, out=vals)
+
+
 def _clamp_spectrum(M, cap, matrix=False) -> np.ndarray:
-    """Clamp the eigenvalues of a covariance to [0, cap]; cap None sets no upper bound.
+    """Clamp the eigenvalues of a covariance to [0, cap] (``_clamp``).
 
     M is a matrix or a stack of matrices, symmetrised before the eigen
     decomposition, or a 1-D array of eigenvalues already known.  Returns
@@ -125,19 +144,24 @@ def _clamp_spectrum(M, cap, matrix=False) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     if M.ndim == 1 or M.shape[-1] == 1:
-        vals = np.clip(M, 0.0, cap)
+        vals = _clamp(M, cap)
         return vals if matrix or M.ndim == 1 else vals[..., 0]
     M = 0.5 * (M + np.swapaxes(M, -1, -2))
     if not matrix:
-        return np.clip(np.linalg.eigvalsh(M), 0.0, cap)
+        return _clamp(np.linalg.eigvalsh(M), cap)
     vals, vecs = np.linalg.eigh(M)
-    vals = np.clip(vals, 0.0, cap)
+    vals = _clamp(vals, cap)
     return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def _block_gram(A, B, b: int) -> np.ndarray:
     """Per-query b x b blocks of A^T B for point-major columns, shape (N, b, b);
-    leading axes of A and B, if any, stack such products."""
+    leading axes of A and B, if any, stack such products.  For b = 1 it is
+    the product summed over the rows: bitwise the einsum when the query axis
+    is innermost in memory.  For a single query the rows are, and the two
+    sum them in different orders."""
+    if b == 1:
+        return (A * B).sum(axis=-2)[..., None, None]
     A3 = A.reshape(*A.shape[:-1], A.shape[-1] // b, b)
     B3 = B.reshape(*B.shape[:-1], B.shape[-1] // b, b)
     return np.einsum("...kja,...kjb->...jab", A3, B3)
@@ -316,7 +340,7 @@ class _Posterior:
             raise ValueError(
                 f"output has {y.shape[0]} coordinates, kernel has {self.kernel.n} tasks"
             )
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ValueError("observation contains non-finite entries")
         self.logdet_sum += self._absorb(self._arm(x), y)
         return self
@@ -411,7 +435,13 @@ class _TaskBasis:
     through the row U[:, ypos[g, j, c]]^T, 0 for the padding, so means are
     one product with these rows.  Every covariance it assembles has its
     eigenvalues clamped to [0, kappa], the kernel's bound on
-    ||Gamma(x, x)||."""
+    ||Gamma(x, x)||.
+
+    Built once per basis, since the rounds only read them: the map of
+    outputs to every system's right-hand sides, the map of coordinates to
+    task space per system (``mean_step``) and xi-weighted over all of them
+    (``assemble_mean``), and the index that repeats system g's log-det
+    eigenvalues r_g times (``logdet``)."""
 
     def __init__(self, kernel):
         self.U, self.kernel, self.systems = _task_systems(kernel)
@@ -419,16 +449,23 @@ class _TaskBasis:
         self.b = b = self.kernel.n  # the block size
         self.r = [cols.size // b for _, cols in self.systems]  # right-hand sides
         self._xi = np.array([xi for xi, _ in self.systems])
-        self.ypos = np.full((len(self.systems), b, max(self.r)), kernel.n)
+        G, r, n = len(self.systems), max(self.r), kernel.n
+        self.ypos = np.full((G, b, r), n)
         for g, (_, cols) in enumerate(self.systems):
             self.ypos[g, :, :self.r[g]] = cols.reshape(b, -1)
-        self._to_tasks = np.vstack([self.U.T, np.zeros((1, kernel.n))])[self.ypos]  # (G, b, r, n)
+        self._to_tasks = np.vstack([self.U.T, np.zeros((1, n))])[self.ypos]  # (G, b, r, n)
+        # The per-basis maps (class docstring).  The first is a transposed
+        # view: a contiguous copy gives other bits in a one-row product.
+        self._coords_of = self._to_tasks.reshape(-1, n).T
+        self._task_rows = self._to_tasks.transpose(0, 2, 1, 3).reshape(G, r, b * n)
+        self._mean_rows = (self._xi[:, None, None, None] * self._to_tasks).reshape(-1, n)
+        self._logdet_rep = np.repeat(np.arange(G), self.r)
 
     def outputs(self, Y) -> np.ndarray:
         """Outputs Y (q, n) in basis coordinates, Y U, as the right-hand sides
         of every system, (G, q b, r); the columns past r_g are 0."""
         G, b, r, n = self._to_tasks.shape
-        P = np.asarray(Y, dtype=float) @ self._to_tasks.reshape(-1, n).T  # (q, G b r)
+        P = np.asarray(Y, dtype=float) @ self._coords_of  # (q, G b r)
         return P.reshape(-1, G, b, r).transpose(1, 0, 2, 3).reshape(G, -1, r)
 
     def assemble_mean(self, coords) -> np.ndarray:
@@ -437,7 +474,7 @@ class _TaskBasis:
         G, b, r, n = self._to_tasks.shape
         N = coords.shape[1] // b
         C = coords.reshape(G, N, b, r).transpose(1, 0, 2, 3).reshape(N, G * b * r)
-        return C @ (self._xi[:, None, None, None] * self._to_tasks).reshape(-1, n)
+        return C @ self._mean_rows
 
     def mean_step(self, rows, coeffs) -> np.ndarray:
         """sum_g (rows_g^T coeffs_g) U_g^T, (N, n), for rows (G, k, N b)
@@ -448,7 +485,7 @@ class _TaskBasis:
         G, b, r, n = self._to_tasks.shape
         k, N = rows.shape[1], rows.shape[2] // b
         R = rows.reshape(G, k, N, b).transpose(2, 0, 1, 3).reshape(N, G * k * b)
-        E = coeffs @ self._to_tasks.transpose(0, 2, 1, 3).reshape(G, r, b * n)  # (G, k, b n)
+        E = coeffs @ self._task_rows  # (G, k, b n)
         return R @ E.reshape(G * k * b, n)
 
     def assemble_cov(self, res) -> np.ndarray:
@@ -461,15 +498,15 @@ class _TaskBasis:
 
     def assemble_cov_norm(self, res) -> np.ndarray:
         """max_g lambda_max(xi_g R_g(x)) per query, clamped to [0, kappa]."""
-        tops = self._xi[:, None] * _clamp_spectrum(np.asarray(res), None)[..., -1]
-        return _clamp_spectrum(np.max(tops, axis=0), self.kappa)
+        tops = self._xi[:, None] * _clamp_spectrum(res, None)[..., -1]
+        return _clamp_spectrum(tops.max(axis=0), self.kappa)
 
     def logdet(self, res, eta) -> float:
         """log det(I_n + Gamma(x, x) / eta) for one point's residual blocks R_g,
         (G, b, b): system g contributes r_g copies of the eigenvalues of
         xi_g R_g, clamped to [0, kappa]."""
         vals = _clamp_spectrum(self._xi[:, None, None] * res, self.kappa)
-        return float(np.sum(np.log1p(np.repeat(vals, self.r, axis=0).ravel() / eta)))
+        return float(np.log1p(vals[self._logdet_rep].ravel() / eta).sum())
 
 
 # Public posterior state ======================================================
@@ -512,6 +549,7 @@ class PosteriorState(_Posterior):
         self._basis = basis = _TaskBasis(kernel)
         G, b, r = basis.ypos.shape
         self._xi = basis._xi[:, None, None]
+        self._ridge = self.eta * np.eye(b)
         self._last = {}  # arm -> step of its last observation
         # Stacked over the systems, in buffers grown by _put: the rows u_s,
         # stored arm-major (u_s^T fills columns s b .. s b + b - 1), and the
@@ -581,7 +619,7 @@ class PosteriorState(_Posterior):
             c[:, :b] += self._pivots[:, s0 * b:(s0 + 1) * b].transpose(0, 2, 1)
             col = M @ c
         B = col[:, lo:lo + b]
-        L = _chol(xi * B + self.eta * np.eye(b))
+        L = _chol(xi * B + self._ridge)
         u = _solve_pivot(L, col.transpose(0, 2, 1))
         z = _solve_pivot(L, basis.outputs((y - self._mean[a])[None]))
         self._mean = self._mean + basis.mean_step(u, xi * z)

@@ -18,6 +18,7 @@ stream, rejected rows and the fallback included.
 """
 
 import abc
+import math
 
 import numpy as np
 
@@ -88,7 +89,8 @@ class LinearScalarization(Scalarization):
         out += term
 
     def lipschitz(self, lam):
-        return float(np.linalg.norm(np.asarray(lam, dtype=float)))
+        lam = np.asarray(lam, dtype=float).ravel()
+        return math.sqrt(lam.dot(lam))  # np.linalg.norm's sum, without its dispatch
 
     def __repr__(self):
         return "LinearScalarization()"
@@ -124,7 +126,7 @@ class ChebyshevScalarization(Scalarization):
         np.minimum(out, term, out=out)
 
     def lipschitz(self, lam):
-        return float(np.max(np.asarray(lam, dtype=float)))
+        return float(np.asarray(lam, dtype=float).max())
 
     def __repr__(self):
         return f"ChebyshevScalarization(reference={self.reference!r})"

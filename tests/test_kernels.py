@@ -291,7 +291,8 @@ class TestMultiTaskKernels:
         "variant", ["icm-gram", "icm-omega-0", "diagonal-shared", "diagonal-mixed"]
     )
     def test_constructors_are_sums_of_separable_terms(self, variant):
-        """ICM and diagonal kernels evaluate exactly as the sum of their terms."""
+        """ICM and diagonal kernels evaluate exactly as the sum of their terms,
+        also where the kernel values flush to 0.0."""
         rng = np.random.default_rng(12)
         se, matern = kernels.SquaredExponential(0.3), kernels.Matern52(0.6)
         gamma = {
@@ -304,6 +305,11 @@ class TestMultiTaskKernels:
         X, Z = rng.random((6, 2)), rng.random((4, 2))
         np.testing.assert_array_equal(gamma(X[0], Z[0]), reference(X[0], Z[0]))
         np.testing.assert_array_equal(gamma._cross(X, Z), reference._cross(X, Z))
+        # Points 1,000 apart: every kernel value there flushes to +0.0.
+        far = np.vstack([X, X + 1000.0])
+        cross = gamma._cross(far, Z)
+        assert cross.tobytes() == reference._cross(far, Z).tobytes()
+        assert not cross[X.shape[0] * gamma.n:].any() and not np.signbit(cross).any()
         np.testing.assert_array_equal(gamma.diag_blocks(X), reference.diag_blocks(X))
         if isinstance(gamma, kernels.ICMKernel):
             assert gamma.kappa == gamma.spectrum.eigenvalues[0]

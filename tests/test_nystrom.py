@@ -18,6 +18,8 @@ keep its means from drifting over a long bandit run, and evaluate one
 kernel row per appended arm.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -44,13 +46,13 @@ class TestDictionary:
     def test_validation(self):
         """The draw refuses q < 1, negative or non-finite norms, and counts
         that are not positive or not aligned with the norms; it returns
-        increasing positions of the visited arms."""
+        increasing positions of the visited arms, none for no arm."""
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="q"):
             nystrom.resample_dictionary([0.5, 0.2], [1, 2], q=np.nan, rng=rng)
         with pytest.raises(ValueError, match="q"):
             nystrom.resample_dictionary([0.5, 0.2], [1, 2], q=0.5, rng=rng)
-        for norms in ([0.5, -0.2], [0.5, np.inf], [np.nan, 0.2]):
+        for norms in ([0.5, -0.2], [0.5, np.inf], [np.nan, 0.2], [-np.inf, 0.2]):
             with pytest.raises(ValueError, match="nonnegative"):
                 nystrom.resample_dictionary(norms, [1, 2], q=2.0, rng=rng)
         for counts in ([1], [1, 0], [[1, 2]]):
@@ -58,6 +60,19 @@ class TestDictionary:
                 nystrom.resample_dictionary([0.5, 0.2], counts, q=2.0, rng=rng)
         kept = nystrom.resample_dictionary(np.full(6, 0.3), np.arange(1, 7), q=2.0, rng=rng)
         assert kept.dtype.kind == "i" and np.all(np.diff(kept) > 0)
+        empty = nystrom.resample_dictionary(np.zeros(0), np.zeros(0, dtype=int), q=2.0, rng=rng)
+        assert empty.shape == (0,) and empty.dtype.kind == "i"
+
+    def test_certain_arms_are_kept_without_warning(self):
+        """An arm with p = 1 is kept at every draw, whatever its count, and
+        its log(1 - p) = -inf raises no RuntimeWarning."""
+        norms, counts = np.array([0.6, 0.01, 5.0, 0.02]), np.array([1, 2, 3, 1])
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(50):
+                kept = nystrom.resample_dictionary(norms, counts, q=2.0, rng=rng)
+                assert {0, 2} <= set(kept.tolist())
 
     def test_resample_inclusion_rule(self):
         """Arm a, visited c_a times, is kept iff draw_a < 1 - (1 - p_a)^{c_a}

@@ -633,3 +633,54 @@ class TestValidation:
         for i, xq in enumerate(Xq):
             np.testing.assert_allclose(means[i], state.mean(xq), atol=1e-12)
             assert norms[i] == pytest.approx(state.cov_norm(xq), abs=1e-12)
+
+
+class TestRoundHelpers:
+    """The per-round helpers keep the bits of the forms they replace."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16])
+    @pytest.mark.parametrize("G, N", [(1, 7), (3, 101)])
+    def test_scalar_block_gram_is_bitwise_the_einsum(self, k, G, N):
+        """For b = 1 the product summed over the rows equals the einsum on
+        (G, k, N) stacks, and on a 2-D (k, N) operand."""
+        rng = np.random.default_rng(k * 100 + N)
+        A, B = rng.standard_normal((G, k, N)), rng.standard_normal((G, k, N))
+        einsum = np.einsum("...kja,...kjb->...jab", A[..., None], B[..., None])
+        got = posterior._block_gram(A, B, 1)
+        assert got.shape == (G, N, 1, 1)
+        assert got.tobytes() == einsum.tobytes()
+        assert posterior._block_gram(A[0], A[0], 1).tobytes() == np.einsum(
+            "kja,kjb->jab", A[0][..., None], A[0][..., None]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 1, 1)])
+    def test_eigenvalue_clamp(self, shape):
+        """The eigenvalue path (1-D input and 1 x 1 blocks) clamps to
+        [0, cap], propagates NaN, sets no upper bound for cap None and
+        returns +0.0 for a -0.0 input."""
+        M = np.resize(np.array([-0.5, np.nan, -0.0, 7.0]), int(np.prod(shape))).reshape(shape)
+        capped = np.ravel(posterior._clamp_spectrum(M, 2.0))
+        uncapped = np.ravel(posterior._clamp_spectrum(M, None))
+        ref = np.ravel(M)
+        assert np.array_equal(np.isnan(capped), np.isnan(ref))
+        ok = ~np.isnan(ref)
+        np.testing.assert_array_equal(capped[ok], np.clip(ref[ok], 0.0, 2.0))
+        np.testing.assert_array_equal(uncapped[ok], np.maximum(ref[ok], 0.0))
+        assert 7.0 in uncapped
+        zero = ref == 0.0
+        assert zero.any() and not np.signbit(capped[zero]).any()
+        assert not np.signbit(uncapped[zero]).any()
+
+    @pytest.mark.parametrize("coupling, n", [("omega", 9), ("omega", 7), ("zero", 9)])
+    def test_logdet_is_bitwise_the_repeat_formula(self, coupling, n):
+        """The gathered log-det equals the np.repeat form it replaces: omega
+        couplings (one system of 1 column, one of n - 1) and a zero coupling
+        (one zero-weight system)."""
+        B = kernels.omega_coupling(0.5, n) if coupling == "omega" else np.zeros((n, n))
+        basis = posterior._TaskBasis(kernels.ICMKernel(kernels.SquaredExponential(0.3), B))
+        assert basis.r == ([1, n - 1] if coupling == "omega" else [n])
+        rng = np.random.default_rng(5)
+        for res in rng.uniform(-0.1, 1.5, (20, len(basis.systems), 1, 1)):
+            vals = posterior._clamp_spectrum(basis._xi[:, None, None] * res, basis.kappa)
+            old = float(np.sum(np.log1p(np.repeat(vals, basis.r, axis=0).ravel() / ETA)))
+            new = basis.logdet(res, ETA)
+            assert np.float64(new).tobytes() == np.float64(old).tobytes()
